@@ -75,10 +75,13 @@ def read_dataset(path):
                         "line %d: header must carry feature_dim and num_labels"
                         % lineno
                     )
-                header = {
-                    "feature_dim": int(obj["feature_dim"]),
-                    "num_labels": int(obj["num_labels"]),
-                }
+                header = {key: obj[key] for key in ("feature_dim", "num_labels")}
+                if any(not isinstance(v, int) or isinstance(v, bool)
+                       for v in header.values()):
+                    raise DatasetFormatError(
+                        "line %d: feature_dim and num_labels must be integers"
+                        % lineno
+                    )
                 if header["feature_dim"] < 1 or header["num_labels"] < 1:
                     raise DatasetFormatError(
                         "line %d: feature_dim and num_labels must be >= 1" % lineno
@@ -106,6 +109,11 @@ def read_dataset(path):
                 raise DatasetFormatError(
                     "line %d: non-numeric feature value (%s)" % (lineno, err)
                 ) from err
+            # json.loads accepts NaN and Infinity
+            if not np.isfinite(features).all():
+                raise DatasetFormatError(
+                    "line %d: non-finite feature value" % lineno
+                )
             labels = obj["labels"]
             if not isinstance(labels, list) or any(
                 not isinstance(l, int) or isinstance(l, bool) for l in labels

@@ -13,11 +13,25 @@ Conventions used throughout this module (and the rest of the package):
   includes the emission at frame t; ``beta[t][s]`` covers frames t+1
   onward, so for every t, logsumexp_s(alpha[t][s] + beta[t][s]) equals
   the full-sequence log-likelihood.
+
+One lattice implementation serves every entry point. It runs alpha and
+beta for a whole length-sorted batch at once over (B, 2 * L_max + 1)
+states in the packed layout of ``ctckit.packing``, a step at a time for
+the sequences still running (the batched lattice of warp-ctc). It is
+fed log-probabilities computed once: ``log_softmax`` of the logits in
+``ctc_gradient_packed``, ``log`` of the posteriors in ``ctc_loss``, so
+logits far apart cannot underflow a probability to 0 and make a
+feasible alignment look impossible (Graves et al. 2006, section 4.1).
+``ctc_loss_batch`` runs a padded batch of posteriors through it; the
+single-sequence functions (``ctc_forward``, ``ctc_backward``,
+``make_lattice``, ``ctc_loss``, ``ctc_gradient``) run a batch of one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .packing import Packing
 
 NEG_INF = -np.inf
 
@@ -89,7 +103,17 @@ def extend_with_blanks(labels, blank_index):
     return ext
 
 
-def _validate_labels(labels, num_classes):
+def _check_input_len(input_len, num_frames):
+    if not 1 <= input_len <= num_frames:
+        raise ValueError("input_len %d outside [1, %d]" % (input_len, num_frames))
+
+
+def _check_alignment(labels, input_len, num_classes):
+    """Validated label array of one sequence.
+
+    Raises ValueError for a label outside [0, num_classes - 1) and
+    InfeasibleAlignment when input_len frames cannot hold the labels.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("labels must be one-dimensional")
@@ -98,11 +122,6 @@ def _validate_labels(labels, num_classes):
             "label indices must lie in [0, %d); got %r"
             % (num_classes - 1, labels.tolist())
         )
-    return labels
-
-
-def _check_feasible(ext, input_len):
-    labels = ext[1::2]
     repeats = int(np.sum(labels[1:] == labels[:-1])) if labels.size > 1 else 0
     required = labels.size + repeats
     if input_len < required:
@@ -110,19 +129,186 @@ def _check_feasible(ext, input_len):
             "need at least %d frames for %d labels with %d adjacent repeats, "
             "got input_len=%d" % (required, labels.size, repeats, input_len)
         )
+    return labels
 
 
-def _log_emissions(probs, ext, input_len):
+def _check_posteriors(probs):
+    """Reject a posterior matrix with a non-finite, negative or unnormalized row."""
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            "posterior row %d holds a non-finite entry" % int(np.argmin(finite))
+        )
+    if probs.min() < 0.0:
+        raise ValueError("posterior entries must be non-negative")
+    row_sums = probs.sum(axis=1)
+    if np.abs(row_sums - 1.0).max() > 1e-6:
+        bad = int(np.abs(row_sums - 1.0).argmax())
+        raise ValueError(
+            "posterior row %d sums to %.9f, not 1 within 1e-6" % (bad, row_sums[bad])
+        )
+
+
+def check_batch(batch, num_classes):
+    """Validate every sequence of a padded batch before any work is done.
+
+    ``batch`` carries ``features`` (B, T_max, ...), ``labels`` (B, L_max)
+    and the two length arrays. Errors name the first offending sequence
+    by its index in the batch; InfeasibleAlignment also records it as
+    ``sequence_index``.
+    """
+    num_frames = batch.features.shape[1]
+    labels = np.asarray(batch.labels, dtype=np.int64)
+    input_lengths = np.asarray(batch.input_lengths, dtype=np.int64)
+    label_lengths = np.asarray(batch.label_lengths, dtype=np.int64)
+    # screen the whole batch at once; the per-sequence checks below then
+    # word the error of the first sequence that fails
+    live = np.arange(labels.shape[1]) < label_lengths[:, None]
+    repeats = (live[:, 1:] & (labels[:, 1:] == labels[:, :-1])).sum(axis=1)
+    bad = (
+        (input_lengths < 1) | (input_lengths > num_frames)
+        | (label_lengths < 0) | (label_lengths > labels.shape[1])
+        | (live & ((labels < 0) | (labels >= num_classes - 1))).any(axis=1)
+        | (input_lengths < label_lengths + repeats)
+    )
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    input_len, label_len = int(input_lengths[i]), int(label_lengths[i])
+    try:
+        _check_input_len(input_len, num_frames)
+        if not 0 <= label_len <= labels.shape[1]:
+            raise ValueError("label_len %d outside [0, %d]"
+                             % (label_len, labels.shape[1]))
+        _check_alignment(labels[i, :label_len], input_len, num_classes)
+    except InfeasibleAlignment as err:
+        raise InfeasibleAlignment(str(err), sequence_index=i) from err
+    except ValueError as err:
+        raise ValueError("sequence %d: %s" % (i, err)) from err
+
+
+def _log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
+
+
+class _Trellis:
+    """The blank-extended lattice of a packed batch.
+
+    States run over the (B, S) extended label rows, S = 2 * L_max + 1,
+    padded with blanks; states past a sequence's own 2L + 1 emit -inf,
+    so they never carry mass. Alpha and beta are (N, S + 2) tables in
+    the packed row order: alpha's two extra columns lead and beta's
+    trail, both -inf, so the s-1 / s-2 (and s+1 / s+2) transitions of
+    every state are plain column shifts.
+    """
+
+    def __init__(self, packing, log_probs, labels, label_lengths):
+        self.packing = packing
+        label_lengths = np.asarray(label_lengths, dtype=np.int64)
+        self.label_lengths = label_lengths
+        blank = log_probs.shape[1] - 1
+        max_len = int(label_lengths.max())
+        S = 2 * max_len + 1
+        live = np.arange(max_len) < label_lengths[:, None]
+        ext = np.full((len(label_lengths), S), blank, dtype=np.int64)
+        ext[:, 1::2] = np.where(live, labels[:, :max_len], blank)
+        self.ext = ext
+        seq = packing.seq_of_row
+        self.emit = np.take_along_axis(log_probs, ext[seq], axis=1)
+        self.emit[(np.arange(S) > 2 * label_lengths[:, None])[seq]] = NEG_INF
+        # transition s-2 -> s is allowed iff ext[s] is a label differing
+        # from ext[s-2]; 0 where allowed, -inf where not
+        skip = np.full((len(label_lengths), S), NEG_INF)
+        skip[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
+        self.skip = skip
+
+    def alpha(self):
+        """Forward table and per-sequence log-likelihoods."""
+        packing, emit = self.packing, self.emit
+        S = emit.shape[1]
+        alpha = np.full((packing.num_frames, S + 2), NEG_INF)
+        first = packing.steps[0][1]
+        alpha[:first, 2:4] = emit[:first, :2]
+        prev = 0
+        for start, n in packing.steps[1:]:
+            p = alpha[prev:prev + n]
+            acc = np.logaddexp(p[:, 2:], p[:, 1:-1])
+            np.logaddexp(acc, p[:, :-2] + self.skip[:n], out=acc)
+            np.add(acc, emit[start:start + n], out=alpha[start:start + n, 2:])
+            prev = start
+        # final states 2L - 1 and 2L sit at columns 2L + 1 and 2L + 2;
+        # with no labels column 1 is the -inf padding
+        last = alpha[packing.last_rows]
+        cols = 2 * self.label_lengths + 1
+        b = np.arange(len(cols))
+        return alpha, np.logaddexp(last[b, cols], last[b, cols + 1])
+
+    def beta(self):
+        """Backward table: beta[t][s] covers emissions at frames t+1 onward."""
+        packing, emit = self.packing, self.emit
+        N, S = emit.shape
+        beta = np.full((N, S + 2), NEG_INF)
+        states = np.arange(S) - 2 * self.label_lengths[:, None]
+        final = (states == 0) | (states == -1)  # states 2L and 2L - 1
+        beta[packing.last_rows, :S] = np.where(final, 0.0, NEG_INF)
+        skip = np.full((len(self.label_lengths), S), NEG_INF)
+        skip[:, :-2] = self.skip[:, 2:]
+        nxt = np.full((len(self.label_lengths), S + 2), NEG_INF)
+        for t in range(len(packing.steps) - 2, -1, -1):
+            start = packing.steps[t][0]
+            nstart, n = packing.steps[t + 1]
+            q = nxt[:n]
+            np.add(beta[nstart:nstart + n, :S], emit[nstart:nstart + n],
+                   out=q[:, :S])
+            acc = np.logaddexp(q[:, :S], q[:, 1:-1])
+            np.logaddexp(acc, q[:, 2:] + skip[:n], out=acc)
+            beta[start:start + n, :S] = acc
+        return beta
+
+
+def ctc_gradient_packed(packing, logits, labels, label_lengths):
+    """Losses and logit gradients of a packed, length-sorted batch.
+
+    ``logits`` is (N, K) in ``packing``'s row order and ``labels``
+    (B, >= L_max) holds each sequence's labels in its first
+    ``label_lengths[b]`` entries, already validated (``check_batch``).
+    log_softmax is taken once; alpha and beta advance all sequences a
+    step at a time. Returns (losses (B,), grad (N, K)) with
+    grad = softmax(logits) - lattice posterior.
+    """
+    log_probs = _log_softmax(logits)
+    trellis = _Trellis(packing, log_probs, labels, label_lengths)
+    alpha, ll = trellis.alpha()
+    beta = trellis.beta()
+    seq = packing.seq_of_row
+    N, K = log_probs.shape
+    S = trellis.ext.shape[1]
+    occupancy = np.exp(alpha[:, 2:] + beta[:, :S] - ll[seq][:, None])
+    cells = np.arange(N)[:, None] * K + trellis.ext[seq]
+    posterior = np.bincount(cells.ravel(), weights=occupancy.ravel(),
+                            minlength=N * K).reshape(N, K)
+    return -ll, np.exp(log_probs) - posterior
+
+
+def _log_posteriors(probs):
     with np.errstate(divide="ignore"):
-        return np.log(probs[:input_len, ext])
+        return np.log(probs)
 
 
-def _skip_mask(ext, blank_index):
-    # transition s-2 -> s is allowed iff ext[s] is a label differing from ext[s-2]
-    allowed = np.zeros(ext.size, dtype=bool)
-    if ext.size > 2:
-        allowed[2:] = (ext[2:] != blank_index) & (ext[2:] != ext[:-2])
-    return allowed
+def _one_sequence(log_probs, labels):
+    """Trellis of a single sequence: the batch of one over its frames."""
+    return _Trellis(Packing([log_probs.shape[0]]), log_probs, labels[None, :],
+                    [labels.size])
+
+
+def _extended_trellis(probs, ext, input_len):
+    """Trellis of ``probs[:input_len]`` for a blank-extended label sequence."""
+    probs = np.asarray(probs, dtype=np.float64)
+    _check_input_len(input_len, probs.shape[0])
+    labels = _check_alignment(np.asarray(ext)[1::2], input_len, probs.shape[1])
+    return _one_sequence(_log_posteriors(probs[:input_len]), labels)
 
 
 def ctc_forward(probs, ext, input_len):
@@ -132,77 +318,37 @@ def ctc_forward(probs, ext, input_len):
     (input_len, len(ext)). Raises InfeasibleAlignment when input_len
     is too short for the label sequence encoded in ``ext``.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    ext = np.asarray(ext, dtype=np.int64)
-    if not 1 <= input_len <= probs.shape[0]:
-        raise ValueError("input_len %d outside [1, %d]" % (input_len, probs.shape[0]))
-    _check_feasible(ext, input_len)
-    blank = probs.shape[1] - 1
-    S = ext.size
-    emit = _log_emissions(probs, ext, input_len)
-    skip = _skip_mask(ext, blank)
-
-    alpha = np.full((input_len, S), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[0, 1] = emit[0, 1]
-    for t in range(1, input_len):
-        prev = alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        if S > 2:
-            acc[2:] = np.where(
-                skip[2:], np.logaddexp(acc[2:], prev[:-2]), acc[2:]
-            )
-        alpha[t] = acc + emit[t]
-
-    if S == 1:
-        ll = float(alpha[-1, 0])
-    else:
-        ll = log_sum_exp(alpha[-1, -2:])
-    return alpha, ll
+    alpha, ll = _extended_trellis(probs, ext, input_len).alpha()
+    return alpha[:, 2:], float(ll[0])
 
 
 def ctc_backward(probs, ext, input_len):
     """Backward pass; beta[t][s] covers emissions at frames t+1..input_len-1."""
-    probs = np.asarray(probs, dtype=np.float64)
-    ext = np.asarray(ext, dtype=np.int64)
-    if not 1 <= input_len <= probs.shape[0]:
-        raise ValueError("input_len %d outside [1, %d]" % (input_len, probs.shape[0]))
-    _check_feasible(ext, input_len)
-    blank = probs.shape[1] - 1
-    S = ext.size
-    emit = _log_emissions(probs, ext, input_len)
-    skip = _skip_mask(ext, blank)
+    return _extended_trellis(probs, ext, input_len).beta()[:, :-2]
 
-    beta = np.full((input_len, S), NEG_INF)
-    beta[-1, max(S - 2, 0):] = 0.0
-    for t in range(input_len - 2, -1, -1):
-        nxt = beta[t + 1] + emit[t + 1]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        if S > 2:
-            acc[:-2] = np.where(
-                skip[2:], np.logaddexp(acc[:-2], nxt[2:]), acc[:-2]
-            )
-        beta[t] = acc
-    return beta
+
+def _sequence_args(matrix, labels, input_len, label_len):
+    """Shared argument handling of the single-sequence entry points."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] < 2:
+        raise ValueError("expected a (T, K) matrix with K >= 2")
+    if input_len is None:
+        input_len = matrix.shape[0]
+    _check_input_len(input_len, matrix.shape[0])
+    labels = np.asarray(labels, dtype=np.int64)
+    if label_len is None:
+        label_len = labels.size
+    labels = _check_alignment(labels[:label_len], input_len, matrix.shape[1])
+    return matrix[:input_len], labels
 
 
 def make_lattice(probs, labels, input_len=None, label_len=None):
     """Run both passes and return the filled :class:`Lattice`."""
-    probs = np.asarray(probs, dtype=np.float64)
-    T, K = probs.shape
-    if input_len is None:
-        input_len = T
-    labels = np.asarray(labels, dtype=np.int64)
-    if label_len is None:
-        label_len = labels.size
-    labels = _validate_labels(labels[:label_len], K)
-    ext = extend_with_blanks(labels, K - 1)
-    alpha, ll = ctc_forward(probs, ext, input_len)
-    beta = ctc_backward(probs, ext, input_len)
-    return Lattice(alpha=alpha, beta=beta, log_likelihood=ll)
+    active, labels = _sequence_args(probs, labels, input_len, label_len)
+    trellis = _one_sequence(_log_posteriors(active), labels)
+    alpha, ll = trellis.alpha()
+    return Lattice(alpha=alpha[:, 2:], beta=trellis.beta()[:, :-2],
+                   log_likelihood=float(ll[0]))
 
 
 def ctc_loss(probs, labels, input_len=None, label_len=None):
@@ -211,71 +357,29 @@ def ctc_loss(probs, labels, input_len=None, label_len=None):
     Only the first ``input_len`` frames and first ``label_len`` labels
     participate; anything beyond is padding and is ignored entirely.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] < 2:
-        raise ValueError("posterior matrix must be (T, K) with K >= 2")
-    T, K = probs.shape
-    if input_len is None:
-        input_len = T
-    if not 1 <= input_len <= T:
-        raise ValueError("input_len %d outside [1, %d]" % (input_len, T))
-    active = probs[:input_len]
-    if active.min() < 0.0:
-        raise ValueError("posterior entries must be non-negative")
-    row_sums = active.sum(axis=1)
-    if np.abs(row_sums - 1.0).max() > 1e-6:
-        bad = int(np.abs(row_sums - 1.0).argmax())
-        raise ValueError(
-            "posterior row %d sums to %.9f, not 1 within 1e-6" % (bad, row_sums[bad])
-        )
-    labels = np.asarray(labels, dtype=np.int64)
-    if label_len is None:
-        label_len = labels.size
-    labels = _validate_labels(labels[:label_len], K)
-    ext = extend_with_blanks(labels, K - 1)
-    _, ll = ctc_forward(probs, ext, input_len)
-    return -ll
+    active, labels = _sequence_args(probs, labels, input_len, label_len)
+    _check_posteriors(active)
+    _, ll = _one_sequence(_log_posteriors(active), labels).alpha()
+    return -float(ll[0])
 
 
 def ctc_gradient(logits, labels, input_len=None, label_len=None):
     """Loss and its exact gradient w.r.t. pre-softmax activations.
 
-    Applies a row softmax to ``logits[:input_len]``, runs the
-    forward-backward pass, and returns (loss, grad) where
+    Runs ``ctc_gradient_packed`` on the batch of one formed by
+    ``logits[:input_len]`` and returns (loss, grad) where
     grad[t][k] = softmax(logits)[t][k] - q[t][k], with q the lattice
     posterior of class k at frame t. Rows at t >= input_len are exactly
     zero.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[1] < 2:
-        raise ValueError("logits must be (T, K) with K >= 2")
-    T, K = logits.shape
-    if input_len is None:
-        input_len = T
-    if not 1 <= input_len <= T:
-        raise ValueError("input_len %d outside [1, %d]" % (input_len, T))
-    active = logits[:input_len]
-    shifted = active - active.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-
-    labels = np.asarray(labels, dtype=np.int64)
-    if label_len is None:
-        label_len = labels.size
-    labels = _validate_labels(labels[:label_len], K)
-    ext = extend_with_blanks(labels, K - 1)
-    alpha, ll = ctc_forward(probs, ext, input_len)
-    beta = ctc_backward(probs, ext, input_len)
-    ab = alpha + beta
-
-    posterior = np.zeros((input_len, K))
-    for k in np.unique(ext):
-        cols = ab[:, ext == k]
-        posterior[:, k] = np.exp(np.logaddexp.reduce(cols, axis=1) - ll)
-
-    grad = np.zeros((T, K))
-    grad[:input_len] = probs - posterior
-    return -ll, grad
+    active, labels = _sequence_args(logits, labels, input_len, label_len)
+    losses, grad_active = ctc_gradient_packed(
+        Packing([active.shape[0]]), active, labels[None, :], [labels.size]
+    )
+    grad = np.zeros(logits.shape)
+    grad[:active.shape[0]] = grad_active
+    return float(losses[0]), grad
 
 
 def ctc_loss_batch(batch):
@@ -283,23 +387,27 @@ def ctc_loss_batch(batch):
 
     ``batch`` is any object with ``features`` (B, T_max, K),
     ``labels`` (B, L_max, padded with -1), ``input_lengths`` and
-    ``label_lengths`` attributes. Element i is independent of the other
-    batch members and of the padding width. Per-sequence errors are
-    re-raised with the offending index attached.
+    ``label_lengths`` attributes. The batch runs through the lattice at
+    once, sorted by length; element i is independent of the other batch
+    members and of the padding width. Per-sequence errors are raised
+    with the offending index attached.
     """
-    losses = []
-    for i in range(len(batch.input_lengths)):
+    features = np.asarray(batch.features, dtype=np.float64)
+    if features.ndim != 3 or features.shape[2] < 2:
+        raise ValueError("posterior batch must be (B, T_max, K) with K >= 2")
+    check_batch(batch, features.shape[2])
+    lengths = np.asarray(batch.input_lengths, dtype=np.int64)
+    for i, input_len in enumerate(lengths.tolist()):
         try:
-            losses.append(
-                ctc_loss(
-                    batch.features[i],
-                    batch.labels[i],
-                    input_len=int(batch.input_lengths[i]),
-                    label_len=int(batch.label_lengths[i]),
-                )
-            )
-        except InfeasibleAlignment as err:
-            raise InfeasibleAlignment(str(err), sequence_index=i) from err
+            _check_posteriors(features[i, :input_len])
         except ValueError as err:
             raise ValueError("sequence %d: %s" % (i, err)) from err
-    return losses
+    order = np.argsort(-lengths, kind="stable")
+    packing = Packing(lengths[order])
+    label_lengths = np.asarray(batch.label_lengths, dtype=np.int64)[order]
+    trellis = _Trellis(packing, _log_posteriors(packing.pack(features, order)),
+                       np.asarray(batch.labels)[order], label_lengths)
+    _, ll = trellis.alpha()
+    losses = np.empty(len(order))
+    losses[order] = -ll
+    return losses.tolist()

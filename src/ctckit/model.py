@@ -25,8 +25,17 @@ import numpy as np
 from . import net
 from .data import Dataset, make_batches
 from .decode import beam_search_decode, best_path_decode
-from .lattice import InfeasibleAlignment, ctc_gradient, ctc_loss
+# ctc_gradient is not called here; benchmark tracing swaps its span
+# wrapper into this namespace
+from .lattice import (  # noqa: F401
+    InfeasibleAlignment,
+    check_batch,
+    ctc_gradient,
+    ctc_gradient_packed,
+    ctc_loss,
+)
 from .metrics import MetricsReport, label_error_rate, sequence_error_rate
+from .packing import Packing
 
 ARCHITECTURE_FILE = "architecture.json"
 HYPERPARAMS_FILE = "hyperparams.json"
@@ -92,30 +101,10 @@ class CtcModel:
         infeasible sequence or a non-finite gradient leaves parameters
         and optimizer state untouched.
         """
-        total = {name: np.zeros_like(p) for name, p in self.params.items()}
-        losses = []
-        for i in range(len(batch)):
-            til = int(batch.input_lengths[i])
-            ll = int(batch.label_lengths[i])
-            probs, cache = net.forward(
-                self.spec, self.params, batch.features[i], input_len=til
-            )
-            try:
-                loss, grad_active = ctc_gradient(
-                    cache.logits, batch.labels[i], label_len=ll
-                )
-            except InfeasibleAlignment as err:
-                raise InfeasibleAlignment(str(err), sequence_index=i) from err
-            grad_full = np.zeros((cache.num_frames, self.spec.num_classes))
-            grad_full[:til] = grad_active
-            grads = net.backward(self.spec, self.params, cache, grad_full)
-            for name in total:
-                total[name] += grads[name]
-            losses.append(loss)
-        mean_grads = {name: g / len(batch) for name, g in total.items()}
+        losses, grads = batch_gradients(self.spec, self.params, batch)
         if clip_norm is not None:
-            mean_grads = net.clip_by_global_norm(mean_grads, clip_norm)
-        net.optimizer_step(self.optimizer, self.params, mean_grads)
+            grads = net.clip_by_global_norm(grads, clip_norm)
+        net.optimizer_step(self.optimizer, self.params, grads)
         return float(np.mean(losses))
 
     def fit(self, dataset, epochs, batch_size=32, shuffle_seed=0,
@@ -258,6 +247,44 @@ class CtcModel:
         return load_model(directory, weights=weights)
 
 
+def batch_gradients(spec, params, batch):
+    """Per-sequence losses and batch-mean gradients of a padded batch.
+
+    Every sequence is validated first; errors carry the sequence's index
+    in ``batch``. The batch is then sorted by length and run in
+    consecutive groups of ``net.activation_groups``: per group one
+    forward, one lattice pass and one backward over its packed frames.
+    Returns (losses in batch order, {name: mean gradient}).
+    """
+    check_batch(batch, spec.num_classes)
+    lengths = np.asarray(batch.input_lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    losses = np.empty(len(order))
+    total = None
+    for group in net.activation_groups(spec, lengths[order]):
+        index = order[group]
+        losses[index], grads = _group_gradients(spec, params, batch, index)
+        if total is None:
+            total = grads
+        else:
+            for name, g in grads.items():
+                total[name] += g
+    return losses, {name: g / len(order) for name, g in total.items()}
+
+
+def _group_gradients(spec, params, batch, index):
+    # a function of its own, so each group's activations are freed
+    # before the next group's forward runs
+    packing = Packing(batch.input_lengths[index])
+    logits, cache = net.forward_packed(
+        spec, params, packing, packing.pack(batch.features, index)
+    )
+    losses, grad_logits = ctc_gradient_packed(
+        packing, logits, batch.labels[index], batch.label_lengths[index]
+    )
+    return losses, net.backward_packed(spec, params, cache, grad_logits)
+
+
 def save_model(model, directory):
     """Write architecture.json, hyperparams.json and weights.ctcw."""
     os.makedirs(directory, exist_ok=True)
@@ -372,7 +399,10 @@ def read_weights(path):
         offset += 2
         if offset + name_len + 1 > len(blob):
             fail("truncated tensor record")
-        name = blob[offset:offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            fail("tensor name at byte %d is not UTF-8" % offset)
         offset += name_len
         (rank,) = struct.unpack_from("<B", blob, offset)
         offset += 1
@@ -387,6 +417,8 @@ def read_weights(path):
         values = np.frombuffer(
             blob, dtype="<f8", count=size, offset=offset
         ).reshape(shape)
+        if not np.isfinite(values).all():
+            fail("tensor %s holds non-finite values" % name)
         params[name] = values.astype(np.float64).copy()
         offset += nbytes
     if offset != len(blob):

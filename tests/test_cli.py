@@ -150,6 +150,26 @@ class TestExitCodes:
         assert err.startswith("error[data]:")
         assert "line 2" in err
 
+    @pytest.mark.parametrize("lines", [
+        ['{"feature_dim": "x", "num_labels": 3}'],
+        ['{"feature_dim": 3, "num_labels": 3}',
+         '{"features": [[0.0, NaN, 1.0]], "labels": [0]}'],
+        ['{"feature_dim": 3, "num_labels": 3}',
+         '{"features": [[0.0, 1.0, 0.5]], "labels": [0]}',
+         '{"features": [[Infinity, 1.0, 0.5]], "labels": [1]}'],
+    ])
+    def test_bad_header_or_non_finite_feature_is_data_error(
+            self, tmp_path, capsys, lines):
+        data = tmp_path / "bad.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        code = cli_main(["train", "--config", write_arch(tmp_path),
+                         "--data", str(data), "--epochs", "1",
+                         "--out", str(tmp_path / "m")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]:")
+        assert "line %d" % len(lines) in err
+
     def test_config_dataset_mismatch_is_data_error(self, tmp_path, capsys):
         data = str(tmp_path / "d.jsonl")
         cli_main(["gen-data", "--num", "2", "--labels", "2",

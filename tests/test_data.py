@@ -93,6 +93,29 @@ class TestReadWrite:
             read_dataset(path)
 
 
+    @pytest.mark.parametrize("header", [
+        '{"feature_dim": "x", "num_labels": 2}',
+        '{"feature_dim": 1, "num_labels": [2]}',
+    ])
+    def test_non_integer_header_names_the_line(self, tmp_path, header):
+        path = tmp_path / "header.jsonl"
+        path.write_text(header + "\n" + '{"features": [[0.0]], "labels": [0]}\n')
+        with pytest.raises(DatasetFormatError, match="line 1"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_feature_names_the_line(self, tmp_path, value):
+        # json.loads accepts these tokens; the reader must not
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"feature_dim": 2, "num_labels": 2}\n'
+            '{"features": [[0.0, 1.0]], "labels": [0]}\n'
+            '{"features": [[0.0, %s]], "labels": [1]}\n' % value
+        )
+        with pytest.raises(DatasetFormatError, match="line 3"):
+            read_dataset(path)
+
+
 class TestMakeBatches:
     def test_batch_sizes(self):
         batches = make_batches(tiny_dataset(), 2, seed=0)

@@ -201,6 +201,13 @@ class TestLoss:
         with pytest.raises(ValueError):
             ctc_loss(UNIFORM_T2, [0, -1], label_len=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_posterior_rejected_naming_the_row(self, bad):
+        # a NaN row sum passes the 1e-6 check (nan > 1e-6 is False)
+        probs = np.array([[0.3, 0.3, 0.4], [0.5, bad, 0.5]])
+        with pytest.raises(ValueError, match="row 1"):
+            ctc_loss(probs, [0])
+
     def test_blank_in_labels_rejected(self):
         with pytest.raises(ValueError):
             ctc_loss(UNIFORM_T2, [1])
@@ -213,6 +220,15 @@ class TestGradient:
         loss, grad = ctc_gradient(logits, [0])
         assert loss == pytest.approx(LOSS_SINGLE_07, abs=1e-12)
         np.testing.assert_allclose(grad, [[-0.3, 0.3]], atol=1e-12)
+
+    def test_extreme_logits_closed_form(self):
+        # softmax underflows to exactly 0 for the label, yet the
+        # alignment is feasible: p = 2 e^-800 / (1 + e^-800)^2 and each
+        # frame's lattice posterior splits evenly between label and blank
+        loss, grad = ctc_gradient(np.array([[0.0, 800.0], [0.0, 800.0]]), [0])
+        assert loss == pytest.approx(800.0 - np.log(2.0), abs=1e-12)
+        np.testing.assert_allclose(grad, [[-0.5, 0.5], [-0.5, 0.5]],
+                                   rtol=0, atol=1e-12)
 
     def test_uniform_instance_matches_finite_differences(self):
         logits = np.zeros((2, 2))  # softmax gives the uniform posteriors

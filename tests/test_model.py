@@ -3,19 +3,23 @@
 import numpy as np
 import pytest
 
+from ctckit import net
 from ctckit.data import Dataset, PaddedBatch, generate_synthetic, make_batches
 from ctckit.decode import beam_search_decode, best_path_decode
-from ctckit.lattice import InfeasibleAlignment, ctc_loss
+from ctckit.lattice import InfeasibleAlignment, ctc_gradient, ctc_loss
 from ctckit.model import (
     CtcModel,
     DecodeConfig,
     ModelLoadError,
+    batch_gradients,
     load_model,
     read_weights,
     save_model,
     write_weights,
 )
-from ctckit.net import LayerSpec, NetworkSpec, forward
+from ctckit.net import LayerSpec, NetworkSpec, backward, forward
+
+from oracles import random_feasible_labels
 
 SPEC = NetworkSpec(
     feature_dim=3, num_labels=2, layers=(LayerSpec("rnn", 4, True),)
@@ -122,6 +126,89 @@ class TestTrainOnBatch:
         (batch,) = make_batches(ds, 4)
         model.train_on_batch(batch)
         assert not params_equal(model.params, before)
+
+
+class TestBatchGradients:
+    """The batched engine against the single-sequence calls."""
+
+    MIXED = NetworkSpec(
+        feature_dim=3, num_labels=3,
+        layers=(LayerSpec("lstm", 4, True), LayerSpec("rnn", 3, False)),
+    )
+
+    def ragged_batch(self, rng, lengths, pad_value=0.0):
+        t_max = max(lengths)
+        features = np.full((len(lengths), t_max, 3), pad_value)
+        labels = np.full((len(lengths), 3), -1, dtype=np.int64)
+        label_lengths = []
+        for i, length in enumerate(lengths):
+            features[i, :length] = rng.normal(0, 1, (length, 3))
+            seq = random_feasible_labels(rng, length, 4, 3)
+            labels[i, :len(seq)] = seq
+            label_lengths.append(len(seq))
+        return PaddedBatch(features, labels, np.array(lengths),
+                           np.array(label_lengths))
+
+    def one_at_a_time(self, spec, params, batch):
+        losses, total = [], None
+        for i in range(len(batch)):
+            til = int(batch.input_lengths[i])
+            _, cache = forward(spec, params, batch.features[i, :til])
+            loss, grad_logits = ctc_gradient(
+                cache.logits, batch.labels[i, :batch.label_lengths[i]]
+            )
+            grads = backward(spec, params, cache, grad_logits)
+            total = grads if total is None else {
+                name: total[name] + g for name, g in grads.items()
+            }
+            losses.append(loss)
+        return losses, {name: g / len(batch) for name, g in total.items()}
+
+    @pytest.mark.parametrize("budget_frames", [None, 9])
+    def test_matches_mean_of_batch_of_one(self, monkeypatch, budget_frames):
+        rng = np.random.default_rng(31)
+        params = net.init_params(self.MIXED, seed=4)
+        # every length from 1 to T once, in shuffled order, plus repeats
+        lengths = rng.permutation(np.r_[np.arange(1, 10), [9, 4, 1]]).tolist()
+        if budget_frames is not None:
+            monkeypatch.setattr(
+                net, "ACTIVATION_BYTES",
+                budget_frames * net.stored_bytes_per_frame(self.MIXED),
+            )
+        groups = net.activation_groups(self.MIXED, sorted(lengths)[::-1])
+        assert (len(groups) > 1) == (budget_frames is not None)
+        batch = self.ragged_batch(rng, lengths)
+        losses, grads = batch_gradients(self.MIXED, params, batch)
+        ref_losses, ref_grads = self.one_at_a_time(self.MIXED, params, batch)
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            scale = np.max(np.abs(ref_grads[name]))
+            assert np.max(np.abs(g - ref_grads[name])) <= 1e-12 * scale, name
+
+    def test_non_finite_padding_is_bitwise_irrelevant(self):
+        lengths = [5, 1, 7, 3, 7, 2]
+        outcomes = []
+        for pad in (0.0, np.nan, np.inf, -np.inf):
+            batch = self.ragged_batch(np.random.default_rng(32), lengths, pad)
+            model = CtcModel.compile(self.MIXED, learning_rate=1e-2, seed=6)
+            outcomes.append((model.train_on_batch(batch), model.params))
+        zero_loss, zero_params = outcomes[0]
+        for loss, params in outcomes[1:]:
+            assert loss == zero_loss
+            assert params_equal(params, zero_params)
+
+    def test_infeasible_index_is_the_unsorted_one(self):
+        model = CtcModel.compile(SPEC, seed=2)
+        batch = PaddedBatch(
+            features=np.zeros((3, 5, 3)),
+            labels=np.array([[0, 0], [1, -1], [0, 0]]),
+            input_lengths=np.array([2, 5, 4]),   # [0, 0] needs 3 frames
+            label_lengths=np.array([2, 1, 2]),
+        )
+        with pytest.raises(InfeasibleAlignment) as excinfo:
+            model.train_on_batch(batch)
+        assert excinfo.value.sequence_index == 0
 
 
 class TestFit:
@@ -381,6 +468,22 @@ class TestPersistence:
         assert back.keys() == params.keys()
         for name in params:
             np.testing.assert_array_equal(back[name], params[name])
+
+    def test_undecodable_tensor_name_is_load_error(self, tmp_path):
+        path = tmp_path / "w.ctcw"
+        write_weights(path, {"ab": np.zeros(2)})
+        blob = bytearray(path.read_bytes())
+        blob[14:16] = b"\xff\xfe"  # the name follows the 12-byte header and u16
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelLoadError, match="UTF-8"):
+            read_weights(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_is_load_error(self, tmp_path, bad):
+        path = tmp_path / "w.ctcw"
+        write_weights(path, {"a": np.array([1.0, bad]), "b": np.zeros(1)})
+        with pytest.raises(ModelLoadError, match="tensor a"):
+            read_weights(path)
 
     def test_audit_failure_on_load(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=11)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ctckit import net
 from ctckit.lattice import ctc_gradient
 from ctckit.net import (
     LayerSpec,
@@ -18,6 +19,7 @@ from ctckit.net import (
     param_shapes,
     validate_spec,
 )
+from ctckit.packing import Packing
 
 from oracles import central_difference, norm_rel_err, random_feasible_labels
 
@@ -288,3 +290,36 @@ class TestOptimizers:
         assert np.hypot(clipped["a"][0], clipped["b"][0]) == pytest.approx(1.0)
         untouched = clip_by_global_norm(grads, 10.0)
         assert untouched is grads
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def threads(self):
+        calls = net._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, set_ = calls
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_engine_runs_on_one_thread_and_restores_the_count(
+        self, threads, monkeypatch
+    ):
+        seen = []
+        audit = net.audit_params  # the first call of both packed passes
+        monkeypatch.setattr(
+            net, "audit_params", lambda *a: seen.append(threads()) or audit(*a)
+        )
+        params = init_params(TOY, 0)
+        probs, cache = forward(TOY, params, np.zeros((4, 3)))
+        assert threads() == 2
+        backward(TOY, params, cache, np.zeros_like(probs))
+        assert seen == [1, 1]
+        assert threads() == 2
+
+    def test_count_restored_when_the_engine_raises(self, threads):
+        with pytest.raises(ValueError):
+            net.forward_packed(TOY, {}, Packing([2]), np.zeros((2, 3)))
+        assert threads() == 2
