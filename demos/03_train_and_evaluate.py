@@ -6,6 +6,8 @@ the network never sees frame-level alignment, only (features, labels)
 pairs, and learns the alignment through the CTC objective.
 """
 
+import tempfile
+
 import numpy as np
 
 from ctckit import (
@@ -51,8 +53,9 @@ print(f"\nposterior matrix shape {posterior.shape}, "
       f"{posterior.sum(axis=1).round(12).max()}")
 
 # persistence round trip: predictions are bit-identical after reload
-model.save("/tmp/ctckit-demo-model")
-reloaded = load_model("/tmp/ctckit-demo-model")
+with tempfile.TemporaryDirectory() as model_dir:
+    model.save(model_dir)
+    reloaded = load_model(model_dir)
 same = all(
     a.paths == b.paths
     for a, b in zip(model.predict(features), reloaded.predict(features))

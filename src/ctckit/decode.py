@@ -9,14 +9,18 @@ Four strategies, slowest to fastest:
   nearly certain and runs a best-first search over label prefixes
   inside each segment; exact per segment, with a beam fallback when the
   node budget runs out.
-- ``beam_search_decode`` is the time-synchronous beam over collapsed
-  prefixes, tracking blank-ending and non-blank-ending mass separately
-  and merging additively.
+- ``beam_search_decode`` is the time-synchronous prefix beam search,
+  tracking blank-ending and non-blank-ending mass separately and
+  merging additively. Prefixes are integer ids in a trie, and each
+  frame is a few numpy operations on one array of the beam's entries
+  and one (beam, K-1) array of their one-label extensions.
 - ``best_path_decode`` collapses the per-frame argmax.
 
 Scores are natural-log probabilities. Ties anywhere are broken toward
 the lexicographically smaller label sequence (and the lower class index
-in per-frame argmax) so results are deterministic.
+in per-frame argmax) so results are deterministic. Every decoder
+rejects a posterior row holding a NaN, an infinity or a negative entry
+with ValueError.
 """
 
 import heapq
@@ -66,7 +70,14 @@ def _as_active(probs, input_len):
         raise ValueError(
             "input_len %d outside [1, %d]" % (input_len, probs.shape[0])
         )
-    return probs[:input_len]
+    active = probs[:input_len]
+    bad = ~(np.isfinite(active) & (active >= 0.0)).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            "posterior row %d has a NaN, infinite or negative entry"
+            % int(np.argmax(bad))
+        )
+    return active
 
 
 def _ranked(items, top_paths):
@@ -122,12 +133,17 @@ def best_path_decode(probs, input_len=None):
 
 
 def beam_search_decode(probs, input_len=None, beam_width=100, top_paths=1):
-    """Time-synchronous beam over collapsed prefixes.
+    """Prefix beam search over collapsed label sequences.
 
-    Each prefix tracks blank-ending and non-blank-ending log mass;
-    prefixes reached along different paths merge additively. The beam
-    is pruned to ``beam_width`` entries per frame and the final ranking
-    uses the merged mass.
+    Each prefix tracks the log mass of the paths that emit it and end in
+    a blank and of those that end in its last label (Graves 2012, §7.5;
+    Hannun et al. 2014). Prefixes are ids in a trie, and the beam is a
+    set of arrays over those ids. Each frame forms two candidate arrays:
+    the beam entries that keep their prefix (by a blank, or by repeating
+    the last label with no blank between) and the ``(beam, K-1)``
+    extensions by one label. An extension that is already a beam entry
+    merges into it. The ``beam_width`` candidates with the most merged
+    mass survive the frame; the final ranking uses the same mass.
     """
     active = _as_active(probs, input_len)
     if beam_width < 1:
@@ -142,53 +158,98 @@ def beam_search_decode(probs, input_len=None, beam_width=100, top_paths=1):
     blank = K - 1
     with np.errstate(divide="ignore"):
         logp = np.log(active)
+    labels = np.arange(blank)
 
-    # prefix -> [log mass ending in blank, log mass ending in its last label]
-    beam = {(): [0.0, NEG_INF]}
+    # The trie: node 0 is the empty prefix and node n is the prefix of
+    # parent[n] followed by label[n]. A prefix keeps its id when it
+    # leaves the beam and comes back, so that equal prefixes meet.
+    parent = [-1]
+    label = [-1]
+    children = {}
+
+    def prefix_of(n):
+        out = []
+        while n:
+            out.append(label[n])
+            n = parent[n]
+        return tuple(reversed(out))
+
+    # The beam, one entry per prefix: its node, the node's parent and
+    # last label (-1 for the empty prefix), and the log mass ending in
+    # blank (pb) and in the last label (pnb).
+    node = np.zeros(1, dtype=np.intp)
+    up = np.full(1, -1, dtype=np.intp)
+    last = np.full(1, -1, dtype=np.intp)
+    pb = np.zeros(1)
+    pnb = np.full(1, NEG_INF)
+
     for t in range(T):
         row = logp[t]
-        nxt = {}
+        W = len(node)
+        total = np.logaddexp(pb, pnb)
+        keep_b = total + row[blank]
+        keep_nb = np.where(last >= 0, pnb + row[last], NEG_INF)
+        # After a blank, the last label starts a new symbol; without
+        # one it collapses into the prefix (keep_nb above).
+        ext = np.where(labels == last[:, None], pb[:, None],
+                       total[:, None]) + row[:blank]
+        # Each prefix has one parent, so a bucket gets at most two
+        # contributions and the merge is one logaddexp in either order.
+        into, src = np.nonzero(up[:, None] == node[None, :])
+        keep_nb[into] = np.logaddexp(keep_nb[into], ext[src, last[into]])
+        fresh = np.ones(ext.shape, dtype=bool)
+        fresh[src, last[into]] = False
+        ext_src, ext_c = np.nonzero(fresh)
 
-        def entry(prefix):
-            e = nxt.get(prefix)
-            if e is None:
-                e = [NEG_INF, NEG_INF]
-                nxt[prefix] = e
-            return e
+        # the candidates: the W kept prefixes, then the fresh extensions
+        cand_from = np.concatenate([np.arange(W), ext_src])
+        cand_last = np.concatenate([last, ext_c])
+        cand_b = np.concatenate([keep_b, np.full(len(ext_c), NEG_INF)])
+        cand_nb = np.concatenate([keep_nb, ext[ext_src, ext_c]])
+        score = np.logaddexp(cand_b, cand_nb)
+        n = len(score)
+        if n <= beam_width:
+            sel = np.arange(n)
+        else:
+            cut = np.partition(score, n - beam_width)[n - beam_width]
+            sel = np.flatnonzero(score > cut)
+            tied = np.flatnonzero(score == cut)
+            need = beam_width - len(sel)
+            if len(tied) > need:
+                # equal mass: the lexicographically smaller prefix wins
+                bases = {}
+                keys = []
+                for j, i in zip(tied.tolist(), cand_from[tied].tolist()):
+                    if i not in bases:
+                        bases[i] = prefix_of(node[i])
+                    grows = (int(cand_last[j]),) if j >= W else ()
+                    keys.append(bases[i] + grows)
+                order = sorted(range(len(tied)), key=keys.__getitem__)
+                tied = tied[order[:need]]
+            sel = np.concatenate([sel, tied])
 
-        for prefix, (pb, pnb) in beam.items():
-            total = np.logaddexp(pb, pnb)
-            # emit blank: prefix unchanged, mass moves to the blank bucket
-            e = entry(prefix)
-            e[0] = np.logaddexp(e[0], total + row[blank])
-            last = prefix[-1] if prefix else None
-            for c in range(K - 1):
-                pc = row[c]
-                if c == last:
-                    # repeat without a blank collapses into the same prefix
-                    e = entry(prefix)
-                    e[1] = np.logaddexp(e[1], pnb + pc)
-                    # a blank in between starts a genuinely new label
-                    e2 = entry(prefix + (c,))
-                    e2[1] = np.logaddexp(e2[1], pb + pc)
-                else:
-                    e2 = entry(prefix + (c,))
-                    e2[1] = np.logaddexp(e2[1], total + pc)
+        grown = sel >= W
+        origin = cand_from[sel]
+        up = np.where(grown, node[origin], up[origin])
+        last = cand_last[sel]
+        node = node[origin]
+        for k in np.flatnonzero(grown).tolist():
+            key = (int(node[k]), int(last[k]))
+            child = children.get(key)
+            if child is None:
+                child = len(parent)
+                parent.append(key[0])
+                label.append(key[1])
+                children[key] = child
+            node[k] = child
+        pb = cand_b[sel]
+        pnb = cand_nb[sel]
 
-        pruned = sorted(
-            nxt.items(),
-            key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
-        )[:beam_width]
-        beam = dict(pruned)
-
+    score = np.logaddexp(pb, pnb)
     finals = sorted(
-        beam.items(),
-        key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
+        range(len(node)), key=lambda j: (-score[j], prefix_of(node[j]))
     )[:top_paths]
-    paths = [
-        (list(prefix), float(np.logaddexp(pb, pnb)))
-        for prefix, (pb, pnb) in finals
-    ]
+    paths = [(list(prefix_of(node[j])), float(score[j])) for j in finals]
     return DecodeResult(paths=paths)
 
 
@@ -273,7 +334,10 @@ def prefix_search_decode(probs, input_len=None, blank_threshold=0.999,
     Frames whose blank posterior exceeds ``blank_threshold`` are treated
     as forced blanks and split the input; each remaining segment is
     decoded by best-first prefix search and the per-segment outputs are
-    concatenated. The score is the sum of segment log-probabilities.
+    concatenated. The score is the sum of the segment log-probabilities
+    and of the log blank mass of every boundary frame: the log
+    probability of the paths that emit the returned labelling with a
+    blank at each boundary frame.
     A segment that exhausts ``node_budget`` falls back to a width-32
     beam and marks the result approximate.
     """
@@ -299,7 +363,7 @@ def prefix_search_decode(probs, input_len=None, blank_threshold=0.999,
         segments.append((start, T))
 
     sequence = []
-    score = 0.0
+    score = float(logp[boundary, blank].sum())
     approximate = False
     for t0, t1 in segments:
         try:

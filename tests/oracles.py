@@ -123,3 +123,66 @@ def random_feasible_labels(rng, num_frames, num_classes, max_len):
         repeats = int(np.sum(labels[1:] == labels[:-1])) if length > 1 else 0
         if length + repeats <= num_frames:
             return labels.tolist()
+
+
+def scalar_beam_search(probs, input_len=None, beam_width=100, top_paths=1):
+    """The per-prefix dict beam that ``beam_search_decode`` replaced.
+
+    Kept as the reference the vectorized beam must match bit for bit:
+    same label sequences, same float scores, same order. Returns the
+    ranked ``(labels, log-probability)`` list.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    active = probs[: probs.shape[0] if input_len is None else input_len]
+    T, K = active.shape
+    blank = K - 1
+    neg_inf = -np.inf
+    with np.errstate(divide="ignore"):
+        logp = np.log(active)
+
+    # prefix -> [log mass ending in blank, log mass ending in its last label]
+    beam = {(): [0.0, neg_inf]}
+    for t in range(T):
+        row = logp[t]
+        nxt = {}
+
+        def entry(prefix):
+            e = nxt.get(prefix)
+            if e is None:
+                e = [neg_inf, neg_inf]
+                nxt[prefix] = e
+            return e
+
+        for prefix, (pb, pnb) in beam.items():
+            total = np.logaddexp(pb, pnb)
+            # emit blank: prefix unchanged, mass moves to the blank bucket
+            e = entry(prefix)
+            e[0] = np.logaddexp(e[0], total + row[blank])
+            last = prefix[-1] if prefix else None
+            for c in range(K - 1):
+                pc = row[c]
+                if c == last:
+                    # repeat without a blank collapses into the same prefix
+                    e = entry(prefix)
+                    e[1] = np.logaddexp(e[1], pnb + pc)
+                    # a blank in between starts a genuinely new label
+                    e2 = entry(prefix + (c,))
+                    e2[1] = np.logaddexp(e2[1], pb + pc)
+                else:
+                    e2 = entry(prefix + (c,))
+                    e2[1] = np.logaddexp(e2[1], total + pc)
+
+        pruned = sorted(
+            nxt.items(),
+            key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
+        )[:beam_width]
+        beam = dict(pruned)
+
+    finals = sorted(
+        beam.items(),
+        key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
+    )[:top_paths]
+    return [
+        (list(prefix), float(np.logaddexp(pb, pnb)))
+        for prefix, (pb, pnb) in finals
+    ]

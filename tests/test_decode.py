@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctckit.decode import (
     BudgetExceeded,
@@ -11,7 +13,7 @@ from ctckit.decode import (
     prefix_search_decode,
 )
 
-from oracles import random_posterior, ranked_sequences
+from oracles import random_posterior, ranked_sequences, scalar_beam_search
 
 # the divergence instance: blank wins each frame, yet [a] carries most mass
 DIVERGENT = np.array([[0.4, 0.6], [0.4, 0.6]])
@@ -171,6 +173,18 @@ class TestPrefixSearchDecode:
         with pytest.raises(ValueError):
             prefix_search_decode(DIVERGENT, blank_threshold=1.2)
 
+    def test_boundary_blank_mass_enters_score(self):
+        rng = np.random.default_rng(40)
+        probs = random_posterior(rng, 7, 3)
+        probs[3] = [0.00025, 0.00025, 0.9995]
+        left = exact_decode(probs[:3]).paths[0]
+        right = exact_decode(probs[4:]).paths[0]
+        got = prefix_search_decode(probs, blank_threshold=0.999).paths[0]
+        assert got[0] == left[0] + right[0]
+        assert got[1] == pytest.approx(
+            left[1] + np.log(0.9995) + right[1], abs=1e-12
+        )
+
     def test_all_blank_frames_give_empty(self):
         probs = one_hot_probs([2, 2, 2], 3)
         result = prefix_search_decode(probs)
@@ -195,3 +209,83 @@ class TestDecodeResultInvariants:
                 assert all(a >= b for a, b in zip(scores, scores[1:]))
                 seqs = [tuple(s) for s, _ in result.paths]
                 assert len(seqs) == len(set(seqs))
+
+
+class TestRejectsBadPosteriors:
+    DECODERS = {
+        "exact": exact_decode,
+        "best_path": best_path_decode,
+        "beam": lambda p: beam_search_decode(p, beam_width=4),
+        "prefix_search": prefix_search_decode,
+    }
+
+    @pytest.mark.parametrize("decoder", sorted(DECODERS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
+    def test_names_first_bad_row(self, decoder, bad):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        probs[2, 1] = bad
+        probs[3, 0] = bad
+        with pytest.raises(ValueError, match="row 2"):
+            self.DECODERS[decoder](probs)
+
+    def test_frames_past_input_len_are_not_checked(self):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        probs[3] = np.nan
+        for decode in self.DECODERS.values():
+            decode(probs[:3])
+        assert beam_search_decode(probs, input_len=3).paths == \
+            beam_search_decode(probs[:3]).paths
+
+
+def random_beam_instance(rng, rounded):
+    T = int(rng.integers(1, 41))
+    K = int(rng.integers(2, 9))
+    width = int(rng.integers(1, 17))
+    top_paths = int(rng.integers(1, width + 1))
+    probs = random_posterior(rng, T, K)
+    if rounded:
+        # coarse values make zero entries and exactly tied prefixes
+        probs = np.round(probs * 4) / 4
+    return probs, width, top_paths
+
+
+class TestBeamMatchesScalarReference:
+    """The vectorized beam equals the per-prefix dict loop bit for bit."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(57)
+        for i in range(320):
+            probs, width, top_paths = random_beam_instance(rng, i % 2 == 1)
+            got = beam_search_decode(probs, beam_width=width,
+                                     top_paths=top_paths).paths
+            assert got == scalar_beam_search(probs, beam_width=width,
+                                             top_paths=top_paths)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_property(self, data):
+        T = data.draw(st.integers(1, 40))
+        K = data.draw(st.integers(2, 8))
+        width = data.draw(st.integers(1, 16))
+        top_paths = data.draw(st.integers(1, width))
+        value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                          st.floats(0.0, 1.0))
+        probs = np.array(data.draw(st.lists(
+            st.lists(value, min_size=K, max_size=K), min_size=T, max_size=T)))
+        input_len = data.draw(st.integers(1, T))
+        got = beam_search_decode(probs, input_len=input_len,
+                                 beam_width=width, top_paths=top_paths).paths
+        assert got == scalar_beam_search(probs, input_len=input_len,
+                                         beam_width=width, top_paths=top_paths)
+
+    def test_long_near_uniform(self):
+        rng = np.random.default_rng(58)
+        probs = 0.9 / 29 + 0.1 * random_posterior(rng, 200, 29)
+        got = beam_search_decode(probs, beam_width=16, top_paths=2).paths
+        assert got == scalar_beam_search(probs, beam_width=16, top_paths=2)
+
+    def test_fewer_prefixes_than_top_paths(self):
+        probs = np.array([[0.3, 0.7]])
+        got = beam_search_decode(probs, beam_width=4, top_paths=3).paths
+        assert len(got) == 2
+        assert got == scalar_beam_search(probs, beam_width=4, top_paths=3)
