@@ -140,10 +140,6 @@ def _cmd_train(args):
 def _decode_overrides(args):
     if args.greedy and (args.beam_width is not None or args.top_paths is not None):
         raise UsageError("--greedy cannot be combined with beam options")
-    if args.beam_width is not None and args.beam_width < 1:
-        raise UsageError("--beam-width must be >= 1")
-    if args.top_paths is not None and args.top_paths < 1:
-        raise UsageError("--top-paths must be >= 1")
     greedy = True if args.greedy else (False if args.beam_width is not None
                                        or args.top_paths is not None else None)
     return greedy, args.beam_width, args.top_paths
@@ -152,14 +148,6 @@ def _decode_overrides(args):
 def _cmd_predict(args):
     greedy, beam_width, top_paths = _decode_overrides(args)
     model = load_model(args.model)
-    if not greedy:
-        width = beam_width if beam_width is not None \
-            else model.decode_config.beam_width
-        k = top_paths if top_paths is not None else model.decode_config.top_paths
-        if k > width:
-            raise UsageError(
-                "--top-paths %d exceeds --beam-width %d" % (k, width)
-            )
     dataset = read_dataset(args.data)
     results = model.predict(
         [f for f, _ in dataset.sequences],
@@ -178,9 +166,6 @@ def _cmd_evaluate(args):
     requested = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if not requested:
         raise UsageError("--metrics must name at least one of loss,ler,ser")
-    for m in requested:
-        if m not in ("loss", "ler", "ser"):
-            raise UsageError("unknown metric %r" % m)
     model = load_model(args.model)
     dataset = read_dataset(args.data)
     report = model.evaluate(dataset, metrics=requested)
@@ -263,10 +248,7 @@ def cli_main(argv):
         return 0 if err.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as err:
-        _diagnose("usage", err)
-        return 1
-    except ValueError as err:
+    except (UsageError, ValueError) as err:
         _diagnose("usage", err)
         return 1
     except (DatasetFormatError, ModelLoadError, InfeasibleAlignment,

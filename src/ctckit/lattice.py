@@ -303,35 +303,16 @@ def _one_sequence(log_probs, labels):
                     [labels.size])
 
 
-def _extended_trellis(probs, ext, input_len):
-    """Trellis of ``probs[:input_len]`` for a blank-extended label sequence."""
-    probs = np.asarray(probs, dtype=np.float64)
-    _check_input_len(input_len, probs.shape[0])
-    labels = _check_alignment(np.asarray(ext)[1::2], input_len, probs.shape[1])
-    return _one_sequence(_log_posteriors(probs[:input_len]), labels)
-
-
-def ctc_forward(probs, ext, input_len):
-    """Forward pass over the blank-extended lattice.
-
-    Returns (alpha, log_likelihood) where alpha has shape
-    (input_len, len(ext)). Raises InfeasibleAlignment when input_len
-    is too short for the label sequence encoded in ``ext``.
-    """
-    alpha, ll = _extended_trellis(probs, ext, input_len).alpha()
-    return alpha[:, 2:], float(ll[0])
-
-
-def ctc_backward(probs, ext, input_len):
-    """Backward pass; beta[t][s] covers emissions at frames t+1..input_len-1."""
-    return _extended_trellis(probs, ext, input_len).beta()[:, :-2]
+def _as_matrix(matrix):
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] < 2:
+        raise ValueError("expected a (T, K) matrix with K >= 2")
+    return matrix
 
 
 def _sequence_args(matrix, labels, input_len, label_len):
     """Shared argument handling of the single-sequence entry points."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] < 2:
-        raise ValueError("expected a (T, K) matrix with K >= 2")
+    matrix = _as_matrix(matrix)
     if input_len is None:
         input_len = matrix.shape[0]
     _check_input_len(input_len, matrix.shape[0])
@@ -340,6 +321,38 @@ def _sequence_args(matrix, labels, input_len, label_len):
         label_len = labels.size
     labels = _check_alignment(labels[:label_len], input_len, matrix.shape[1])
     return matrix[:input_len], labels
+
+
+def _extended_args(probs, ext, input_len):
+    """``_sequence_args`` for a blank-extended label sequence ``ext``."""
+    probs = _as_matrix(probs)
+    blank = probs.shape[1] - 1
+    ext = np.asarray(ext, dtype=np.int64)
+    if ext.ndim != 1 or ext.size % 2 == 0 or (ext[::2] != blank).any():
+        raise ValueError(
+            "ext must be [blank, y_1, blank, ..., y_L, blank] with blank %d, "
+            "got %r" % (blank, ext.tolist())
+        )
+    return _sequence_args(probs, ext[1::2], input_len, None)
+
+
+def ctc_forward(probs, ext, input_len):
+    """Forward pass over the blank-extended lattice.
+
+    Returns (alpha, log_likelihood) where alpha has shape
+    (input_len, len(ext)). Raises ValueError unless ``ext`` has odd
+    length with the blank at every even position, and
+    InfeasibleAlignment when input_len is too short for its labels.
+    """
+    active, labels = _extended_args(probs, ext, input_len)
+    alpha, ll = _one_sequence(_log_posteriors(active), labels).alpha()
+    return alpha[:, 2:], float(ll[0])
+
+
+def ctc_backward(probs, ext, input_len):
+    """Backward pass; beta[t][s] covers emissions at frames t+1..input_len-1."""
+    active, labels = _extended_args(probs, ext, input_len)
+    return _one_sequence(_log_posteriors(active), labels).beta()[:, :-2]
 
 
 def make_lattice(probs, labels, input_len=None, label_len=None):

@@ -162,23 +162,26 @@ class CtcModel:
         Decode parameters default to the model's DecodeConfig; pass
         ``greedy``/``beam_width``/``top_paths`` to override per call.
         """
-        cfg = self.decode_config
-        use_greedy = cfg.greedy if greedy is None else greedy
-        width = cfg.beam_width if beam_width is None else beam_width
-        k = cfg.top_paths if top_paths is None else top_paths
         results = []
         for i, features in enumerate(features_list):
             features = np.asarray(features, dtype=np.float64)
             til = features.shape[0] if input_lengths is None \
                 else int(input_lengths[i])
             probs, _ = net.forward(self.spec, self.params, features, input_len=til)
-            if use_greedy:
-                results.append(best_path_decode(probs, input_len=til))
-            else:
-                results.append(beam_search_decode(
-                    probs, input_len=til, beam_width=width, top_paths=k
-                ))
+            results.append(self._decode(probs, til, greedy, beam_width, top_paths))
         return results
+
+    def _decode(self, probs, input_len, greedy=None, beam_width=None,
+                top_paths=None):
+        """Decode one posterior matrix; None takes the DecodeConfig value."""
+        cfg = self.decode_config
+        if cfg.greedy if greedy is None else greedy:
+            return best_path_decode(probs, input_len=input_len)
+        return beam_search_decode(
+            probs, input_len=input_len,
+            beam_width=cfg.beam_width if beam_width is None else beam_width,
+            top_paths=cfg.top_paths if top_paths is None else top_paths,
+        )
 
     # ------------------------------------------------------------------
     # evaluation branch and getters (consume the full four-input data)
@@ -188,6 +191,8 @@ class CtcModel:
 
         Decoding for ler/ser uses the model's decode defaults, recorded
         in the report. ler is per sequence, loss and ser are aggregated.
+        The network runs once per sequence; its posteriors give both the
+        loss and the decode and are dropped before the next sequence.
         """
         requested = tuple(metrics)
         for m in requested:
@@ -196,32 +201,29 @@ class CtcModel:
                     "unknown metric %r (expected subset of %r)"
                     % (m, list(VALID_METRICS))
                 )
+        decode = "ler" in requested or "ser" in requested
+        losses, preds = [], []
+        for i, (features, labels) in enumerate(dataset.sequences):
+            probs = self._forward_probs(features)
+            if "loss" in requested:
+                losses.append(_sequence_loss(probs, labels, i))
+            if decode:
+                preds.append(self._decode(probs, probs.shape[0]).paths[0][0])
         report = MetricsReport(decode=asdict(self.decode_config))
         if "loss" in requested:
-            report.loss = float(np.mean(self.get_loss(dataset)))
-        if "ler" in requested or "ser" in requested:
-            decoded = self.predict([f for f, _ in dataset.sequences])
-            preds = [r.paths[0][0] for r in decoded]
-            truths = [list(l) for _, l in dataset.sequences]
-            if "ler" in requested:
-                report.ler = [
-                    label_error_rate(p, t) for p, t in zip(preds, truths)
-                ]
-                report.ler_mean = float(np.mean(report.ler))
-            if "ser" in requested:
-                report.ser = sequence_error_rate(preds, truths)
+            report.loss = float(np.mean(losses))
+        truths = [list(l) for _, l in dataset.sequences]
+        if "ler" in requested:
+            report.ler = [label_error_rate(p, t) for p, t in zip(preds, truths)]
+            report.ler_mean = float(np.mean(report.ler))
+        if "ser" in requested:
+            report.ser = sequence_error_rate(preds, truths)
         return report
 
     def get_loss(self, dataset):
         """Per-sequence negative log-likelihoods, in dataset order."""
-        losses = []
-        for i, (features, labels) in enumerate(dataset.sequences):
-            probs = self._forward_probs(features)
-            try:
-                losses.append(ctc_loss(probs, labels))
-            except InfeasibleAlignment as err:
-                raise InfeasibleAlignment(str(err), sequence_index=i) from err
-        return losses
+        return [_sequence_loss(self._forward_probs(features), labels, i)
+                for i, (features, labels) in enumerate(dataset.sequences)]
 
     def get_probas(self, dataset_or_features):
         """Per-sequence posterior matrices trimmed to each true length."""
@@ -245,6 +247,13 @@ class CtcModel:
     @classmethod
     def load(cls, directory, weights=None):
         return load_model(directory, weights=weights)
+
+
+def _sequence_loss(probs, labels, index):
+    try:
+        return ctc_loss(probs, labels)
+    except InfeasibleAlignment as err:
+        raise InfeasibleAlignment(str(err), sequence_index=index) from err
 
 
 def batch_gradients(spec, params, batch):
@@ -346,6 +355,7 @@ def load_model(directory, weights=None):
     else:
         params = read_weights(weights_path)
         try:
+            params = net.fuse_gate_tensors(params)
             net.audit_params(spec, params)
         except ValueError as err:
             raise ModelLoadError("%s: %s" % (weights_path, err)) from err

@@ -5,16 +5,18 @@ the two directions concatenated), followed by a per-frame affine map
 and softmax over ``num_labels + 1`` classes with the blank last. All
 parameters live in a flat dict of named float64 tensors so they can be
 serialized, audited against the architecture, and updated uniformly by
-the optimizers.
+the optimizers. Each recurrent direction is three tensors, ``Wx``,
+``Wh`` and ``b`` (see ``param_shapes``); an LSTM keeps its four gates
+side by side in their columns, in LSTM_GATES order, so one product
+serves all four. ``fuse_gate_tensors`` reads the older twelve-tensor
+LSTM layout into this one.
 
 One batched engine does all the work (``forward_packed`` and
 ``backward_packed``). It runs a length-sorted batch in the packed
 layout of ``ctckit.packing``: at step t only the n_t sequences still
 running are updated (``h[:n_t] @ Wh``), and the input projections, the
 output layer and every weight gradient are single products over all
-valid frames. The four LSTM gates of a direction are concatenated per
-call into one (in, 4U) and one (U, 4U) matrix; the stored tensors keep
-their separate names. Training runs a sorted batch in consecutive
+valid frames. Training runs a sorted batch in consecutive
 groups (``activation_groups``) so that the activations kept for
 backward stay under ``ACTIVATION_BYTES``. ``forward`` and ``backward``
 handle one sequence as a batch of one, which is how prediction, the
@@ -43,14 +45,9 @@ import numpy as np
 
 from .packing import Packing
 
-RNN_TENSORS = ("Wx", "Wh", "b")
-LSTM_GATES = ("i", "f", "g", "o")
-LSTM_TENSORS = tuple(
-    name for gate in LSTM_GATES for name in ("Wx_" + gate, "Wh_" + gate, "b_" + gate)
-)
-# column order of the concatenated gate blocks: the three sigmoid gates,
-# then the tanh candidate, so each nonlinearity acts on one slice
-FUSED_GATES = ("i", "f", "o", "g")
+# column blocks of an LSTM direction's Wx, Wh and b: the three sigmoid
+# gates, then the tanh candidate, so each nonlinearity acts on one slice
+LSTM_GATES = ("i", "f", "o", "g")
 
 # Activations one training group may keep alive for backpropagation
 # through time. A whole batch at once would hold the gates, cell states
@@ -190,25 +187,46 @@ def _directions(layer):
 
 
 def param_shapes(spec):
-    """Expected tensor names and shapes, in construction order."""
+    """Expected tensor names and shapes, in construction order.
+
+    Each direction of layer l stores ``layer{l}.{dir}.Wx`` (in, G·U),
+    ``Wh`` (U, G·U) and ``b`` (G·U), with G = 1 for a tanh-RNN and
+    G = 4 for an LSTM, whose column blocks follow LSTM_GATES.
+    """
     validate_spec(spec)
     shapes = {}
     in_dim = spec.feature_dim
     for li, layer in enumerate(spec.layers):
-        tensors = RNN_TENSORS if layer.kind == "rnn" else LSTM_TENSORS
+        cols = (len(LSTM_GATES) if layer.kind == "lstm" else 1) * layer.units
         for d in _directions(layer):
-            for name in tensors:
-                key = "layer%d.%s.%s" % (li, d, name)
-                if name.startswith("Wx"):
-                    shapes[key] = (in_dim, layer.units)
-                elif name.startswith("Wh"):
-                    shapes[key] = (layer.units, layer.units)
-                else:
-                    shapes[key] = (layer.units,)
+            prefix = "layer%d.%s." % (li, d)
+            shapes[prefix + "Wx"] = (in_dim, cols)
+            shapes[prefix + "Wh"] = (layer.units, cols)
+            shapes[prefix + "b"] = (cols,)
         in_dim = layer.width
     shapes["output.W"] = (in_dim, spec.num_classes)
     shapes["output.b"] = (spec.num_classes,)
     return shapes
+
+
+def fuse_gate_tensors(params):
+    """Concatenate per-gate LSTM tensors into the (Wx, Wh, b) layout.
+
+    Weight files written before the fused layout hold twelve tensors per
+    LSTM direction (``Wx_i``, ``Wh_i``, ``b_i``, ..., ``b_o``). Each
+    complete set of four is concatenated in LSTM_GATES order; every other
+    tensor keeps its name, so ``audit_params`` reports what is left over.
+    """
+    fused = dict(params)
+    for name in params:
+        if name.rpartition(".")[2] in ("Wx_i", "Wh_i", "b_i") \
+                and name[:-2] not in params:
+            parts = [name[:-1] + gate for gate in LSTM_GATES]
+            if all(part in params for part in parts):
+                fused[name[:-2]] = np.concatenate(
+                    [fused.pop(part) for part in parts], axis=-1
+                )
+    return fused
 
 
 def audit_params(spec, params):
@@ -229,20 +247,26 @@ def audit_params(spec, params):
 
 
 def init_params(spec, seed):
-    """Glorot-uniform weights, zero biases, LSTM forget bias 1.0."""
+    """Glorot-uniform weights, zero biases, LSTM forget bias 1.0.
+
+    Recurrent weights take the bound of one gate block, sqrt(6 / (fan_in + U)).
+    """
     rng = np.random.default_rng(seed)
+    shapes = param_shapes(spec)
     params = {}
-    for name, shape in param_shapes(spec).items():
-        tensor = name.rsplit(".", 1)[-1]
-        if tensor.startswith("b"):
-            value = np.zeros(shape)
-            if tensor == "b_f":
-                value += 1.0
+    for name, shape in shapes.items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape)
         else:
             fan_in, fan_out = shape
+            if name != "output.W":  # U, the row count of the direction's Wh
+                fan_out = shapes[name.rsplit(".", 1)[0] + ".Wh"][0]
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            value = rng.uniform(-bound, bound, size=shape)
-        params[name] = value
+            params[name] = rng.uniform(-bound, bound, size=shape)
+    for li, layer in enumerate(spec.layers):
+        if layer.kind == "lstm":  # the forget gate, second in LSTM_GATES
+            for d in _directions(layer):
+                params["layer%d.%s.b" % (li, d)][layer.units:2 * layer.units] = 1.0
     return params
 
 
@@ -285,33 +309,6 @@ def activation_groups(spec, lengths):
     return groups
 
 
-def _fused_weights(params, li, d, layer):
-    """(Wx, Wh, b) of one direction; LSTM gates side by side, FUSED_GATES order."""
-    prefix = "layer%d.%s." % (li, d)
-    if layer.kind == "rnn":
-        return tuple(params[prefix + name] for name in RNN_TENSORS)
-    return tuple(
-        np.concatenate(
-            [params[prefix + kind + "_" + gate] for gate in FUSED_GATES], axis=-1
-        )
-        for kind in ("Wx", "Wh", "b")
-    )
-
-
-def _store_grads(grads, li, d, layer, dWx, dWh, db):
-    """Name the fused gradient blocks of one direction after their tensors."""
-    prefix = "layer%d.%s." % (li, d)
-    if layer.kind == "rnn":
-        grads.update({prefix + "Wx": dWx, prefix + "Wh": dWh, prefix + "b": db})
-        return
-    units = layer.units
-    for k, gate in enumerate(FUSED_GATES):
-        cols = slice(k * units, (k + 1) * units)
-        grads[prefix + "Wx_" + gate] = dWx[:, cols]
-        grads[prefix + "Wh_" + gate] = dWh[:, cols]
-        grads[prefix + "b_" + gate] = db[cols]
-
-
 def _rnn_steps(packing, z, Wh):
     """h_t = tanh(z_t + h_{t-1} Wh), written over z in place; returns z."""
     prev = None
@@ -328,7 +325,7 @@ def _lstm_steps(packing, z, Wh):
     """LSTM recurrence; z turns into the gate activations in place.
 
     ``z`` holds the input projections plus bias of every packed frame in
-    FUSED_GATES column order. Returns the outputs h and cell states c.
+    LSTM_GATES column order. Returns the outputs h and cell states c.
     """
     units = Wh.shape[0]
     h = np.empty((packing.num_frames, units))
@@ -453,16 +450,16 @@ def forward_packed(spec, params, packing, frames):
         y = np.empty((packing.num_frames, layer.width))
         states = []
         for di, d in enumerate(_directions(layer)):
-            Wx, Wh, b = _fused_weights(params, li, d, layer)
-            z = x @ Wx
-            z += b
+            prefix = "layer%d.%s." % (li, d)
+            z = x @ params[prefix + "Wx"]
+            z += params[prefix + "b"]
             if d == "bwd":
                 z = z[packing.reverse]
             if layer.kind == "rnn":
-                h = _rnn_steps(packing, z, Wh)
+                h = _rnn_steps(packing, z, params[prefix + "Wh"])
                 states.append(None)
             else:
-                h, c = _lstm_steps(packing, z, Wh)
+                h, c = _lstm_steps(packing, z, params[prefix + "Wh"])
                 states.append((z, c))
             cols = slice(di * layer.units, (di + 1) * layer.units)
             y[:, cols] = h[packing.reverse] if d == "bwd" else h
@@ -499,21 +496,22 @@ def backward_packed(spec, params, cache, grad_logits):
         x, y, states = cache.layers[li]
         dx = None
         for di, d in enumerate(_directions(layer)):
-            Wx, Wh, _ = _fused_weights(params, li, d, layer)
+            prefix = "layer%d.%s." % (li, d)
             cols = slice(di * layer.units, (di + 1) * layer.units)
             h, dh = y[:, cols], dy[:, cols]
             if d == "bwd":
                 h, dh = h[packing.reverse], dh[packing.reverse]
             if layer.kind == "rnn":
-                dz = _rnn_grad_steps(packing, h, dh, Wh)
+                dz = _rnn_grad_steps(packing, h, dh, params[prefix + "Wh"])
             else:
-                dz = _lstm_grad_steps(packing, *states[di], dh, Wh)
-            dWh = h[packing.prev_rows].T @ dz[first:]
+                dz = _lstm_grad_steps(packing, *states[di], dh, params[prefix + "Wh"])
+            grads[prefix + "Wh"] = h[packing.prev_rows].T @ dz[first:]
             if d == "bwd":
                 dz = dz[packing.reverse]
-            _store_grads(grads, li, d, layer, x.T @ dz, dWh, dz.sum(axis=0))
+            grads[prefix + "Wx"] = x.T @ dz
+            grads[prefix + "b"] = dz.sum(axis=0)
             if li:  # the input frames need no gradient
-                dx_dir = dz @ Wx.T
+                dx_dir = dz @ params[prefix + "Wx"].T
                 dx = dx_dir if dx is None else dx + dx_dir
         dy = dx
     return grads

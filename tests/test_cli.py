@@ -124,11 +124,12 @@ class TestExitCodes:
     def test_top_paths_beyond_beam_width_is_usage_error(self, tmp_path, capsys):
         data, model_dir, _ = run_pipeline(tmp_path, "w")
         capsys.readouterr()
-        code = cli_main(["predict", "--model", model_dir, "--data", data,
-                         "--beam-width", "2", "--top-paths", "5",
-                         "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error[usage]:")
+        for flags in (["--beam-width", "2", "--top-paths", "5"],
+                      ["--beam-width", "0"], ["--top-paths", "0"]):
+            code = cli_main(["predict", "--model", model_dir, "--data", data,
+                             *flags, "--out", str(tmp_path / "x")])
+            assert code == 1, flags
+            assert capsys.readouterr().err.startswith("error[usage]:"), flags
 
     def test_greedy_with_beam_flags_is_usage_error(self, tmp_path, capsys):
         data, model_dir, _ = run_pipeline(tmp_path, "g")

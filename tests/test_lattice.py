@@ -120,6 +120,20 @@ class TestForward:
         with pytest.raises(InfeasibleAlignment):
             ctc_forward(UNIFORM_T2, ext, 2)
 
+    @pytest.mark.parametrize("ext", [
+        [0, 1],           # even length
+        [2, 0, 2, 1],     # even length, blanks in place
+        [0, 2, 1],        # label where a blank belongs
+        [2, 0, 1],        # final blank missing
+        [[2, 0, 2]],      # not one-dimensional
+        [],               # not even the leading blank
+    ])
+    @pytest.mark.parametrize("pass_", [ctc_forward, ctc_backward])
+    def test_malformed_ext_rejected(self, pass_, ext):
+        probs = random_posterior(np.random.default_rng(22), 3, 3)
+        with pytest.raises(ValueError, match="ext"):
+            pass_(probs, ext, 3)
+
     def test_matches_enumeration(self):
         rng = np.random.default_rng(21)
         for _ in range(300):

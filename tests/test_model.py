@@ -485,6 +485,52 @@ class TestPersistence:
         with pytest.raises(ModelLoadError, match="tensor a"):
             read_weights(path)
 
+    def test_per_gate_lstm_weights_load_fused(self, tmp_path):
+        spec = NetworkSpec(feature_dim=3, num_labels=2, layers=(
+            LayerSpec("lstm", 4, True), LayerSpec("rnn", 3, False),
+        ))
+        model = CtcModel.compile(spec, learning_rate=1e-2, seed=14)
+        ds = small_dataset(6)
+        model.fit(ds, epochs=1, batch_size=3)
+        save_model(model, tmp_path / "model")
+        # the twelve-tensor layout: Wx_i, Wh_i, b_i, ..., b_o per direction
+        legacy = {}
+        for name, value in model.params.items():
+            if name.startswith("layer0."):
+                for k, gate in enumerate("ifog"):  # column blocks i, f, o, g
+                    legacy[name + "_" + gate] = value[..., 4 * k:4 * (k + 1)]
+            else:
+                legacy[name] = value
+        assert len(legacy) == 2 * 12 + 3 + 2
+        write_weights(tmp_path / "model" / "weights.ctcw", legacy)
+        loaded = load_model(tmp_path / "model")
+        assert params_equal(loaded.params, model.params)
+        feats = [f for f, _ in ds.sequences]
+        for greedy in (True, False):
+            before = model.predict(feats, greedy=greedy, beam_width=4, top_paths=2)
+            after = loaded.predict(feats, greedy=greedy, beam_width=4, top_paths=2)
+            assert [r.paths for r in before] == [r.paths for r in after]
+
+    @pytest.mark.parametrize("gates, keep_fused", [
+        ("ifo", False),   # no candidate block
+        ("ifog", True),   # a fused Wx as well
+    ])
+    def test_unfusable_per_gate_tensors_fail_audit(self, tmp_path, gates,
+                                                   keep_fused):
+        spec = NetworkSpec(
+            feature_dim=3, num_labels=2, layers=(LayerSpec("lstm", 2, False),)
+        )
+        model = CtcModel.compile(spec, seed=15)
+        save_model(model, tmp_path / "model")
+        params = dict(model.params)
+        Wx = params["layer0.fwd.Wx"] if keep_fused \
+            else params.pop("layer0.fwd.Wx")
+        for k, gate in enumerate(gates):
+            params["layer0.fwd.Wx_" + gate] = Wx[:, 2 * k:2 * (k + 1)]
+        write_weights(tmp_path / "model" / "weights.ctcw", params)
+        with pytest.raises(ModelLoadError, match="Wx_i"):
+            load_model(tmp_path / "model")
+
     def test_audit_failure_on_load(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=11)
         save_model(model, tmp_path / "model")

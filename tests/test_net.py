@@ -86,6 +86,20 @@ class TestInitParams:
         params = init_params(spec, seed=0)
         assert params["output.W"].shape == (2, 3)
         assert np.max(np.abs(params["output.W"])) <= np.sqrt(6.0 / 5.0)
+        # each (fan_in, U) gate block of an LSTM weight is drawn with
+        # sqrt(6 / (fan_in + U)), wider than sqrt(6 / (fan_in + 4U))
+        U = 16
+        spec = NetworkSpec(
+            feature_dim=4, num_labels=2, layers=(LayerSpec("lstm", U, False),)
+        )
+        params = init_params(spec, seed=0)
+        for name, fan_in in (("Wx", 4), ("Wh", U)):
+            W = params["layer0.fwd." + name]
+            assert W.shape == (fan_in, 4 * U)
+            for k in range(4):
+                block = np.abs(W[:, k * U:(k + 1) * U])
+                assert block.max() <= np.sqrt(6.0 / (fan_in + U))
+                assert block.max() > np.sqrt(6.0 / (fan_in + 4 * U))
 
     def test_biases_zero_but_lstm_forget_one(self):
         spec = NetworkSpec(
@@ -93,11 +107,10 @@ class TestInitParams:
         )
         params = init_params(spec, seed=1)
         for d in ("fwd", "bwd"):
-            np.testing.assert_array_equal(params[f"layer0.{d}.b_f"], np.ones(3))
-            for gate in ("i", "g", "o"):
-                np.testing.assert_array_equal(
-                    params[f"layer0.{d}.b_{gate}"], np.zeros(3)
-                )
+            b = params[f"layer0.{d}.b"]  # gate blocks i, f, o, g
+            np.testing.assert_array_equal(b[3:6], np.ones(3))
+            for block in (b[0:3], b[6:9], b[9:12]):
+                np.testing.assert_array_equal(block, np.zeros(3))
         np.testing.assert_array_equal(params["output.b"], np.zeros(3))
 
     def test_audit_catches_mismatch(self):
