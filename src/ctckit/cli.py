@@ -89,23 +89,32 @@ def build_parser():
     return parser
 
 
+def _check_fits(spec, dataset, source):
+    """Raise DatasetFormatError unless ``dataset`` has ``spec``'s sizes."""
+    for field in ("feature_dim", "num_labels"):
+        if getattr(spec, field) != getattr(dataset, field):
+            raise DatasetFormatError(
+                "%s %s %d does not match dataset %s %d"
+                % (source, field, getattr(spec, field), field,
+                   getattr(dataset, field))
+            )
+
+
 def _load_architecture(path, dataset):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = spec_from_dict(json.load(fh))
     except (OSError, ValueError) as err:
         raise DatasetFormatError("%s: %s" % (path, err)) from err
-    if spec.feature_dim != dataset.feature_dim:
-        raise DatasetFormatError(
-            "config feature_dim %d does not match dataset feature_dim %d"
-            % (spec.feature_dim, dataset.feature_dim)
-        )
-    if spec.num_labels != dataset.num_labels:
-        raise DatasetFormatError(
-            "config num_labels %d does not match dataset num_labels %d"
-            % (spec.num_labels, dataset.num_labels)
-        )
+    _check_fits(spec, dataset, "config")
     return spec
+
+
+def _load_model_and_data(args):
+    model = load_model(args.model)
+    dataset = read_dataset(args.data)
+    _check_fits(model.spec, dataset, "model")
+    return model, dataset
 
 
 def _cmd_train(args):
@@ -147,8 +156,7 @@ def _decode_overrides(args):
 
 def _cmd_predict(args):
     greedy, beam_width, top_paths = _decode_overrides(args)
-    model = load_model(args.model)
-    dataset = read_dataset(args.data)
+    model, dataset = _load_model_and_data(args)
     results = model.predict(
         [f for f, _ in dataset.sequences],
         greedy=greedy, beam_width=beam_width, top_paths=top_paths,
@@ -166,8 +174,7 @@ def _cmd_evaluate(args):
     requested = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if not requested:
         raise UsageError("--metrics must name at least one of loss,ler,ser")
-    model = load_model(args.model)
-    dataset = read_dataset(args.data)
+    model, dataset = _load_model_and_data(args)
     report = model.evaluate(dataset, metrics=requested)
     payload = {
         "metadata": {
@@ -190,8 +197,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_loss(args):
-    model = load_model(args.model)
-    dataset = read_dataset(args.data)
+    model, dataset = _load_model_and_data(args)
     losses = model.get_loss(dataset)
     with open(args.out, "w", encoding="utf-8") as fh:
         for value in losses:
@@ -200,8 +206,7 @@ def _cmd_loss(args):
 
 
 def _cmd_probas(args):
-    model = load_model(args.model)
-    dataset = read_dataset(args.data)
+    model, dataset = _load_model_and_data(args)
     matrices = model.get_probas(dataset)
     with open(args.out, "w", encoding="utf-8") as fh:
         for probs in matrices:
@@ -252,7 +257,7 @@ def cli_main(argv):
         _diagnose("usage", err)
         return 1
     except (DatasetFormatError, ModelLoadError, InfeasibleAlignment,
-            FileNotFoundError, IsADirectoryError, NotADirectoryError) as err:
+            OSError) as err:
         _diagnose("data", err)
         return 2
     except (NonFiniteGradient, FloatingPointError) as err:

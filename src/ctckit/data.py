@@ -60,11 +60,17 @@ def _parse_line(raw, lineno):
 def read_dataset(path):
     """Parse and validate a JSONL dataset file."""
     sequences = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes, so that a line that is not UTF-8 can be named
+    with open(path, "rb") as fh:
         header = None
         lineno = 0
         for raw in fh:
             lineno += 1
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise DatasetFormatError(
+                    "line %d: not UTF-8 (%s)" % (lineno, err)) from err
             if not raw.strip():
                 continue
             obj = _parse_line(raw, lineno)

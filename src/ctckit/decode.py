@@ -19,8 +19,9 @@ Four strategies, slowest to fastest:
 Scores are natural-log probabilities. Ties anywhere are broken toward
 the lexicographically smaller label sequence (and the lower class index
 in per-frame argmax) so results are deterministic. Every decoder
-rejects a posterior row holding a NaN, an infinity or a negative entry
-with ValueError.
+checks its input through ``lattice.posterior_frames``, the lattice's
+own shape and input_len rules, and raises ValueError naming the first
+active row that holds a NaN, an infinity or a negative entry.
 """
 
 import heapq
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import collapse
+from .lattice import collapse, log_posteriors, posterior_frames
 
 DEFAULT_ENUMERATION_BUDGET = 2 ** 22
 NEG_INF = -np.inf
@@ -60,34 +61,11 @@ class DecodeResult:
         return self.paths[0][1]
 
 
-def _as_active(probs, input_len):
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] < 2:
-        raise ValueError("posterior matrix must be (T, K) with K >= 2")
-    if input_len is None:
-        input_len = probs.shape[0]
-    if not 1 <= input_len <= probs.shape[0]:
-        raise ValueError(
-            "input_len %d outside [1, %d]" % (input_len, probs.shape[0])
-        )
-    active = probs[:input_len]
-    bad = ~(np.isfinite(active) & (active >= 0.0)).all(axis=1)
-    if bad.any():
-        raise ValueError(
-            "posterior row %d has a NaN, infinite or negative entry"
-            % int(np.argmax(bad))
-        )
-    return active
-
-
 def _ranked(items, top_paths):
     # items: iterable of (sequence tuple, probability). Lexicographic
     # tie-break on equal probability.
     ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))
-    with np.errstate(divide="ignore"):
-        return [
-            (list(seq), float(np.log(p))) for seq, p in ranked[:top_paths]
-        ]
+    return [(list(seq), float(log_posteriors(p))) for seq, p in ranked[:top_paths]]
 
 
 def exact_decode(probs, input_len=None, top_paths=1,
@@ -97,7 +75,7 @@ def exact_decode(probs, input_len=None, top_paths=1,
     Returns the ``top_paths`` sequences by total probability. Raises
     BudgetExceeded when K^input_len > max_paths.
     """
-    active = _as_active(probs, input_len)
+    active = posterior_frames(probs, input_len)
     T, K = active.shape
     if top_paths < 1:
         raise ValueError("top_paths must be >= 1")
@@ -124,10 +102,9 @@ def best_path_decode(probs, input_len=None):
     The score is the log-probability of the argmax path itself, a lower
     bound on the aggregated probability of the returned sequence.
     """
-    active = _as_active(probs, input_len)
+    active = posterior_frames(probs, input_len)
     ids = active.argmax(axis=1)
-    with np.errstate(divide="ignore"):
-        score = float(np.log(active.max(axis=1)).sum())
+    score = float(log_posteriors(active.max(axis=1)).sum())
     seq = collapse(ids, active.shape[1] - 1)
     return DecodeResult(paths=[(seq, score)])
 
@@ -145,7 +122,7 @@ def beam_search_decode(probs, input_len=None, beam_width=100, top_paths=1):
     merges into it. The ``beam_width`` candidates with the most merged
     mass survive the frame; the final ranking uses the same mass.
     """
-    active = _as_active(probs, input_len)
+    active = posterior_frames(probs, input_len)
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     if top_paths > beam_width:
@@ -156,8 +133,7 @@ def beam_search_decode(probs, input_len=None, beam_width=100, top_paths=1):
         raise ValueError("top_paths must be >= 1")
     T, K = active.shape
     blank = K - 1
-    with np.errstate(divide="ignore"):
-        logp = np.log(active)
+    logp = log_posteriors(active)
     labels = np.arange(blank)
 
     # The trie: node 0 is the empty prefix and node n is the prefix of
@@ -341,13 +317,12 @@ def prefix_search_decode(probs, input_len=None, blank_threshold=0.999,
     A segment that exhausts ``node_budget`` falls back to a width-32
     beam and marks the result approximate.
     """
-    active = _as_active(probs, input_len)
+    active = posterior_frames(probs, input_len)
     if not 0.5 < blank_threshold <= 1.0:
         raise ValueError("blank_threshold must lie in (0.5, 1]")
     T, K = active.shape
     blank = K - 1
-    with np.errstate(divide="ignore"):
-        logp = np.log(active)
+    logp = log_posteriors(active)
 
     boundary = active[:, blank] > blank_threshold
     segments = []

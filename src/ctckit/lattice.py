@@ -19,14 +19,19 @@ beta for a whole length-sorted batch at once over (B, 2 * L_max + 1)
 states in the packed layout of ``ctckit.packing``, a step at a time for
 the sequences still running (the batched lattice of warp-ctc). It is
 fed log-probabilities computed once: ``log_softmax`` of the logits in
-``ctc_gradient_packed``, ``log`` of the posteriors in ``ctc_loss``, so
+``ctc_gradient_packed``, ``log_posteriors`` in ``ctc_loss``, so
 logits far apart cannot underflow a probability to 0 and make a
 feasible alignment look impossible (Graves et al. 2006, section 4.1).
 ``ctc_loss_batch`` runs a padded batch of posteriors through it; the
 single-sequence functions (``ctc_forward``, ``ctc_backward``,
 ``make_lattice``, ``ctc_loss``, ``ctc_gradient``) run a batch of one.
+
+Each input rule is written once: ``_screen`` (lengths, label range,
+feasibility) screens ``check_batch``'s batch and the batch of one of
+every single-sequence call; ``posterior_frames`` checks decoder input.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,44 +108,93 @@ def extend_with_blanks(labels, blank_index):
     return ext
 
 
-def _check_input_len(input_len, num_frames):
-    if not 1 <= input_len <= num_frames:
-        raise ValueError("input_len %d outside [1, %d]" % (input_len, num_frames))
+def _screen(labels, input_lengths, label_lengths, num_frames, num_classes):
+    """None, or (index, error) of the first sequence breaking a rule.
 
-
-def _check_alignment(labels, input_len, num_classes):
-    """Validated label array of one sequence.
-
-    Raises ValueError for a label outside [0, num_classes - 1) and
-    InfeasibleAlignment when input_len frames cannot hold the labels.
+    ``labels`` is (B, L_max). All sequences are checked at once, and the
+    error is worded by the first rule broken, in this order:
+    1 <= input_len <= num_frames; 0 <= label_len <= L_max; the first
+    label_len labels lie in [0, num_classes - 1), so neither the blank
+    nor the padding leaks in; L labels with R adjacent repeats get at
+    least L + R frames, since a repeat needs a blank between
+    (InfeasibleAlignment).
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError("labels must be one-dimensional")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes - 1):
-        raise ValueError(
-            "label indices must lie in [0, %d); got %r"
-            % (num_classes - 1, labels.tolist())
-        )
-    repeats = int(np.sum(labels[1:] == labels[:-1])) if labels.size > 1 else 0
-    required = labels.size + repeats
-    if input_len < required:
-        raise InfeasibleAlignment(
-            "need at least %d frames for %d labels with %d adjacent repeats, "
-            "got input_len=%d" % (required, labels.size, repeats, input_len)
-        )
-    return labels
+    input_lengths = np.asarray(input_lengths, dtype=np.int64)
+    label_lengths = np.asarray(label_lengths, dtype=np.int64)
+    max_len = labels.shape[1]
+    live = np.arange(max_len) < label_lengths[:, None]
+    repeats = (live[:, 1:] & (labels[:, 1:] == labels[:, :-1])).sum(axis=1)
+    bad_input = (input_lengths < 1) | (input_lengths > num_frames)
+    bad_len = (label_lengths < 0) | (label_lengths > max_len)
+    bad_label = (live & ((labels < 0) | (labels >= num_classes - 1))).any(axis=1)
+    bad = bad_input | bad_len | bad_label | (input_lengths < label_lengths + repeats)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    input_len, label_len = int(input_lengths[i]), int(label_lengths[i])
+    if bad_input[i]:
+        return i, ValueError("input_len %d outside [1, %d]" % (input_len, num_frames))
+    if bad_len[i]:
+        return i, ValueError("label_len %d outside [0, %d]" % (label_len, max_len))
+    if bad_label[i]:
+        return i, ValueError("label indices must lie in [0, %d); got %r" % (
+            num_classes - 1, labels[i, :label_len].tolist()))
+    return i, InfeasibleAlignment(
+        "need at least %d frames for %d labels with %d adjacent repeats, "
+        "got input_len=%d" % (label_len + repeats[i], label_len, repeats[i], input_len)
+    )
+
+
+@contextmanager
+def sequence_named(index):
+    """Name sequence ``index`` in an error raised inside the block.
+
+    A ValueError is re-raised with the prefix ``sequence index:``; an
+    InfeasibleAlignment also records the index as ``sequence_index``.
+    """
+    try:
+        yield
+    except InfeasibleAlignment as err:
+        raise InfeasibleAlignment(str(err), sequence_index=index) from err
+    except ValueError as err:
+        raise ValueError("sequence %d: %s" % (index, err)) from err
+
+
+def check_batch(batch, num_classes):
+    """Validate every sequence of a padded batch before any work is done.
+
+    ``batch`` carries ``features`` (B, T_max, ...), ``labels`` (B, L_max)
+    and the two length arrays. The first sequence that breaks a rule of
+    ``_screen`` is named in the error by its index in the batch.
+    """
+    failure = _screen(batch.labels, batch.input_lengths, batch.label_lengths,
+                      batch.features.shape[1], num_classes)
+    if failure is not None:
+        index, err = failure
+        with sequence_named(index):
+            raise err
+
+
+def _matrix(matrix):
+    """``matrix`` as a float64 (T, K) array with K >= 2."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] < 2:
+        raise ValueError("expected a (T, K) matrix with K >= 2")
+    return matrix
+
+
+def _check_rows(probs):
+    """Reject a posterior row holding a NaN, an infinity or a negative entry."""
+    bad = ~(np.isfinite(probs) & (probs >= 0.0)).all(axis=1)
+    if bad.any():
+        raise ValueError("posterior row %d has a NaN, infinite or negative entry"
+                         % int(np.argmax(bad)))
 
 
 def _check_posteriors(probs):
-    """Reject a posterior matrix with a non-finite, negative or unnormalized row."""
-    finite = np.isfinite(probs).all(axis=1)
-    if not finite.all():
-        raise ValueError(
-            "posterior row %d holds a non-finite entry" % int(np.argmin(finite))
-        )
-    if probs.min() < 0.0:
-        raise ValueError("posterior entries must be non-negative")
+    """``_check_rows``, then reject a row that does not sum to 1."""
+    _check_rows(probs)
     row_sums = probs.sum(axis=1)
     if np.abs(row_sums - 1.0).max() > 1e-6:
         bad = int(np.abs(row_sums - 1.0).argmax())
@@ -149,42 +203,22 @@ def _check_posteriors(probs):
         )
 
 
-def check_batch(batch, num_classes):
-    """Validate every sequence of a padded batch before any work is done.
+def log_posteriors(probs):
+    """Natural log of posteriors; a zero becomes -inf without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
 
-    ``batch`` carries ``features`` (B, T_max, ...), ``labels`` (B, L_max)
-    and the two length arrays. Errors name the first offending sequence
-    by its index in the batch; InfeasibleAlignment also records it as
-    ``sequence_index``.
+
+def posterior_frames(probs, input_len=None):
+    """The decoders' input: the first ``input_len`` rows of posteriors.
+
+    The (T, K) shape and input_len rules are the lattice's; each active
+    row must be free of NaN, infinite and negative entries. Rows past
+    ``input_len`` are padding and are not looked at.
     """
-    num_frames = batch.features.shape[1]
-    labels = np.asarray(batch.labels, dtype=np.int64)
-    input_lengths = np.asarray(batch.input_lengths, dtype=np.int64)
-    label_lengths = np.asarray(batch.label_lengths, dtype=np.int64)
-    # screen the whole batch at once; the per-sequence checks below then
-    # word the error of the first sequence that fails
-    live = np.arange(labels.shape[1]) < label_lengths[:, None]
-    repeats = (live[:, 1:] & (labels[:, 1:] == labels[:, :-1])).sum(axis=1)
-    bad = (
-        (input_lengths < 1) | (input_lengths > num_frames)
-        | (label_lengths < 0) | (label_lengths > labels.shape[1])
-        | (live & ((labels < 0) | (labels >= num_classes - 1))).any(axis=1)
-        | (input_lengths < label_lengths + repeats)
-    )
-    if not bad.any():
-        return
-    i = int(np.argmax(bad))
-    input_len, label_len = int(input_lengths[i]), int(label_lengths[i])
-    try:
-        _check_input_len(input_len, num_frames)
-        if not 0 <= label_len <= labels.shape[1]:
-            raise ValueError("label_len %d outside [0, %d]"
-                             % (label_len, labels.shape[1]))
-        _check_alignment(labels[i, :label_len], input_len, num_classes)
-    except InfeasibleAlignment as err:
-        raise InfeasibleAlignment(str(err), sequence_index=i) from err
-    except ValueError as err:
-        raise ValueError("sequence %d: %s" % (i, err)) from err
+    active, _ = _sequence_args(probs, (), input_len, None)
+    _check_rows(active)
+    return active
 
 
 def _log_softmax(logits):
@@ -292,40 +326,29 @@ def ctc_gradient_packed(packing, logits, labels, label_lengths):
     return -ll, np.exp(log_probs) - posterior
 
 
-def _log_posteriors(probs):
-    with np.errstate(divide="ignore"):
-        return np.log(probs)
-
-
-def _one_sequence(log_probs, labels):
-    """Trellis of a single sequence: the batch of one over its frames."""
-    return _Trellis(Packing([log_probs.shape[0]]), log_probs, labels[None, :],
-                    [labels.size])
-
-
-def _as_matrix(matrix):
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] < 2:
-        raise ValueError("expected a (T, K) matrix with K >= 2")
-    return matrix
+def _one_sequence(probs, labels):
+    """Trellis of one sequence's posteriors: the batch of one over its frames."""
+    return _Trellis(Packing([probs.shape[0]]), log_posteriors(probs),
+                    labels[None, :], [labels.size])
 
 
 def _sequence_args(matrix, labels, input_len, label_len):
-    """Shared argument handling of the single-sequence entry points."""
-    matrix = _as_matrix(matrix)
-    if input_len is None:
-        input_len = matrix.shape[0]
-    _check_input_len(input_len, matrix.shape[0])
+    """Active rows and labels of one sequence, screened as a batch of one."""
+    matrix = _matrix(matrix)
     labels = np.asarray(labels, dtype=np.int64)
-    if label_len is None:
-        label_len = labels.size
-    labels = _check_alignment(labels[:label_len], input_len, matrix.shape[1])
-    return matrix[:input_len], labels
+    if labels.ndim != 1:
+        raise ValueError("labels must be one-dimensional")
+    input_len = matrix.shape[0] if input_len is None else input_len
+    label_len = labels.size if label_len is None else label_len
+    failure = _screen(labels[None, :], [input_len], [label_len], *matrix.shape)
+    if failure is not None:
+        raise failure[1]
+    return matrix[:input_len], labels[:label_len]
 
 
 def _extended_args(probs, ext, input_len):
     """``_sequence_args`` for a blank-extended label sequence ``ext``."""
-    probs = _as_matrix(probs)
+    probs = _matrix(probs)
     blank = probs.shape[1] - 1
     ext = np.asarray(ext, dtype=np.int64)
     if ext.ndim != 1 or ext.size % 2 == 0 or (ext[::2] != blank).any():
@@ -345,20 +368,20 @@ def ctc_forward(probs, ext, input_len):
     InfeasibleAlignment when input_len is too short for its labels.
     """
     active, labels = _extended_args(probs, ext, input_len)
-    alpha, ll = _one_sequence(_log_posteriors(active), labels).alpha()
+    alpha, ll = _one_sequence(active, labels).alpha()
     return alpha[:, 2:], float(ll[0])
 
 
 def ctc_backward(probs, ext, input_len):
     """Backward pass; beta[t][s] covers emissions at frames t+1..input_len-1."""
     active, labels = _extended_args(probs, ext, input_len)
-    return _one_sequence(_log_posteriors(active), labels).beta()[:, :-2]
+    return _one_sequence(active, labels).beta()[:, :-2]
 
 
 def make_lattice(probs, labels, input_len=None, label_len=None):
     """Run both passes and return the filled :class:`Lattice`."""
     active, labels = _sequence_args(probs, labels, input_len, label_len)
-    trellis = _one_sequence(_log_posteriors(active), labels)
+    trellis = _one_sequence(active, labels)
     alpha, ll = trellis.alpha()
     return Lattice(alpha=alpha[:, 2:], beta=trellis.beta()[:, :-2],
                    log_likelihood=float(ll[0]))
@@ -372,7 +395,7 @@ def ctc_loss(probs, labels, input_len=None, label_len=None):
     """
     active, labels = _sequence_args(probs, labels, input_len, label_len)
     _check_posteriors(active)
-    _, ll = _one_sequence(_log_posteriors(active), labels).alpha()
+    _, ll = _one_sequence(active, labels).alpha()
     return -float(ll[0])
 
 
@@ -411,14 +434,12 @@ def ctc_loss_batch(batch):
     check_batch(batch, features.shape[2])
     lengths = np.asarray(batch.input_lengths, dtype=np.int64)
     for i, input_len in enumerate(lengths.tolist()):
-        try:
+        with sequence_named(i):
             _check_posteriors(features[i, :input_len])
-        except ValueError as err:
-            raise ValueError("sequence %d: %s" % (i, err)) from err
     order = np.argsort(-lengths, kind="stable")
     packing = Packing(lengths[order])
     label_lengths = np.asarray(batch.label_lengths, dtype=np.int64)[order]
-    trellis = _Trellis(packing, _log_posteriors(packing.pack(features, order)),
+    trellis = _Trellis(packing, log_posteriors(packing.pack(features, order)),
                        np.asarray(batch.labels)[order], label_lengths)
     _, ll = trellis.alpha()
     losses = np.empty(len(order))

@@ -15,6 +15,7 @@ from the stored seed.
 """
 
 import json
+import math
 import os
 import struct
 import time
@@ -33,6 +34,7 @@ from .lattice import (  # noqa: F401
     ctc_gradient,
     ctc_gradient_packed,
     ctc_loss,
+    sequence_named,
 )
 from .metrics import MetricsReport, label_error_rate, sequence_error_rate
 from .packing import Packing
@@ -118,6 +120,8 @@ class CtcModel:
         """
         if not len(dataset):
             raise ValueError("training dataset is empty")
+        if validation is not None and not len(validation):
+            raise ValueError("validation dataset is empty")
         history = []
         for epoch in range(epochs):
             start = time.perf_counter()
@@ -194,6 +198,8 @@ class CtcModel:
         The network runs once per sequence; its posteriors give both the
         loss and the decode and are dropped before the next sequence.
         """
+        if not len(dataset):
+            raise ValueError("evaluation dataset is empty")
         requested = tuple(metrics)
         for m in requested:
             if m not in VALID_METRICS:
@@ -250,10 +256,8 @@ class CtcModel:
 
 
 def _sequence_loss(probs, labels, index):
-    try:
+    with sequence_named(index):
         return ctc_loss(probs, labels)
-    except InfeasibleAlignment as err:
-        raise InfeasibleAlignment(str(err), sequence_index=index) from err
 
 
 def batch_gradients(spec, params, batch):
@@ -420,13 +424,16 @@ def read_weights(path):
             fail("truncated tensor record")
         shape = struct.unpack_from("<%dI" % rank, blob, offset)
         offset += 4 * rank
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        size = math.prod(shape)  # Python ints: a product cannot wrap
         nbytes = 8 * size
         if offset + nbytes > len(blob):
             fail("truncated tensor values for %s" % name)
-        values = np.frombuffer(
-            blob, dtype="<f8", count=size, offset=offset
-        ).reshape(shape)
+        try:  # numpy caps the rank (at 64 in numpy 2)
+            values = np.frombuffer(
+                blob, dtype="<f8", count=size, offset=offset
+            ).reshape(shape)
+        except ValueError as err:
+            fail("tensor %s: %s" % (name, err))
         if not np.isfinite(values).all():
             fail("tensor %s holds non-finite values" % name)
         params[name] = values.astype(np.float64).copy()

@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import builtins
 import json
+import os
 
 import numpy as np
 import pytest
 
+from ctckit import cli
 from ctckit.cli import cli_main
 from ctckit.data import read_dataset
 from ctckit.model import load_model
@@ -180,6 +183,55 @@ class TestExitCodes:
                          "--out", str(tmp_path / "m")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error[data]:")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "loss", "probas"])
+    def test_model_dataset_mismatch_is_data_error(self, tmp_path, capsys,
+                                                  command):
+        _, model_dir, _ = run_pipeline(tmp_path, "x")
+        data = str(tmp_path / "wide.jsonl")
+        cli_main(["gen-data", "--num", "2", "--labels", "3",
+                  "--feature-dim", "6", "--out", data])
+        capsys.readouterr()
+        code = cli_main([command, "--model", model_dir, "--data", data,
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error[data]: model feature_dim 3 does not match "
+                       "dataset feature_dim 6\n")
+
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # the tests run as root, where chmod denies nothing
+        data, model_dir, _ = run_pipeline(tmp_path, "o")
+        out = str(tmp_path / "pred.jsonl")
+
+        def deny(path, *args, **kwargs):
+            if os.fspath(path) == out:
+                raise PermissionError(13, "Permission denied", out)
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", deny, raising=False)
+        capsys.readouterr()
+        code = cli_main(["predict", "--model", model_dir, "--data", data,
+                         "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]:") and "Permission denied" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("metrics", ["loss", "ler", "loss,ler,ser"])
+    def test_evaluate_on_empty_dataset_is_one_line(self, tmp_path, capsys,
+                                                   metrics):
+        _, model_dir, _ = run_pipeline(tmp_path, "e")
+        data = tmp_path / "empty.jsonl"
+        data.write_text('{"feature_dim": 3, "num_labels": 3}\n')
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        code = cli_main(["evaluate", "--model", model_dir, "--data", str(data),
+                         "--metrics", metrics, "--out", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error[usage]: evaluation dataset is empty\n")
+        assert not report.exists()
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

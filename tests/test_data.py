@@ -116,6 +116,26 @@ class TestReadWrite:
             read_dataset(path)
 
 
+    def test_non_utf8_line_names_the_line(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(
+            b'{"feature_dim": 1, "num_labels": 2}\n'
+            b'{"features": [[0.5]], "labels": [0]}\n'
+            b'{"features": [[0.5]], "labels": [1], "note": "caf\xe9"}\n'
+        )
+        with pytest.raises(DatasetFormatError, match="line 3: not UTF-8"):
+            read_dataset(path)
+
+    def test_crlf_lines_read(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(
+            b'{"feature_dim": 1, "num_labels": 2}\r\n'
+            b'\r\n'
+            b'{"features": [[0.5]], "labels": [1]}\r\n'
+        )
+        assert read_dataset(path).sequences[0][1] == [1]
+
+
 class TestMakeBatches:
     def test_batch_sizes(self):
         batches = make_batches(tiny_dataset(), 2, seed=0)

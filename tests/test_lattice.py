@@ -1,10 +1,15 @@
 """Forward-backward loss and gradient against enumeration and finite differences."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctckit.lattice import (
     InfeasibleAlignment,
+    check_batch,
     collapse,
     ctc_backward,
     ctc_forward,
@@ -328,3 +333,61 @@ class TestLossBatch:
             ctc_loss_batch(bad)
         assert excinfo.value.sequence_index == 0
         assert "sequence 0" in str(excinfo.value)
+
+
+class TestOneInputScreen:
+    """check_batch and the single-sequence entry points share one rule set."""
+
+    ENTRY_POINTS = {"ctc_loss": ctc_loss, "ctc_gradient": ctc_gradient,
+                    "make_lattice": make_lattice}
+
+    @pytest.mark.parametrize("label_len", [-1, 3, 7])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_label_len_outside_the_labels_rejected(self, entry, label_len):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        message = "label_len %d outside [0, 2]" % label_len
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.ENTRY_POINTS[entry](probs, [0, 1], label_len=label_len)
+
+    def test_negative_entry_error_names_the_row(self):
+        probs = np.array([[0.5, 0.5], [1.2, -0.2]])
+        with pytest.raises(ValueError, match="row 1"):
+            ctc_loss(probs, [0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_check_batch_fails_exactly_where_ctc_loss_fails(self, data):
+        B = data.draw(st.integers(1, 4))
+        T = data.draw(st.integers(1, 6))
+        L = data.draw(st.integers(0, 5))
+        K = data.draw(st.integers(2, 4))
+        # valid labels, the blank, the padding value and other negatives;
+        # a small alphabet makes adjacent repeats common
+        label = st.one_of(st.integers(0, K - 2), st.sampled_from([-2, -1, K - 1]))
+        labels = np.array(data.draw(st.lists(
+            st.lists(label, min_size=L, max_size=L), min_size=B, max_size=B,
+        )), dtype=np.int64).reshape(B, L)
+        input_lengths = np.array(data.draw(st.lists(
+            st.integers(-1, T + 1), min_size=B, max_size=B)))
+        label_lengths = np.array(data.draw(st.lists(
+            st.integers(-1, L + 1), min_size=B, max_size=B)))
+        probs = np.full((T, K), 1.0 / K)
+        batch = PaddedBatch(np.repeat(probs[None], B, axis=0), labels,
+                            input_lengths, label_lengths)
+        failures = []
+        for i in range(B):
+            try:
+                ctc_loss(probs, labels[i], input_len=int(input_lengths[i]),
+                         label_len=int(label_lengths[i]))
+            except (ValueError, InfeasibleAlignment) as err:
+                failures.append((i, err))
+        if not failures:
+            check_batch(batch, K)
+            return
+        i, single = failures[0]
+        with pytest.raises((ValueError, InfeasibleAlignment)) as excinfo:
+            check_batch(batch, K)
+        assert type(excinfo.value) is type(single)
+        assert str(excinfo.value) == "sequence %d: %s" % (i, single)
+        if isinstance(single, InfeasibleAlignment):
+            assert excinfo.value.sequence_index == i

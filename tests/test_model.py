@@ -236,6 +236,12 @@ class TestFit:
         with pytest.raises(ValueError):
             model.fit(Dataset(3, 2, []), epochs=1)
 
+    def test_empty_validation_rejected(self):
+        # its mean loss would be the NaN of an empty mean
+        model = CtcModel.compile(SPEC, seed=4)
+        with pytest.raises(ValueError, match="validation dataset is empty"):
+            model.fit(small_dataset(2), epochs=1, validation=Dataset(3, 2, []))
+
     def test_checkpoints_written(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=4)
         model.fit(small_dataset(4), epochs=2, batch_size=2,
@@ -333,6 +339,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             model.evaluate(small_dataset(4), metrics=("loss", "cer"))
 
+    @pytest.mark.parametrize("metrics", [("loss",), ("ler",), ("ser",)])
+    def test_empty_dataset_rejected(self, metrics):
+        model = CtcModel.compile(SPEC, seed=7)
+        with pytest.raises(ValueError, match="evaluation dataset is empty"):
+            model.evaluate(Dataset(3, 2, []), metrics=metrics)
+
     def test_loss_equals_mean_get_loss(self):
         model = CtcModel.compile(SPEC, seed=7)
         ds = small_dataset(6)
@@ -386,6 +398,16 @@ class TestGetters:
         for i, (features, labels) in enumerate(ds5.sequences):
             probs, _ = forward(SPEC, model.params, features)
             assert losses[i] == ctc_loss(probs, labels)
+
+    def test_loss_errors_name_the_sequence(self):
+        model = CtcModel.compile(SPEC, seed=10)
+        ds = small_dataset(3)
+        ds.sequences[1] = (ds.sequences[1][0], [0, 2])  # 2 is the blank
+        message = r"^sequence 1: label indices must lie in \[0, 2\)"
+        with pytest.raises(ValueError, match=message):
+            model.get_loss(ds)
+        with pytest.raises(ValueError, match=message):
+            model.evaluate(ds, metrics=("loss",))
 
     def test_get_probas_shapes_and_consistency(self):
         model = CtcModel.compile(SPEC, seed=10)
