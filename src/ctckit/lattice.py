@@ -19,16 +19,19 @@ beta for a whole length-sorted batch at once over (B, 2 * L_max + 1)
 states in the packed layout of ``ctckit.packing``, a step at a time for
 the sequences still running (the batched lattice of warp-ctc). It is
 fed log-probabilities computed once: ``log_softmax`` of the logits in
-``ctc_gradient_packed``, ``log_posteriors`` in ``ctc_loss``, so
-logits far apart cannot underflow a probability to 0 and make a
-feasible alignment look impossible (Graves et al. 2006, section 4.1).
-``ctc_loss_batch`` runs a padded batch of posteriors through it; the
-single-sequence functions (``ctc_forward``, ``ctc_backward``,
-``make_lattice``, ``ctc_loss``, ``ctc_gradient``) run a batch of one.
+``ctc_gradient_packed``, ``log_posteriors`` in ``ctc_loss`` and
+``packed_losses``, so logits far apart cannot underflow a probability
+to 0 and make a feasible alignment look impossible (Graves et al.
+2006, section 4.1). ``packed_losses`` scores a packed batch of
+posteriors: ``ctc_loss_batch`` runs a padded batch through it, and the
+model facade its packed groups. The single-sequence functions
+(``ctc_forward``, ``ctc_backward``, ``make_lattice``, ``ctc_loss``,
+``ctc_gradient``) run a batch of one.
 
 Each input rule is written once: ``_screen`` (lengths, label range,
-feasibility) screens ``check_batch``'s batch and the batch of one of
-every single-sequence call; ``posterior_frames`` checks decoder input.
+feasibility) screens the batches of ``check_sequences`` and the batch
+of one of every single-sequence call; ``posterior_frames`` checks
+decoder input.
 """
 
 from contextlib import contextmanager
@@ -161,19 +164,30 @@ def sequence_named(index):
         raise ValueError("sequence %d: %s" % (index, err)) from err
 
 
-def check_batch(batch, num_classes):
-    """Validate every sequence of a padded batch before any work is done.
+def check_sequences(labels, input_lengths, label_lengths, num_frames,
+                    num_classes):
+    """Validate every sequence of a batch before any work is done.
 
-    ``batch`` carries ``features`` (B, T_max, ...), ``labels`` (B, L_max)
-    and the two length arrays. The first sequence that breaks a rule of
-    ``_screen`` is named in the error by its index in the batch.
+    ``labels`` is (B, L_max), padded past each label_len. The first
+    sequence that breaks a rule of ``_screen`` is named in the error by
+    its index in the batch.
     """
-    failure = _screen(batch.labels, batch.input_lengths, batch.label_lengths,
-                      batch.features.shape[1], num_classes)
+    failure = _screen(labels, input_lengths, label_lengths, num_frames,
+                      num_classes)
     if failure is not None:
         index, err = failure
         with sequence_named(index):
             raise err
+
+
+def check_batch(batch, num_classes):
+    """``check_sequences`` on a padded batch.
+
+    ``batch`` carries ``features`` (B, T_max, ...), ``labels`` (B, L_max)
+    and the two length arrays.
+    """
+    check_sequences(batch.labels, batch.input_lengths, batch.label_lengths,
+                    batch.features.shape[1], num_classes)
 
 
 def _matrix(matrix):
@@ -326,6 +340,25 @@ def ctc_gradient_packed(packing, logits, labels, label_lengths):
     return -ll, np.exp(log_probs) - posterior
 
 
+def packed_losses(packing, probs, labels, label_lengths, index):
+    """Per-sequence losses of a packed, length-sorted batch of posteriors.
+
+    ``probs`` is (N, K) in ``packing``'s row order and ``labels``
+    (B, >= L_max) holds each sequence's labels, already screened
+    (``check_sequences``). Sequence b is the caller's sequence
+    ``index[b]``: the posteriors are checked (``_check_posteriors``) in
+    the caller's order and an error names the sequence. One alpha pass
+    over ``log_posteriors(probs)``, the input ``ctc_loss`` takes, so
+    each loss is that of ``ctc_loss`` on the sequence alone, bit for bit.
+    Returns the losses (B,).
+    """
+    for b in np.argsort(index, kind="stable").tolist():
+        with sequence_named(int(index[b])):
+            _check_posteriors(probs[packing.rows(b)])
+    trellis = _Trellis(packing, log_posteriors(probs), labels, label_lengths)
+    return -trellis.alpha()[1]
+
+
 def _one_sequence(probs, labels):
     """Trellis of one sequence's posteriors: the batch of one over its frames."""
     return _Trellis(Packing([probs.shape[0]]), log_posteriors(probs),
@@ -433,15 +466,11 @@ def ctc_loss_batch(batch):
         raise ValueError("posterior batch must be (B, T_max, K) with K >= 2")
     check_batch(batch, features.shape[2])
     lengths = np.asarray(batch.input_lengths, dtype=np.int64)
-    for i, input_len in enumerate(lengths.tolist()):
-        with sequence_named(i):
-            _check_posteriors(features[i, :input_len])
     order = np.argsort(-lengths, kind="stable")
     packing = Packing(lengths[order])
-    label_lengths = np.asarray(batch.label_lengths, dtype=np.int64)[order]
-    trellis = _Trellis(packing, log_posteriors(packing.pack(features, order)),
-                       np.asarray(batch.labels)[order], label_lengths)
-    _, ll = trellis.alpha()
     losses = np.empty(len(order))
-    losses[order] = -ll
+    losses[order] = packed_losses(
+        packing, packing.pack(features, order), np.asarray(batch.labels)[order],
+        np.asarray(batch.label_lengths, dtype=np.int64)[order], order,
+    )
     return losses.tolist()

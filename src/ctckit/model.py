@@ -19,21 +19,24 @@ import math
 import os
 import struct
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import net
-from .data import Dataset, make_batches
+from .data import LABEL_PAD, Dataset, make_batches
 from .decode import beam_search_decode, best_path_decode
-# ctc_gradient is not called here; benchmark tracing swaps its span
-# wrapper into this namespace
+# ctc_gradient and ctc_loss are not called here; benchmark tracing
+# swaps its span wrappers into this namespace
 from .lattice import (  # noqa: F401
     InfeasibleAlignment,
     check_batch,
+    check_sequences,
     ctc_gradient,
     ctc_gradient_packed,
     ctc_loss,
+    packed_losses,
     sequence_named,
 )
 from .metrics import MetricsReport, label_error_rate, sequence_error_rate
@@ -116,7 +119,8 @@ class CtcModel:
         Returns one EpochRecord per epoch run (mean training loss,
         optional validation loss, wall-clock seconds). When
         ``checkpoint_dir`` is set, weights are written after each epoch
-        as weights.epochN.ctcw.
+        as weights.epochN.ctcw (``write_weights``, so a failed write
+        leaves an older checkpoint of that name intact).
         """
         if not len(dataset):
             raise ValueError("training dataset is empty")
@@ -166,23 +170,18 @@ class CtcModel:
         Decode parameters default to the model's DecodeConfig; pass
         ``greedy``/``beam_width``/``top_paths`` to override per call.
         """
-        results = []
-        for i, features in enumerate(features_list):
-            features = np.asarray(features, dtype=np.float64)
-            til = features.shape[0] if input_lengths is None \
-                else int(input_lengths[i])
-            probs, _ = net.forward(self.spec, self.params, features, input_len=til)
-            results.append(self._decode(probs, til, greedy, beam_width, top_paths))
-        return results
+        return self._run(
+            features_list, input_lengths,
+            each=lambda probs: self._decode(probs, greedy, beam_width, top_paths),
+        )[1]
 
-    def _decode(self, probs, input_len, greedy=None, beam_width=None,
-                top_paths=None):
+    def _decode(self, probs, greedy=None, beam_width=None, top_paths=None):
         """Decode one posterior matrix; None takes the DecodeConfig value."""
         cfg = self.decode_config
         if cfg.greedy if greedy is None else greedy:
-            return best_path_decode(probs, input_len=input_len)
+            return best_path_decode(probs)
         return beam_search_decode(
-            probs, input_len=input_len,
+            probs,
             beam_width=cfg.beam_width if beam_width is None else beam_width,
             top_paths=cfg.top_paths if top_paths is None else top_paths,
         )
@@ -195,8 +194,9 @@ class CtcModel:
 
         Decoding for ler/ser uses the model's decode defaults, recorded
         in the report. ler is per sequence, loss and ser are aggregated.
-        The network runs once per sequence; its posteriors give both the
-        loss and the decode and are dropped before the next sequence.
+        The network runs once over each packed group of sequences; its
+        posteriors give both the losses and the decodes and are dropped
+        before the next group runs.
         """
         if not len(dataset):
             raise ValueError("evaluation dataset is empty")
@@ -207,18 +207,16 @@ class CtcModel:
                     "unknown metric %r (expected subset of %r)"
                     % (m, list(VALID_METRICS))
                 )
+        truths = [list(l) for _, l in dataset.sequences]
         decode = "ler" in requested or "ser" in requested
-        losses, preds = [], []
-        for i, (features, labels) in enumerate(dataset.sequences):
-            probs = self._forward_probs(features)
-            if "loss" in requested:
-                losses.append(_sequence_loss(probs, labels, i))
-            if decode:
-                preds.append(self._decode(probs, probs.shape[0]).paths[0][0])
+        losses, preds = self._run(
+            [f for f, _ in dataset.sequences],
+            labels=truths if "loss" in requested else None,
+            each=(lambda probs: self._decode(probs).paths[0][0]) if decode else None,
+        )
         report = MetricsReport(decode=asdict(self.decode_config))
         if "loss" in requested:
             report.loss = float(np.mean(losses))
-        truths = [list(l) for _, l in dataset.sequences]
         if "ler" in requested:
             report.ler = [label_error_rate(p, t) for p, t in zip(preds, truths)]
             report.ler_mean = float(np.mean(report.ler))
@@ -228,8 +226,8 @@ class CtcModel:
 
     def get_loss(self, dataset):
         """Per-sequence negative log-likelihoods, in dataset order."""
-        return [_sequence_loss(self._forward_probs(features), labels, i)
-                for i, (features, labels) in enumerate(dataset.sequences)]
+        return self._run([f for f, _ in dataset.sequences],
+                         labels=[l for _, l in dataset.sequences])[0]
 
     def get_probas(self, dataset_or_features):
         """Per-sequence posterior matrices trimmed to each true length."""
@@ -237,12 +235,51 @@ class CtcModel:
             feature_arrays = [f for f, _ in dataset_or_features.sequences]
         else:
             feature_arrays = list(dataset_or_features)
-        return [self._forward_probs(f) for f in feature_arrays]
+        return self._run(feature_arrays, each=lambda probs: probs)[1]
 
-    def _forward_probs(self, features):
-        features = np.asarray(features, dtype=np.float64)
-        probs, _ = net.forward(self.spec, self.params, features)
-        return probs
+    def _run(self, features_list, input_lengths=None, labels=None, each=None):
+        """Run the network over sequences, one packed group at a time.
+
+        The sequences run in the groups of ``_sorted_groups``, as in
+        ``batch_gradients``; each group is one ``net.forward_packed``. Returns (losses, outputs) in input
+        order. With ``labels`` (one label list per sequence), losses[i]
+        is the CTC loss of sequence i, from one ``packed_losses`` pass
+        per group; otherwise losses is None. With ``each``, outputs[i]
+        is ``each`` of the posteriors of the first input_len frames of
+        sequence i; otherwise outputs holds Nones. Every sequence is
+        screened before the first group runs, and an error names the
+        sequence by its index.
+        """
+        features_list = list(features_list)
+        n = len(features_list)
+        if input_lengths is not None and len(input_lengths) != n:
+            raise ValueError("%d input_lengths given for %d sequences"
+                             % (len(input_lengths), n))
+        arrays, lengths = [], np.zeros(n, dtype=np.int64)
+        for i, features in enumerate(features_list):
+            with sequence_named(i):
+                features, lengths[i] = net.sequence_frames(
+                    self.spec, features,
+                    None if input_lengths is None else input_lengths[i],
+                )
+            arrays.append(features)
+        losses = None
+        if labels is not None:
+            label_lengths = np.array([len(l) for l in labels], dtype=np.int64)
+            labels = (_label_matrix(labels, label_lengths), label_lengths)
+            check_sequences(labels[0], lengths, label_lengths,
+                            lengths.max(initial=1), self.spec.num_classes)
+            losses = np.empty(n)
+        outputs = [None] * n
+        for index in _sorted_groups(self.spec, lengths):
+            group_losses, group_outputs = _run_group(
+                self.spec, self.params, arrays, lengths, labels, index, each
+            )
+            if losses is not None:
+                losses[index] = group_losses
+            for i, output in zip(index.tolist(), group_outputs):
+                outputs[i] = output
+        return None if losses is None else losses.tolist(), outputs
 
     # ------------------------------------------------------------------
     # persistence
@@ -255,34 +292,68 @@ class CtcModel:
         return load_model(directory, weights=weights)
 
 
-def _sequence_loss(probs, labels, index):
-    with sequence_named(index):
-        return ctc_loss(probs, labels)
+def _label_matrix(labels, label_lengths):
+    """Label lists as one (B, L_max) array, padded with LABEL_PAD."""
+    matrix = np.full((len(labels), int(label_lengths.max(initial=0))),
+                     LABEL_PAD, dtype=np.int64)
+    for row, l in zip(matrix, labels):
+        row[:len(l)] = l
+    return matrix
+
+
+def _sorted_groups(spec, lengths):
+    """Index arrays of the consecutive groups of the sequences, sorted by length.
+
+    The sort is stable and longest first; ``net.activation_groups``
+    splits it, so each group's lengths make a valid ``Packing``. Both
+    training and inference run their sequences in these groups.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    return [order[group] for group in net.activation_groups(spec, lengths[order])]
+
+
+def _run_group(spec, params, arrays, lengths, labels, index, each):
+    # a function of its own, so each group's activations and posteriors
+    # are freed before the next group's forward runs
+    packing = Packing(lengths[index])
+    frames = np.empty((packing.num_frames, spec.feature_dim))
+    for b, i in enumerate(index.tolist()):
+        frames[packing.rows(b)] = arrays[i][:lengths[i]]
+    probs = net.softmax_rows(net.forward_packed(spec, params, packing, frames)[0])
+    losses = None
+    if labels is not None:
+        matrix, label_lengths = labels
+        losses = packed_losses(packing, probs, matrix[index],
+                               label_lengths[index], index)
+    outputs = [None] * len(index)
+    if each is not None:
+        for b, i in enumerate(index.tolist()):
+            with sequence_named(i):
+                outputs[b] = each(probs[packing.rows(b)])
+    return losses, outputs
 
 
 def batch_gradients(spec, params, batch):
     """Per-sequence losses and batch-mean gradients of a padded batch.
 
     Every sequence is validated first; errors carry the sequence's index
-    in ``batch``. The batch is then sorted by length and run in
-    consecutive groups of ``net.activation_groups``: per group one
-    forward, one lattice pass and one backward over its packed frames.
-    Returns (losses in batch order, {name: mean gradient}).
+    in ``batch``. The batch then runs in the groups of
+    ``_sorted_groups``: per group one forward, one lattice pass and one
+    backward over its packed frames. Returns (losses in batch order,
+    {name: mean gradient}).
     """
     check_batch(batch, spec.num_classes)
-    lengths = np.asarray(batch.input_lengths, dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    losses = np.empty(len(order))
+    losses = np.empty(len(batch.input_lengths))
     total = None
-    for group in net.activation_groups(spec, lengths[order]):
-        index = order[group]
+    for index in _sorted_groups(spec, batch.input_lengths):
         losses[index], grads = _group_gradients(spec, params, batch, index)
         if total is None:
             total = grads
         else:
             for name, g in grads.items():
                 total[name] += g
-    return losses, {name: g / len(order) for name, g in total.items()}
+    return losses, {name: g / len(losses) for name, g in total.items()}
 
 
 def _group_gradients(spec, params, batch, index):
@@ -298,23 +369,47 @@ def _group_gradients(spec, params, batch, index):
     return losses, net.backward_packed(spec, params, cache, grad_logits)
 
 
+@contextmanager
+def _replacing(path):
+    """A binary file that replaces ``path`` only once it is complete.
+
+    The bytes go to a temporary file in the same directory, which is
+    flushed to disk and then moved over ``path`` with ``os.replace``, so
+    a reader finds the old file or the whole new one. On an error the
+    temporary file is removed and ``path`` is left as it was.
+    """
+    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def _write_json(path, value):
+    with _replacing(path) as fh:
+        fh.write((json.dumps(value, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+
 def save_model(model, directory):
-    """Write architecture.json, hyperparams.json and weights.ctcw."""
+    """Write architecture.json, hyperparams.json and weights.ctcw.
+
+    Each file is replaced whole (``_replacing``): a save that fails
+    partway leaves every file either as it was or fully written.
+    """
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, ARCHITECTURE_FILE), "w",
-              encoding="utf-8") as fh:
-        json.dump(net.spec_to_dict(model.spec), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    hyper = {
+    _write_json(os.path.join(directory, ARCHITECTURE_FILE),
+                net.spec_to_dict(model.spec))
+    _write_json(os.path.join(directory, HYPERPARAMS_FILE), {
         "optimizer": model.optimizer.kind,
         "learning_rate": model.optimizer.learning_rate,
         "decode": asdict(model.decode_config),
         "seed": model.seed,
-    }
-    with open(os.path.join(directory, HYPERPARAMS_FILE), "w",
-              encoding="utf-8") as fh:
-        json.dump(hyper, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     write_weights(os.path.join(directory, WEIGHTS_FILE), model.params)
 
 
@@ -373,9 +468,10 @@ def write_weights(path, params):
 
     Layout (little-endian): magic "CTCW", u32 version, u32 tensor
     count; per tensor (sorted by name): u16 name length, UTF-8 name,
-    u8 rank, u32 per dimension, then row-major f64 values.
+    u8 rank, u32 per dimension, then row-major f64 values. The file
+    replaces ``path`` only once it is complete (``_replacing``).
     """
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<I", WEIGHTS_VERSION))
         fh.write(struct.pack("<I", len(params)))

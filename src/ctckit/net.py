@@ -16,11 +16,17 @@ One batched engine does all the work (``forward_packed`` and
 layout of ``ctckit.packing``: at step t only the n_t sequences still
 running are updated (``h[:n_t] @ Wh``), and the input projections, the
 output layer and every weight gradient are single products over all
-valid frames. Training runs a sorted batch in consecutive
-groups (``activation_groups``) so that the activations kept for
-backward stay under ``ACTIVATION_BYTES``. ``forward`` and ``backward``
-handle one sequence as a batch of one, which is how prediction, the
-getters and evaluation use the network: one sequence per call.
+valid frames. Training and inference run a sorted batch in
+consecutive groups (``activation_groups``) so that the activations a
+forward pass keeps for backward stay under ``ACTIVATION_BYTES``.
+``forward`` and ``backward`` handle one sequence as a batch of one.
+
+Every product in ``forward_packed`` has at least two rows
+(``_product``): a one-row product runs another BLAS kernel, whose
+bits differ, while with two rows or more a row of ``A @ W`` is the
+same whatever rows share it. So the posteriors of a sequence do not
+depend on the other sequences of its group, and ``forward`` on the
+sequence alone gives the same bits.
 
 Only frames ``[0, input_len)`` enter the recurrences in either
 direction; padding frames are never gathered into the packed rows,
@@ -54,8 +60,10 @@ LSTM_GATES = ("i", "f", "o", "g")
 # and outputs of all its frames until backward: training two bi-LSTM
 # layers of 64 units on batches of eight sequences of 60-280 frames,
 # that took peak RSS from 58 to 85 MB for 8 % more speed, against
-# 62 MB with this budget. CtcModel.train_on_batch therefore runs the
-# length-sorted batch in consecutive groups that each fit it.
+# 62 MB with this budget. CtcModel therefore runs a length-sorted
+# batch in consecutive groups that each fit it, for training and, since
+# forward_packed keeps the same activations until it returns, for
+# inference too.
 ACTIVATION_BYTES = 4 * 2 ** 20
 
 
@@ -270,7 +278,8 @@ def init_params(spec, seed):
     return params
 
 
-def _softmax_rows(z):
+def softmax_rows(z):
+    """Softmax of each row of a (N, K) array of logits."""
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -290,7 +299,7 @@ def stored_bytes_per_frame(spec):
 
 
 def activation_groups(spec, lengths):
-    """Split non-increasing ``lengths`` into consecutive training groups.
+    """Split non-increasing ``lengths`` into consecutive groups.
 
     Returns slices into ``lengths``. The frames of each group keep at
     most ACTIVATION_BYTES of activations alive (see
@@ -305,8 +314,21 @@ def activation_groups(spec, lengths):
             groups.append(slice(start, i))
             start, frames = i, 0
         frames += length
-    groups.append(slice(start, len(lengths)))
+    if start < len(lengths):
+        groups.append(slice(start, len(lengths)))
     return groups
+
+
+def _product(a, W):
+    """``a @ W`` as a product of at least two rows.
+
+    With one row the BLAS takes another kernel and row 0 comes out with
+    other bits than in any larger product, so a lone row is multiplied
+    twice over and the copy dropped.
+    """
+    if a.shape[0] > 1:
+        return a @ W
+    return (np.repeat(a, 2, axis=0) @ W)[:1]
 
 
 def _rnn_steps(packing, z, Wh):
@@ -315,7 +337,7 @@ def _rnn_steps(packing, z, Wh):
     for start, n in packing.steps:
         zt = z[start:start + n]
         if prev is not None:
-            zt += z[prev:prev + n] @ Wh
+            zt += _product(z[prev:prev + n], Wh)
         np.tanh(zt, out=zt)
         prev = start
     return z
@@ -338,7 +360,7 @@ def _lstm_steps(packing, z, Wh):
             rows = slice(start, start + n)
             zt = z[rows]
             if prev is not None:
-                zt += h[prev:prev + n] @ Wh
+                zt += _product(h[prev:prev + n], Wh)
             s = zt[:, :3 * units]
             np.negative(s, out=s)
             np.exp(s, out=s)
@@ -451,7 +473,7 @@ def forward_packed(spec, params, packing, frames):
         states = []
         for di, d in enumerate(_directions(layer)):
             prefix = "layer%d.%s." % (li, d)
-            z = x @ params[prefix + "Wx"]
+            z = _product(x, params[prefix + "Wx"])
             z += params[prefix + "b"]
             if d == "bwd":
                 z = z[packing.reverse]
@@ -465,7 +487,7 @@ def forward_packed(spec, params, packing, frames):
             y[:, cols] = h[packing.reverse] if d == "bwd" else h
         layers.append((x, y, states))
         x = y
-    logits = x @ params["output.W"]
+    logits = _product(x, params["output.W"])
     logits += params["output.b"]
     return logits, BatchCache(packing=packing, layers=layers, logits=logits)
 
@@ -517,6 +539,23 @@ def backward_packed(spec, params, cache, grad_logits):
     return grads
 
 
+def sequence_frames(spec, features, input_len=None):
+    """One sequence's features as a float64 (T, feature_dim) array, and its input_len.
+
+    ``input_len`` defaults to T and must lie in [1, T].
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != spec.feature_dim:
+        raise ValueError(
+            "features must be (T, %d), got %r" % (spec.feature_dim, features.shape)
+        )
+    T = features.shape[0]
+    input_len = T if input_len is None else int(input_len)
+    if not 1 <= input_len <= T:
+        raise ValueError("input_len %d outside [1, %d]" % (input_len, T))
+    return features, input_len
+
+
 def forward(spec, params, features, input_len=None):
     """Run the network over one sequence, as a batch of one.
 
@@ -525,24 +564,15 @@ def forward(spec, params, features, input_len=None):
     t >= input_len are masked padding (they carry softmax(output bias))
     and must not be consumed downstream.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != spec.feature_dim:
-        raise ValueError(
-            "features must be (T, %d), got %r" % (spec.feature_dim, features.shape)
-        )
+    features, input_len = sequence_frames(spec, features, input_len)
     T = features.shape[0]
-    if input_len is None:
-        input_len = T
-    if not 1 <= input_len <= T:
-        raise ValueError("input_len %d outside [1, %d]" % (input_len, T))
-
     logits, batch = forward_packed(
         spec, params, Packing([input_len]), features[:input_len]
     )
     probs = np.empty((T, spec.num_classes))
-    probs[:input_len] = _softmax_rows(logits)
+    probs[:input_len] = softmax_rows(logits)
     if input_len < T:
-        probs[input_len:] = _softmax_rows(params["output.b"][None, :])
+        probs[input_len:] = softmax_rows(params["output.b"][None, :])
     return probs, NetCache(input_len=input_len, num_frames=T, batch=batch)
 
 

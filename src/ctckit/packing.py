@@ -56,3 +56,7 @@ class Packing:
         Sequence b of the packing is ``padded[index[b]]``.
         """
         return padded[np.asarray(index)[self.seq_of_row], self.time_of_row]
+
+    def rows(self, b):
+        """Packed rows of sequence b, in time order."""
+        return self.offsets[:self.lengths[b]] + b

@@ -1,8 +1,14 @@
 """Model facade: training, prediction, evaluation, persistence."""
 
+import builtins
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctckit import model as model_module
 from ctckit import net
 from ctckit.data import Dataset, PaddedBatch, generate_synthetic, make_batches
 from ctckit.decode import beam_search_decode, best_path_decode
@@ -33,6 +39,27 @@ def clone(params):
 def small_dataset(n=6, seed=0):
     return generate_synthetic(n, num_labels=2, feature_dim=3,
                               noise_sigma=0.05, seed=seed)
+
+
+def fail_writing(monkeypatch, name):
+    """Make model.py's writes to the file ``name`` fail halfway.
+
+    A write to a file whose name starts with ``name`` (the file itself or
+    a temporary file beside it) stores half of its bytes, then raises.
+    """
+    def open_failing(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(path).startswith(name):
+            write = fh.write
+
+            def write_half(data):
+                write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device", path)
+
+            fh.write = write_half
+        return fh
+
+    monkeypatch.setattr(model_module, "open", open_failing, raising=False)
 
 
 def params_equal(a, b):
@@ -275,6 +302,32 @@ class TestPredict:
             expected = beam_search_decode(probs, beam_width=8, top_paths=2)
             assert result.paths == expected.paths
 
+    def test_input_lengths_count_must_match(self):
+        model = CtcModel.compile(SPEC, seed=6)
+        f = np.zeros((4, 3))
+        with pytest.raises(ValueError,
+                           match=r"^1 input_lengths given for 2 sequences$"):
+            model.predict([f, f], input_lengths=[3])
+
+    @pytest.mark.parametrize("features, input_len, message", [
+        (np.zeros((4, 2)), None, r"features must be \(T, 3\), got \(4, 2\)"),
+        (np.zeros((0, 3)), None, r"input_len 0 outside \[1, 0\]"),
+        (np.zeros((4, 3)), 5, r"input_len 5 outside \[1, 4\]"),
+        (np.zeros((4, 3)), 0, r"input_len 0 outside \[1, 4\]"),
+    ])
+    def test_input_errors_name_the_sequence(self, features, input_len, message):
+        model = CtcModel.compile(SPEC, seed=6)
+        sequences = [np.zeros((3, 3)), features]
+        message = "^sequence 1: " + message
+        if input_len is None:
+            with pytest.raises(ValueError, match=message):
+                model.predict(sequences)
+            with pytest.raises(ValueError, match=message):
+                model.get_probas(sequences)
+        else:
+            with pytest.raises(ValueError, match=message):
+                model.predict(sequences, input_lengths=[3, input_len])
+
     def test_trained_model_recovers_noiseless_training_labels(self):
         ds = generate_synthetic(60, num_labels=3, feature_dim=3,
                                 noise_sigma=0.0, seed=12)
@@ -367,6 +420,43 @@ class TestEvaluate:
         assert report.ser == sequence_error_rate(preds, truths)
 
 
+class TestBatchIndependence:
+    """A sequence's outputs are the same bits alone and inside any batch.
+
+    Alone means ``forward``, ``ctc_loss`` and the decoders on that one
+    sequence; in a batch, the facade's packed groups. The budget is cut
+    to a few frames so that batches split into several groups.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_posteriors_losses_and_decodes(self, data):
+        spec = TestBatchGradients.MIXED
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        frames = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=7))
+        input_lengths = [data.draw(st.integers(1, t)) for t in frames]
+        budget = data.draw(st.integers(1, 30))
+        features = [rng.normal(0, 1, (t, 3)) for t in frames]
+        labels = [random_feasible_labels(rng, t, 4, 3) for t in frames]
+        model = CtcModel.compile(spec, seed=data.draw(st.integers(0, 99)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(net, "ACTIVATION_BYTES",
+                          budget * net.stored_bytes_per_frame(spec))
+            probas = model.get_probas(features)
+            losses = model.get_loss(Dataset(3, 3, list(zip(features, labels))))
+            greedy = model.predict(features, input_lengths, greedy=True)
+            beam = model.predict(features, input_lengths, greedy=False,
+                                 beam_width=4, top_paths=2)
+        for i, til in enumerate(input_lengths):
+            probs, _ = forward(spec, model.params, features[i])
+            assert np.array_equal(probas[i], probs)
+            assert losses[i] == ctc_loss(probs, labels[i])
+            probs, _ = forward(spec, model.params, features[i], input_len=til)
+            assert greedy[i].paths == best_path_decode(probs, input_len=til).paths
+            assert beam[i].paths == beam_search_decode(
+                probs, input_len=til, beam_width=4, top_paths=2).paths
+
+
 class TestBranchSeparation:
     def test_predict_never_reads_labels_evaluate_does(self):
         counter = {"reads": 0}
@@ -442,6 +532,36 @@ class TestPersistence:
         assert params_equal(model.params, loaded.params)
         assert loaded.decode_config == model.decode_config
         assert loaded.optimizer.kind == model.optimizer.kind
+
+    @pytest.mark.parametrize("name", ["architecture.json", "hyperparams.json",
+                                      "weights.ctcw"])
+    def test_failed_save_leaves_the_old_model(self, tmp_path, monkeypatch, name):
+        model = CtcModel.compile(SPEC, learning_rate=1e-2, seed=11)
+        ds = small_dataset(6)
+        feats = [f for f, _ in ds.sequences]
+        directory = tmp_path / "model"
+        save_model(model, directory)
+        old = {f: (directory / f).read_bytes() for f in os.listdir(directory)}
+        before = [r.paths for r in load_model(directory).predict(feats)]
+        model.fit(ds, epochs=1, batch_size=3)  # new weights to save
+        fail_writing(monkeypatch, name)
+        with pytest.raises(OSError, match="No space left"):
+            save_model(model, directory)
+        monkeypatch.undo()
+        assert sorted(os.listdir(directory)) == sorted(old)
+        assert (directory / name).read_bytes() == old[name]
+        assert [r.paths for r in load_model(directory).predict(feats)] == before
+
+    def test_failed_checkpoint_leaves_the_old_one(self, tmp_path, monkeypatch):
+        model = CtcModel.compile(SPEC, learning_rate=1e-2, seed=4)
+        ds = small_dataset(4)
+        model.fit(ds, epochs=1, batch_size=2, checkpoint_dir=str(tmp_path))
+        old = (tmp_path / "weights.epoch1.ctcw").read_bytes()
+        fail_writing(monkeypatch, "weights.epoch1.ctcw")
+        with pytest.raises(OSError, match="No space left"):
+            model.fit(ds, epochs=1, batch_size=2, checkpoint_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == ["weights.epoch1.ctcw"]
+        assert (tmp_path / "weights.epoch1.ctcw").read_bytes() == old
 
     def test_corrupted_magic_names_file(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=11)

@@ -336,3 +336,57 @@ class TestBlasThreads:
         with pytest.raises(ValueError):
             net.forward_packed(TOY, {}, Packing([2]), np.zeros((2, 3)))
         assert threads() == 2
+
+
+class TestRowIndependence:
+    """Each row of a product of two rows or more ignores the other rows.
+
+    Packed inference relies on this property of the BLAS: with it, a
+    sequence's posteriors are the same bits whichever sequences share
+    its group. The shapes are those of the engine's weights in the
+    benchmark's networks and in a small mixed one; row slices start at
+    several offsets, as the engine's prefix slices ``h[prev:prev + n]``
+    do. A one-row product takes another BLAS kernel, so ``_product``
+    runs a lone row as two.
+    """
+
+    SPECS = (
+        NetworkSpec(feature_dim=40, num_labels=28,
+                    layers=(LayerSpec("lstm", 64, True),) * 2),
+        NetworkSpec(feature_dim=4, num_labels=4,
+                    layers=(LayerSpec("rnn", 32, True),)),
+        NetworkSpec(feature_dim=3, num_labels=3,
+                    layers=(LayerSpec("lstm", 4, True), LayerSpec("rnn", 3, False))),
+    )
+    ROW_COUNTS = sorted({*range(2, 18), 3000,
+                         *(2 ** k + d for k in range(5, 13) for d in (-1, 0, 1))})
+
+    def test_rows_of_a_product_do_not_depend_on_the_row_count(self):
+        shapes = sorted({shape for spec in self.SPECS
+                         for shape in param_shapes(spec).values() if len(shape) == 2})
+        rng = np.random.default_rng(91)
+
+        @net._one_blas_thread  # the thread setting the engine runs under
+        def mismatches():
+            found = []
+            for shape in shapes:
+                W = rng.normal(0, 1, shape)
+                A = rng.normal(0, 1, (max(self.ROW_COUNTS) + 3, shape[0]))
+                full = A @ W
+                for rows in self.ROW_COUNTS:
+                    for start in (0, 1, 3):
+                        if not np.array_equal(A[start:start + rows] @ W,
+                                              full[start:start + rows]):
+                            found.append((shape, rows, start))
+                for r in range(0, 40, 3):
+                    if not np.array_equal(net._product(A[r:r + 1], W), full[r:r + 1]):
+                        found.append((shape, 1, r))
+            return found
+
+        found = mismatches()
+        assert not found, (
+            "this BLAS gives a row of A @ W other bits when the product has "
+            "another number of rows, so packed inference would make a "
+            "sequence's outputs depend on its batch; (W shape, rows, first "
+            "row) of the mismatches: %r" % found[:10]
+        )
