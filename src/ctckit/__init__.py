@@ -23,6 +23,7 @@ from .decode import (
     exact_decode,
     prefix_search_decode,
 )
+from .flat import FlatTensors, as_flat
 from .lattice import (
     InfeasibleAlignment,
     Lattice,

@@ -76,9 +76,17 @@ class CtcModel:
     """A compiled recurrent network plus CTC loss, decoders and metrics."""
 
     def __init__(self, spec, params, optimizer, decode_config, seed):
-        net.audit_params(spec, params)
+        """Keep ``params`` and Adam's moments laid out by ``net.param_shapes``.
+
+        Tensors in another layout, a plain dict among them, are checked
+        and copied into one buffer each (``net.as_flat``).
+        """
+        shapes = net.param_shapes(spec)
         self.spec = spec
-        self.params = params
+        self.params = net.as_flat(params, shapes)
+        if optimizer.kind == "adam":
+            optimizer.m = net.as_flat(optimizer.m, shapes)
+            optimizer.v = net.as_flat(optimizer.v, shapes)
         self.optimizer = optimizer
         self.decode_config = decode_config
         self.seed = seed
@@ -91,8 +99,7 @@ class CtcModel:
         The loss is fixed to CTC and is not an argument. ``decode``
         fixes the model's default decoding behavior.
         """
-        net.validate_spec(spec)
-        params = net.init_params(spec, seed)
+        params = net._init_flat_params(spec, seed)
         state = net.init_optimizer(optimizer, learning_rate, params)
         return cls(spec, params, state, decode or DecodeConfig(), seed)
 
@@ -302,11 +309,13 @@ def _label_matrix(labels, label_lengths):
 
 
 def _sorted_groups(spec, lengths):
-    """Index arrays of the consecutive groups of the sequences, sorted by length.
+    """Index arrays of the groups of the sequences, each sorted by length.
 
     The sort is stable and longest first; ``net.activation_groups``
-    splits it, so each group's lengths make a valid ``Packing``. Both
-    training and inference run their sequences in these groups.
+    packs it into groups first-fit-decreasing, keeping the sorted order
+    within each group, so each group's lengths make a valid
+    ``Packing``. Both training and inference run their sequences in
+    these groups.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
@@ -341,7 +350,8 @@ def batch_gradients(spec, params, batch):
     in ``batch``. The batch then runs in the groups of
     ``_sorted_groups``: per group one forward, one lattice pass and one
     backward over its packed frames. Returns (losses in batch order,
-    {name: mean gradient}).
+    the batch-mean gradients as a ``net.FlatTensors`` laid out by
+    ``net.param_shapes(spec)``).
     """
     check_batch(batch, spec.num_classes)
     losses = np.empty(len(batch.input_lengths))
@@ -351,9 +361,9 @@ def batch_gradients(spec, params, batch):
         if total is None:
             total = grads
         else:
-            for name, g in grads.items():
-                total[name] += g
-    return losses, {name: g / len(losses) for name, g in total.items()}
+            total.flat += grads.flat
+    total.flat /= len(losses)
+    return losses, total
 
 
 def _group_gradients(spec, params, batch, index):
@@ -454,12 +464,12 @@ def load_model(directory, weights=None):
         weights_path = default if os.path.isfile(default) else None
 
     if weights_path is None:
-        params = net.init_params(spec, seed)
+        params = net._init_flat_params(spec, seed)
     else:
         params = read_weights(weights_path)
         try:
-            params = net.fuse_gate_tensors(params)
-            net.audit_params(spec, params)
+            params = net.as_flat(net.fuse_gate_tensors(params),
+                                 net.param_shapes(spec))
         except ValueError as err:
             raise ModelLoadError("%s: %s" % (weights_path, err)) from err
 

@@ -2,24 +2,24 @@
 
 Stacked tanh-RNN or LSTM layers (optionally bidirectional, outputs of
 the two directions concatenated), followed by a per-frame affine map
-and softmax over ``num_labels + 1`` classes with the blank last. All
-parameters live in a flat dict of named float64 tensors so they can be
-serialized, audited against the architecture, and updated uniformly by
-the optimizers. Each recurrent direction is three tensors, ``Wx``,
-``Wh`` and ``b`` (see ``param_shapes``); an LSTM keeps its four gates
-side by side in their columns, in LSTM_GATES order, so one product
-serves all four. ``fuse_gate_tensors`` reads the older twelve-tensor
-LSTM layout into this one.
+and softmax over ``num_labels + 1`` classes with the blank last. The
+parameters, their gradients and Adam's moments are each one buffer
+with a named view per tensor, in ``param_shapes`` order (see
+``ctckit.flat``). Each recurrent direction is three tensors, ``Wx``,
+``Wh`` and ``b``; an LSTM keeps its four gates side by side in their
+columns, in LSTM_GATES order, so one product serves all four.
+``fuse_gate_tensors`` reads the older twelve-tensor LSTM layout into
+this one.
 
 One batched engine does all the work (``forward_packed`` and
 ``backward_packed``). It runs a length-sorted batch in the packed
 layout of ``ctckit.packing``: at step t only the n_t sequences still
 running are updated (``h[:n_t] @ Wh``), and the input projections, the
 output layer and every weight gradient are single products over all
-valid frames. Training and inference run a sorted batch in
-consecutive groups (``activation_groups``) so that the activations a
-forward pass keeps for backward stay under ``ACTIVATION_BYTES``.
-``forward`` and ``backward`` handle one sequence as a batch of one.
+valid frames. Training and inference run a sorted batch in groups
+(``activation_groups``) so that the activations a forward pass keeps
+for backward stay under ``ACTIVATION_BYTES``. ``forward`` and
+``backward`` handle one sequence as a batch of one.
 
 Every product in ``forward_packed`` has at least two rows
 (``_product``): a one-row product runs another BLAS kernel, whose
@@ -34,21 +34,24 @@ rows of ``forward``'s output past input_len carry softmax(output bias),
 and nothing past input_len influences gradients. Forward and backward
 use fixed summation orders, so results are bit-reproducible.
 
-The engine runs its products on one BLAS thread (``_one_blas_thread``)
-and restores the thread count on return. Its packed products are large
-enough for OpenBLAS to split them across threads, whose workers then
-spin between the many small products of a step. Training two bi-LSTM
-layers of 64 units on a 2-CPU machine, two threads used 1.9 CPUs for
-no more speed than one, and ran at 2100-2700 frames/s instead of
-5000-6200 while another process kept one core busy.
+The engine and the gradient norm run on one BLAS thread
+(``_one_blas_thread``), which restores the thread count on return. The
+engine's packed products are large enough for OpenBLAS to split them
+across threads, whose workers then spin between the many small
+products of a step. Training two bi-LSTM layers of 64 units on a
+2-CPU machine, two threads used 1.9 CPUs for no more speed than one,
+and ran at 2100-2700 frames/s instead of 5000-6200 while another
+process kept one core busy.
 """
 
 import ctypes
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from types import MappingProxyType
 
 import numpy as np
 
+from .flat import FlatTensors, as_flat, check_tensors, same_layout
 from .packing import Packing
 
 # column blocks of an LSTM direction's Wx, Wh and b: the three sigmoid
@@ -61,7 +64,7 @@ LSTM_GATES = ("i", "f", "o", "g")
 # layers of 64 units on batches of eight sequences of 60-280 frames,
 # that took peak RSS from 58 to 85 MB for 8 % more speed, against
 # 62 MB with this budget. CtcModel therefore runs a length-sorted
-# batch in consecutive groups that each fit it, for training and, since
+# batch in groups that each fit it, for training and, since
 # forward_packed keeps the same activations until it returns, for
 # inference too.
 ACTIVATION_BYTES = 4 * 2 ** 20
@@ -194,12 +197,15 @@ def _directions(layer):
     return ("fwd", "bwd") if layer.bidirectional else ("fwd",)
 
 
+@lru_cache(maxsize=64)
 def param_shapes(spec):
     """Expected tensor names and shapes, in construction order.
 
     Each direction of layer l stores ``layer{l}.{dir}.Wx`` (in, G·U),
     ``Wh`` (U, G·U) and ``b`` (G·U), with G = 1 for a tanh-RNN and
-    G = 4 for an LSTM, whose column blocks follow LSTM_GATES.
+    G = 4 for an LSTM, whose column blocks follow LSTM_GATES. The
+    read-only mapping is made once per spec, so a model's tensors share
+    it as their layout and ``audit_params`` can compare by identity.
     """
     validate_spec(spec)
     shapes = {}
@@ -214,7 +220,7 @@ def param_shapes(spec):
         in_dim = layer.width
     shapes["output.W"] = (in_dim, spec.num_classes)
     shapes["output.b"] = (spec.num_classes,)
-    return shapes
+    return MappingProxyType(shapes)
 
 
 def fuse_gate_tensors(params):
@@ -238,39 +244,37 @@ def fuse_gate_tensors(params):
 
 
 def audit_params(spec, params):
-    """Check that ``params`` carries exactly the tensors the spec implies."""
+    """Check that ``params`` carries exactly the tensors the spec implies.
+
+    Tensors laid out by ``param_shapes(spec)`` itself pass at once: a
+    FlatTensors cannot lose, gain or reshape a tensor.
+    """
     expected = param_shapes(spec)
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
-        raise ValueError(
-            "parameter set mismatch: missing %r, unexpected %r" % (missing, extra)
-        )
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise ValueError(
-                "tensor %s has shape %r, expected %r"
-                % (name, params[name].shape, shape)
-            )
+    if not (isinstance(params, FlatTensors) and params.shapes is expected):
+        check_tensors(expected, params)
 
 
 def init_params(spec, seed):
+    """``_init_flat_params`` as a plain dict, whose tensors may be replaced."""
+    return dict(_init_flat_params(spec, seed))
+
+
+def _init_flat_params(spec, seed):
     """Glorot-uniform weights, zero biases, LSTM forget bias 1.0.
 
     Recurrent weights take the bound of one gate block, sqrt(6 / (fan_in + U)).
+    Returns a FlatTensors laid out by ``param_shapes(spec)``.
     """
     rng = np.random.default_rng(seed)
     shapes = param_shapes(spec)
-    params = {}
+    params = FlatTensors(shapes)
     for name, shape in shapes.items():
-        if len(shape) == 1:
-            params[name] = np.zeros(shape)
-        else:
+        if len(shape) == 2:
             fan_in, fan_out = shape
             if name != "output.W":  # U, the row count of the direction's Wh
                 fan_out = shapes[name.rsplit(".", 1)[0] + ".Wh"][0]
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            params[name] = rng.uniform(-bound, bound, size=shape)
+            params[name][...] = rng.uniform(-bound, bound, size=shape)
     for li, layer in enumerate(spec.layers):
         if layer.kind == "lstm":  # the forget gate, second in LSTM_GATES
             for d in _directions(layer):
@@ -299,24 +303,29 @@ def stored_bytes_per_frame(spec):
 
 
 def activation_groups(spec, lengths):
-    """Split non-increasing ``lengths`` into consecutive groups.
+    """Group non-increasing ``lengths`` first-fit-decreasing.
 
-    Returns slices into ``lengths``. The frames of each group keep at
-    most ACTIVATION_BYTES of activations alive (see
-    ``stored_bytes_per_frame``); a sequence longer than that budget is a
-    group of its own.
+    Each sequence, longest first, joins the first group whose frames
+    still keep at most ACTIVATION_BYTES of activations alive (see
+    ``stored_bytes_per_frame``), or opens a new one; a sequence longer
+    than that budget is a group of its own. Returns increasing index
+    arrays into ``lengths``, so each group's lengths are non-increasing.
+    This never makes more groups than splitting ``lengths`` into
+    consecutive runs, and fewer groups mean fewer recurrent steps.
     """
+    lengths = np.asarray(lengths).tolist()
     budget = ACTIVATION_BYTES // stored_bytes_per_frame(spec)
-    groups = []
-    start = frames = 0
-    for i, length in enumerate(np.asarray(lengths).tolist()):
-        if i > start and frames + length > budget:
-            groups.append(slice(start, i))
-            start, frames = i, 0
-        frames += length
-    if start < len(lengths):
-        groups.append(slice(start, len(lengths)))
-    return groups
+    if lengths and sum(lengths) <= budget:
+        return [np.arange(len(lengths))]
+    groups, free = [], []  # free: the frames each group still has room for
+    for i, length in enumerate(lengths):
+        g = next((g for g, room in enumerate(free) if room >= length), len(free))
+        if g == len(free):
+            groups.append([])
+            free.append(budget)
+        groups[g].append(i)
+        free[g] -= length
+    return [np.array(group, dtype=np.int64) for group in groups]
 
 
 def _product(a, W):
@@ -497,7 +506,8 @@ def backward_packed(spec, params, cache, grad_logits):
     """Exact parameter gradients, summed over the batch of ``cache``.
 
     ``grad_logits`` is (N, num_classes) in the packed row order. Every
-    weight gradient is one product over all N rows.
+    weight gradient is one product over all N rows, written into a new
+    FlatTensors laid out by ``param_shapes(spec)``.
     """
     audit_params(spec, params)
     if len(cache.layers) != len(spec.layers) or any(
@@ -508,10 +518,9 @@ def backward_packed(spec, params, cache, grad_logits):
     packing = cache.packing
     first = packing.steps[0][1]
     hidden = cache.layers[-1][1]
-    grads = {
-        "output.W": hidden.T @ grad_logits,
-        "output.b": grad_logits.sum(axis=0),
-    }
+    grads = FlatTensors(param_shapes(spec))
+    np.matmul(hidden.T, grad_logits, out=grads["output.W"])
+    grad_logits.sum(axis=0, out=grads["output.b"])
     dy = grad_logits @ params["output.W"].T
     for li in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[li]
@@ -527,11 +536,11 @@ def backward_packed(spec, params, cache, grad_logits):
                 dz = _rnn_grad_steps(packing, h, dh, params[prefix + "Wh"])
             else:
                 dz = _lstm_grad_steps(packing, *states[di], dh, params[prefix + "Wh"])
-            grads[prefix + "Wh"] = h[packing.prev_rows].T @ dz[first:]
+            np.matmul(h[packing.prev_rows].T, dz[first:], out=grads[prefix + "Wh"])
             if d == "bwd":
                 dz = dz[packing.reverse]
-            grads[prefix + "Wx"] = x.T @ dz
-            grads[prefix + "b"] = dz.sum(axis=0)
+            np.matmul(x.T, dz, out=grads[prefix + "Wx"])
+            dz.sum(axis=0, out=grads[prefix + "b"])
             if li:  # the input frames need no gradient
                 dx_dir = dz @ params[prefix + "Wx"].T
                 dx = dx_dir if dx is None else dx + dx_dir
@@ -602,67 +611,88 @@ class OptimizerState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: dict | None = None
-    v: dict | None = None
+    m: FlatTensors | None = None
+    v: FlatTensors | None = None
 
 
 def init_optimizer(kind, learning_rate, params):
+    """Optimizer state for ``params``; Adam's moments take their layout."""
     if kind not in ("sgd", "adam"):
         raise ValueError("unknown optimizer %r (expected 'sgd' or 'adam')" % (kind,))
     state = OptimizerState(kind=kind, learning_rate=float(learning_rate))
     if kind == "adam":
-        state.m = {name: np.zeros_like(p) for name, p in params.items()}
-        state.v = {name: np.zeros_like(p) for name, p in params.items()}
+        shapes = as_flat(params).shapes
+        state.m, state.v = FlatTensors(shapes), FlatTensors(shapes)
     return state
 
 
+@_one_blas_thread
 def global_grad_norm(grads):
-    return float(np.sqrt(sum(float(np.sum(g * g)) for _, g in sorted(grads.items()))))
+    """The 2-norm of all gradients, one dot product on one BLAS thread.
+
+    With more threads OpenBLAS splits a long dot product, and its bits
+    then depend on the thread count.
+    """
+    flat = as_flat(grads).flat
+    return float(np.sqrt(np.dot(flat, flat)))
 
 
 def clip_by_global_norm(grads, max_norm):
-    """Scale all gradients down when their joint norm exceeds max_norm."""
-    norm = global_grad_norm(grads)
+    """Scale all gradients down when their joint norm exceeds max_norm.
+
+    Returns ``grads`` itself when it does not clip. When it clips, it
+    scales ``as_flat(grads)`` in place and returns a new FlatTensors
+    over that buffer: a FlatTensors ``grads`` is itself scaled, a plain
+    dict is left as it was.
+    """
+    flat = as_flat(grads)
+    norm = global_grad_norm(flat)
     if norm <= max_norm or norm == 0.0:
         return grads
-    scale = max_norm / norm
-    return {name: g * scale for name, g in grads.items()}
+    flat.flat *= max_norm / norm
+    return FlatTensors(flat.shapes, flat.flat)
 
 
 def optimizer_step(state, params, grads):
     """Apply one update in place; no tensor is touched on error.
 
+    ``params`` and Adam's moments are FlatTensors of one layout (see
+    ``as_flat``), updated whole; ``grads`` may be any mapping with the
+    same names and shapes.
+
     SGD: p <- p - lr * g. Adam: bias-corrected first/second moments with
     epsilon added outside the square root, so the first step moves each
     parameter by about lr regardless of gradient scale.
     """
-    if set(grads) != set(params):
-        raise ValueError("gradient names do not match parameter names")
-    for name in params:
-        if grads[name].shape != params[name].shape:
-            raise ValueError(
-                "gradient %s has shape %r, expected %r"
-                % (name, grads[name].shape, params[name].shape)
-            )
-    for name in sorted(grads):
-        if not np.all(np.isfinite(grads[name])):
-            raise NonFiniteGradient("non-finite gradient in tensor %s" % name)
-
+    if not isinstance(params, FlatTensors):
+        raise TypeError("params must be a FlatTensors (see as_flat)")
+    if state.kind == "adam" and not all(
+            same_layout(t.shapes, params.shapes) for t in (state.m, state.v)):
+        raise ValueError("optimizer moments are not laid out as the parameters")
+    grads = as_flat(grads, params.shapes)
+    g = grads.flat
+    if not np.isfinite(g).all():
+        name = next(n for n in sorted(grads) if not np.isfinite(grads[n]).all())
+        raise NonFiniteGradient("non-finite gradient in tensor %s" % name)
     lr = state.learning_rate
     if state.kind == "sgd":
-        for name in params:
-            params[name] -= lr * grads[name]
-    else:
-        state.step += 1
-        c1 = 1.0 - state.beta1 ** state.step
-        c2 = 1.0 - state.beta2 ** state.step
-        for name in params:
-            g = grads[name]
-            m = state.m[name]
-            v = state.v[name]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * (g * g)
-            params[name] -= lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        params.flat -= lr * g
+        return params, state
+    state.step += 1
+    c1 = 1.0 - state.beta1 ** state.step
+    c2 = 1.0 - state.beta2 ** state.step
+    m, v = state.m.flat, state.v.flat
+    scratch = np.empty_like(g)
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=scratch)
+    v *= state.beta2
+    v += np.multiply(np.square(g, out=scratch), 1.0 - state.beta2, out=scratch)
+    # lr * (m / c1) / (sqrt(v / c2) + eps) in that order, so each
+    # element gets the bits of the per-tensor expression
+    np.sqrt(np.divide(v, c2, out=scratch), out=scratch)
+    scratch += state.epsilon
+    update = m / c1
+    update *= lr
+    update /= scratch
+    params.flat -= update
     return params, state

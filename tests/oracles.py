@@ -186,3 +186,59 @@ def scalar_beam_search(probs, input_len=None, beam_width=100, top_paths=1):
         (list(prefix), float(np.logaddexp(pb, pnb)))
         for prefix, (pb, pnb) in finals
     ]
+
+
+def per_tensor_grad_norm(grads):
+    """The joint 2-norm of named gradients, summed tensor by tensor in name order."""
+    return float(np.sqrt(sum(float(np.sum(g * g)) for _, g in sorted(grads.items()))))
+
+
+def per_tensor_clip(grads, max_norm):
+    """Named gradients scaled down, tensor by tensor, to a joint norm of max_norm."""
+    norm = per_tensor_grad_norm(grads)
+    if norm <= max_norm or norm == 0.0:
+        return grads
+    scale = max_norm / norm
+    return {name: g * scale for name, g in grads.items()}
+
+
+def per_tensor_step(kind, learning_rate, params, grads, m=None, v=None, step=0,
+                    beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """One SGD or Adam update of named tensors, one tensor at a time.
+
+    ``params`` (and Adam's ``m`` and ``v``) are dicts updated in place;
+    returns the new step count. This is the update ``optimizer_step``
+    made before it acted on one flat buffer, and that buffer must give
+    the same bits.
+    """
+    if kind == "sgd":
+        for name in params:
+            params[name] -= learning_rate * grads[name]
+        return step
+    step += 1
+    c1 = 1.0 - beta1 ** step
+    c2 = 1.0 - beta2 ** step
+    for name in params:
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        params[name] -= (learning_rate * (m[name] / c1)
+                         / (np.sqrt(v[name] / c2) + epsilon))
+    return step
+
+
+def consecutive_groups(lengths, budget):
+    """Split non-increasing lengths into consecutive runs of at most budget frames.
+
+    A length over the budget is a run of its own. Returns lists of indices.
+    """
+    groups, frames = [], 0
+    for i, length in enumerate(lengths):
+        if not groups or frames + length > budget:
+            groups.append([])
+            frames = 0
+        groups[-1].append(i)
+        frames += length
+    return groups

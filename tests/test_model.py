@@ -1,7 +1,9 @@
 """Model facade: training, prediction, evaluation, persistence."""
 
 import builtins
+import copy
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -673,6 +675,19 @@ class TestPersistence:
         with pytest.raises(ModelLoadError, match="Wx_i"):
             load_model(tmp_path / "model")
 
+    def test_per_gate_tensors_of_mismatched_shapes_fail_load(self, tmp_path):
+        spec = NetworkSpec(
+            feature_dim=3, num_labels=2, layers=(LayerSpec("lstm", 2, False),)
+        )
+        save_model(CtcModel.compile(spec, seed=15), tmp_path / "model")
+        params = dict(CtcModel.compile(spec, seed=15).params)
+        params.pop("layer0.fwd.Wx")
+        for gate, rows in zip("ifog", (3, 4, 3, 3)):
+            params["layer0.fwd.Wx_" + gate] = np.zeros((rows, 2))
+        write_weights(tmp_path / "model" / "weights.ctcw", params)
+        with pytest.raises(ModelLoadError, match="weights.ctcw"):
+            load_model(tmp_path / "model")
+
     def test_audit_failure_on_load(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=11)
         save_model(model, tmp_path / "model")
@@ -680,3 +695,72 @@ class TestPersistence:
         write_weights(tmp_path / "model" / "weights.ctcw", wrong)
         with pytest.raises(ModelLoadError):
             load_model(tmp_path / "model")
+
+
+class TestFlatLayout:
+    """Parameters and Adam's moments are views of one buffer each."""
+
+    MIXED = NetworkSpec(feature_dim=3, num_labels=2, layers=(
+        LayerSpec("lstm", 3, True), LayerSpec("rnn", 2, False)))
+
+    def assert_flat(self, tensors):
+        """One contiguous float64 buffer, one view per tensor, in param_shapes order."""
+        flat = tensors.flat
+        assert flat.dtype == np.float64 and flat.ndim == 1
+        assert flat.flags.c_contiguous
+        shapes = net.param_shapes(self.MIXED)
+        assert list(tensors) == list(shapes)
+        start = flat.__array_interface__["data"][0]
+        offset = 0
+        for name, shape in shapes.items():
+            view = tensors[name]
+            assert view.shape == shape and view.flags.c_contiguous, name
+            assert view.__array_interface__["data"][0] == start + 8 * offset, name
+            offset += view.size
+        assert offset == flat.size
+
+    def assert_model_flat(self, model):
+        for tensors in (model.params, model.optimizer.m, model.optimizer.v):
+            self.assert_flat(tensors)
+
+    def test_compile(self):
+        self.assert_model_flat(CtcModel.compile(self.MIXED, seed=3))
+
+    @pytest.mark.parametrize("with_weights", [True, False])
+    def test_load_model(self, tmp_path, with_weights):
+        model = CtcModel.compile(self.MIXED, seed=3)
+        model.fit(small_dataset(4), epochs=1, batch_size=2)
+        save_model(model, tmp_path / "model")
+        if not with_weights:
+            os.remove(tmp_path / "model" / "weights.ctcw")
+        loaded = load_model(tmp_path / "model")
+        self.assert_model_flat(loaded)
+        if with_weights:
+            assert params_equal(loaded.params, model.params)
+
+    def test_model_from_plain_dicts(self):
+        params = net.init_params(self.MIXED, 3)
+        # moments laid out in another order are copied into the new one
+        state = net.init_optimizer("adam", 1e-3, dict(reversed(params.items())))
+        model = CtcModel(self.MIXED, params, state, DecodeConfig(), 3)
+        self.assert_model_flat(model)
+        assert params_equal(model.params, params)
+
+    def test_copies_keep_the_layout(self):
+        model = CtcModel.compile(self.MIXED, seed=3)
+        model.fit(small_dataset(4), epochs=1, batch_size=2)
+        for copied in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            self.assert_model_flat(copied)
+            assert copied.params.flat is not model.params.flat
+            assert params_equal(copied.params, model.params)
+            assert params_equal(copied.optimizer.m, model.optimizer.m)
+            assert params_equal(copied.optimizer.v, model.optimizer.v)
+
+    def test_weights_bytes_equal_those_of_a_plain_dict(self, tmp_path):
+        model = CtcModel.compile(self.MIXED, seed=3)
+        model.fit(small_dataset(4), epochs=1, batch_size=2)
+        write_weights(tmp_path / "flat.ctcw", model.params)
+        plain = {name: np.array(p) for name, p in model.params.items()}
+        write_weights(tmp_path / "plain.ctcw", plain)
+        assert (tmp_path / "flat.ctcw").read_bytes() == \
+            (tmp_path / "plain.ctcw").read_bytes()

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctckit import net
+from ctckit.flat import as_flat
 from ctckit.lattice import ctc_gradient
 from ctckit.net import (
     LayerSpec,
@@ -21,7 +24,15 @@ from ctckit.net import (
 )
 from ctckit.packing import Packing
 
-from oracles import central_difference, norm_rel_err, random_feasible_labels
+from oracles import (
+    central_difference,
+    consecutive_groups,
+    norm_rel_err,
+    per_tensor_clip,
+    per_tensor_grad_norm,
+    per_tensor_step,
+    random_feasible_labels,
+)
 
 TOY = NetworkSpec(
     feature_dim=3, num_labels=2, layers=(LayerSpec("rnn", 5, True),)
@@ -246,7 +257,7 @@ class TestBackward:
 
 class TestOptimizers:
     def test_sgd_step(self):
-        params = {"w": np.array([1.0])}
+        params = as_flat({"w": np.array([1.0])})
         state = init_optimizer("sgd", 0.1, params)
         optimizer_step(state, params, {"w": np.array([0.5])})
         np.testing.assert_allclose(params["w"], [0.95])
@@ -254,14 +265,14 @@ class TestOptimizers:
     def test_adam_first_step_magnitude(self):
         # bias correction makes the first update ~lr regardless of scale
         for scale in (1e-4, 1.0, 1e4):
-            params = {"w": np.array([1.0])}
+            params = as_flat({"w": np.array([1.0])})
             state = init_optimizer("adam", 1e-3, params)
             optimizer_step(state, params, {"w": np.array([scale])})
             assert abs(params["w"][0] - 1.0) == pytest.approx(1e-3, rel=1e-3)
             assert state.step == 1
 
     def test_zero_gradient(self):
-        params = {"w": np.array([2.0])}
+        params = as_flat({"w": np.array([2.0])})
         sgd = init_optimizer("sgd", 0.1, params)
         optimizer_step(sgd, params, {"w": np.zeros(1)})
         np.testing.assert_array_equal(params["w"], [2.0])
@@ -273,7 +284,7 @@ class TestOptimizers:
         np.testing.assert_allclose(adam.v["w"], [0.24975])
 
     def test_nonfinite_gradient_aborts_without_touching_state(self):
-        params = {"w": np.array([1.0]), "v": np.array([2.0])}
+        params = as_flat({"w": np.array([1.0]), "v": np.array([2.0])})
         state = init_optimizer("adam", 0.1, params)
         before = clone(params)
         with pytest.raises(NonFiniteGradient):
@@ -290,7 +301,7 @@ class TestOptimizers:
             init_optimizer("rmsprop", 0.1, {})
 
     def test_shape_disagreement_rejected(self):
-        params = {"w": np.array([1.0])}
+        params = as_flat({"w": np.array([1.0])})
         state = init_optimizer("sgd", 0.1, params)
         with pytest.raises(ValueError):
             optimizer_step(state, params, {"w": np.zeros(2)})
@@ -303,6 +314,118 @@ class TestOptimizers:
         assert np.hypot(clipped["a"][0], clipped["b"][0]) == pytest.approx(1.0)
         untouched = clip_by_global_norm(grads, 10.0)
         assert untouched is grads
+
+    def test_clipping_returns_another_mapping(self):
+        # benchmark tracing counts a clip event as a result that is not
+        # the argument; flat gradients are scaled in place
+        grads = as_flat({"a": np.array([3.0]), "b": np.array([4.0])})
+        clipped = clip_by_global_norm(grads, 1.0)
+        assert clipped is not grads
+        assert np.hypot(clipped["a"][0], clipped["b"][0]) == pytest.approx(1.0)
+        assert clipped.flat is grads.flat
+
+
+class TestFlatOptimizer:
+    """The one-buffer update against the per-tensor one of tests/oracles.py."""
+
+    SPEC = NetworkSpec(feature_dim=3, num_labels=3,
+                       layers=(LayerSpec("lstm", 4, True),) * 2)
+    LR = 1e-2
+
+    def run(self, kind, clip_norm, steps=4):
+        """Steps of random gradients through both; returns (flat, oracle) states."""
+        shapes = param_shapes(self.SPEC)
+        rng = np.random.default_rng(17)
+        params = as_flat(init_params(self.SPEC, 3), shapes)
+        state = init_optimizer(kind, self.LR, params)
+        ref = clone(params)
+        ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        ref_v = clone(ref_m)
+        ref_step = 0
+        for _ in range(steps):
+            grads = {name: rng.normal(0.0, 10.0 ** rng.integers(-3, 2), shape)
+                     for name, shape in shapes.items()}
+            flat_grads = as_flat(grads, shapes)
+            if clip_norm is not None:
+                assert per_tensor_grad_norm(grads) > clip_norm
+                flat_grads = clip_by_global_norm(flat_grads, clip_norm)
+                grads = per_tensor_clip(grads, clip_norm)
+            optimizer_step(state, params, flat_grads)
+            ref_step = per_tensor_step(kind, self.LR, ref, grads, ref_m, ref_v, ref_step)
+        return (params, state), (ref, ref_m, ref_v, ref_step)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_unclipped_steps_match_the_oracle_bit_for_bit(self, kind):
+        (params, state), (ref, ref_m, ref_v, ref_step) = self.run(kind, None)
+        pairs = [(params, ref)]
+        if kind == "adam":
+            pairs += [(state.m, ref_m), (state.v, ref_v)]
+            assert state.step == ref_step == 4
+        for flat, oracle in pairs:
+            for name in oracle:
+                np.testing.assert_array_equal(flat[name], oracle[name], err_msg=name)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_clipped_steps_match_the_oracle_to_1e_15(self, kind):
+        # the norm sums in another order, so the scale may differ in its
+        # last bits
+        (params, state), (ref, ref_m, ref_v, _) = self.run(kind, clip_norm=0.5)
+        pairs = [(params, ref)]
+        if kind == "adam":
+            pairs += [(state.m, ref_m), (state.v, ref_v)]
+        for flat, oracle in pairs:
+            for name in oracle:
+                scale = np.max(np.abs(oracle[name]))
+                assert np.max(np.abs(flat[name] - oracle[name])) <= 1e-15 * scale, name
+
+    def test_norm_matches_the_oracle(self):
+        rng = np.random.default_rng(5)
+        grads = {name: rng.normal(0.0, 1.0, shape)
+                 for name, shape in param_shapes(self.SPEC).items()}
+        assert net.global_grad_norm(grads) == pytest.approx(
+            per_tensor_grad_norm(grads), rel=1e-15)
+
+    def test_nan_gradient_names_the_first_bad_tensor_and_touches_nothing(self):
+        (params, state), _ = self.run("adam", None, steps=2)
+        before = [clone(params), clone(state.m), clone(state.v)]
+        grads = {name: np.ones(shape)
+                 for name, shape in param_shapes(self.SPEC).items()}
+        # in the buffer layer0.fwd comes first; by name layer0.bwd does
+        grads["layer0.fwd.Wh"][1, 2] = np.nan
+        grads["layer0.bwd.Wx"][0, 0] = np.inf
+        grads["output.b"][0] = np.nan
+        with pytest.raises(NonFiniteGradient, match=r"tensor layer0\.bwd\.Wx$"):
+            optimizer_step(state, params, as_flat(grads, params.shapes))
+        for tensors, saved in zip((params, state.m, state.v), before):
+            for name in saved:
+                np.testing.assert_array_equal(tensors[name], saved[name])
+        assert state.step == 2
+
+
+class TestActivationGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 50), max_size=30),
+           budget=st.integers(1, 120))
+    def test_first_fit_decreasing(self, lengths, budget):
+        lengths = sorted(lengths, reverse=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(net, "ACTIVATION_BYTES",
+                          budget * net.stored_bytes_per_frame(TOY))
+            groups = net.activation_groups(TOY, lengths)
+        indices = sorted(i for group in groups for i in group.tolist())
+        assert indices == list(range(len(lengths)))
+        for group in groups:
+            group_lengths = [lengths[i] for i in group]
+            assert group_lengths == sorted(group_lengths, reverse=True)
+            assert len(group) == 1 or sum(group_lengths) <= budget
+        assert len(groups) <= len(consecutive_groups(lengths, budget))
+
+    def test_fewer_groups_than_consecutive_runs(self, monkeypatch):
+        monkeypatch.setattr(net, "ACTIVATION_BYTES",
+                            10 * net.stored_bytes_per_frame(TOY))
+        groups = net.activation_groups(TOY, [6, 5, 4, 3])
+        assert [group.tolist() for group in groups] == [[0, 2], [1, 3]]
+        assert len(consecutive_groups([6, 5, 4, 3], 10)) == 3
 
 
 class TestBlasThreads:
