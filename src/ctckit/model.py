@@ -247,8 +247,11 @@ class CtcModel:
     def _run(self, features_list, input_lengths=None, labels=None, each=None):
         """Run the network over sequences, one packed group at a time.
 
-        The sequences run in the groups of ``_sorted_groups``, as in
-        ``batch_gradients``; each group is one ``net.forward_packed``. Returns (losses, outputs) in input
+        Each group of ``_sorted_groups(..., for_backward=False)`` is
+        one ``net.forward_packed`` that keeps no activations for
+        backward, so the groups are sized by the peak of a forward-only
+        pass (for two bi-LSTM layers of 64 units, 766 frames a group
+        against 326 in training). Returns (losses, outputs) in input
         order. With ``labels`` (one label list per sequence), losses[i]
         is the CTC loss of sequence i, from one ``packed_losses`` pass
         per group; otherwise losses is None. With ``each``, outputs[i]
@@ -278,7 +281,7 @@ class CtcModel:
                             lengths.max(initial=1), self.spec.num_classes)
             losses = np.empty(n)
         outputs = [None] * n
-        for index in _sorted_groups(self.spec, lengths):
+        for index in _sorted_groups(self.spec, lengths, for_backward=False):
             group_losses, group_outputs = _run_group(
                 self.spec, self.params, arrays, lengths, labels, index, each
             )
@@ -308,18 +311,21 @@ def _label_matrix(labels, label_lengths):
     return matrix
 
 
-def _sorted_groups(spec, lengths):
+def _sorted_groups(spec, lengths, for_backward=True):
     """Index arrays of the groups of the sequences, each sorted by length.
 
     The sort is stable and longest first; ``net.activation_groups``
     packs it into groups first-fit-decreasing, keeping the sorted order
     within each group, so each group's lengths make a valid
-    ``Packing``. Both training and inference run their sequences in
-    these groups.
+    ``Packing``. The groups are sized by what ``net.forward_packed``
+    holds per frame when run with the same ``for_backward``: training
+    keeps its activations for backward, inference passes
+    ``for_backward=False``.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
-    return [order[group] for group in net.activation_groups(spec, lengths[order])]
+    return [order[group] for group in
+            net.activation_groups(spec, lengths[order], for_backward)]
 
 
 def _run_group(spec, params, arrays, lengths, labels, index, each):
@@ -329,7 +335,9 @@ def _run_group(spec, params, arrays, lengths, labels, index, each):
     frames = np.empty((packing.num_frames, spec.feature_dim))
     for b, i in enumerate(index.tolist()):
         frames[packing.rows(b)] = arrays[i][:lengths[i]]
-    probs = net.softmax_rows(net.forward_packed(spec, params, packing, frames)[0])
+    probs = net.softmax_rows(
+        net.forward_packed(spec, params, packing, frames, for_backward=False)[0]
+    )
     losses = None
     if labels is not None:
         matrix, label_lengths = labels
@@ -546,7 +554,7 @@ def read_weights(path):
             fail("tensor %s: %s" % (name, err))
         if not np.isfinite(values).all():
             fail("tensor %s holds non-finite values" % name)
-        params[name] = values.astype(np.float64).copy()
+        params[name] = values.astype(np.float64)  # a copy, off the blob
         offset += nbytes
     if offset != len(blob):
         fail("%d trailing bytes" % (len(blob) - offset))

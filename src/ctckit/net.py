@@ -17,9 +17,11 @@ layout of ``ctckit.packing``: at step t only the n_t sequences still
 running are updated (``h[:n_t] @ Wh``), and the input projections, the
 output layer and every weight gradient are single products over all
 valid frames. Training and inference run a sorted batch in groups
-(``activation_groups``) so that the activations a forward pass keeps
-for backward stay under ``ACTIVATION_BYTES``. ``forward`` and
-``backward`` handle one sequence as a batch of one.
+(``activation_groups``) so that what a forward pass holds stays under
+``ACTIVATION_BYTES``: before a backward, the activations it keeps for
+backward; in a forward-only pass, which keeps one layer alive, its
+peak. ``forward`` and ``backward`` handle one sequence as a batch of
+one.
 
 Every product in ``forward_packed`` has at least two rows
 (``_product``): a one-row product runs another BLAS kernel, whose
@@ -58,15 +60,15 @@ from .packing import Packing
 # gates, then the tanh candidate, so each nonlinearity acts on one slice
 LSTM_GATES = ("i", "f", "o", "g")
 
-# Activations one training group may keep alive for backpropagation
-# through time. A whole batch at once would hold the gates, cell states
-# and outputs of all its frames until backward: training two bi-LSTM
-# layers of 64 units on batches of eight sequences of 60-280 frames,
-# that took peak RSS from 58 to 85 MB for 8 % more speed, against
-# 62 MB with this budget. CtcModel therefore runs a length-sorted
-# batch in groups that each fit it, for training and, since
-# forward_packed keeps the same activations until it returns, for
-# inference too.
+# Activations one group may keep alive (``stored_bytes_per_frame``). A
+# whole training batch at once would hold the gates, cell states and
+# outputs of all its frames until backward: training two bi-LSTM layers
+# of 64 units on batches of eight sequences of 60-280 frames, that took
+# peak RSS from 58 to 85 MB for 8 % more speed, against 62 MB with this
+# budget. CtcModel therefore runs a length-sorted batch in groups that
+# each fit it, for training and inference. A forward-only pass keeps one
+# layer alive: for that net it holds 5472 bytes a frame at its peak,
+# against the 12840 that training keeps, so its groups hold more frames.
 ACTIVATION_BYTES = 4 * 2 ** 20
 
 
@@ -283,38 +285,63 @@ def _init_flat_params(spec, seed):
 
 
 def softmax_rows(z):
-    """Softmax of each row of a (N, K) array of logits."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax of each row of a (N, K) array of logits, in one new array."""
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
-def stored_bytes_per_frame(spec):
-    """Bytes that forward keeps per packed frame until backward runs.
+def stored_bytes_per_frame(spec, for_backward=True):
+    """Bytes per packed frame that ``forward_packed(..., for_backward)`` holds.
 
-    That is the input frame, each layer's output, each LSTM direction's
-    gates and cell state, and the logits. A tanh-RNN direction keeps
-    nothing beyond its output.
+    Before a backward, that is what forward keeps until backward runs:
+    the input frame, each layer's output, each LSTM direction's gates
+    and cell state, and the logits. A tanh-RNN direction keeps nothing
+    beyond its output.
+
+    A forward-only pass keeps one layer alive, and this is its peak: the
+    input frame and the packing's four row maps (``Packing``), held
+    throughout, and the largest of
+    - a layer's input (unless it is the input frame) and output, with
+      one direction's projection (G·U columns), alongside either the
+      input rows gathered for the backward direction or an LSTM's
+      outputs and cell states;
+    - the last layer's output and the logits;
+    - the logits and their softmax.
+    The lattice a loss pass adds is not counted: its width follows the
+    labels, not the network.
     """
-    floats = spec.feature_dim + spec.num_classes
+    if for_backward:
+        floats = spec.feature_dim + spec.num_classes
+        for layer in spec.layers:
+            floats += (6 if layer.kind == "lstm" else 1) * layer.width
+        return 8 * floats
+    held, in_dim, peak = 0, spec.feature_dim, 2 * spec.num_classes
     for layer in spec.layers:
-        floats += (6 if layer.kind == "lstm" else 1) * layer.width
-    return 8 * floats
+        lstm = layer.kind == "lstm"
+        gates = (len(LSTM_GATES) if lstm else 1) * layer.units
+        beside = max(in_dim if layer.bidirectional else 0,
+                     2 * layer.units if lstm else 0)
+        peak = max(peak, held + layer.width + gates + beside)
+        held = in_dim = layer.width
+    peak = max(peak, held + spec.num_classes)
+    return 8 * (spec.feature_dim + 4 + peak)
 
 
-def activation_groups(spec, lengths):
+def activation_groups(spec, lengths, for_backward=True):
     """Group non-increasing ``lengths`` first-fit-decreasing.
 
     Each sequence, longest first, joins the first group whose frames
-    still keep at most ACTIVATION_BYTES of activations alive (see
-    ``stored_bytes_per_frame``), or opens a new one; a sequence longer
-    than that budget is a group of its own. Returns increasing index
-    arrays into ``lengths``, so each group's lengths are non-increasing.
-    This never makes more groups than splitting ``lengths`` into
-    consecutive runs, and fewer groups mean fewer recurrent steps.
+    stay within ACTIVATION_BYTES at ``stored_bytes_per_frame(spec,
+    for_backward)``, or opens a new one; a sequence longer than that
+    budget is a group of its own. Returns increasing index arrays into
+    ``lengths``, so each group's lengths are non-increasing. This never
+    makes more groups than splitting ``lengths`` into consecutive runs,
+    and fewer groups mean fewer recurrent steps.
     """
     lengths = np.asarray(lengths).tolist()
-    budget = ACTIVATION_BYTES // stored_bytes_per_frame(spec)
+    budget = ACTIVATION_BYTES // stored_bytes_per_frame(spec, for_backward)
     if lengths and sum(lengths) <= budget:
         return [np.arange(len(lengths))]
     groups, free = [], []  # free: the frames each group still has room for
@@ -464,8 +491,31 @@ class NetCache:
         return self.batch.logits
 
 
+def _direction_forward(layer, packing, params, li, di, x, y):
+    """Run direction ``di`` of layer ``li`` on ``x`` into its ``y`` columns.
+
+    The backward direction gathers its input rows in recurrence order
+    before the projection, which is wider than they are, and scatters
+    its outputs back through the same map (``packing.reverse`` is its
+    own inverse). Returns what backward needs of it: an LSTM's (gates,
+    cell states) in recurrence order, or None for a tanh-RNN.
+    """
+    d = _directions(layer)[di]
+    prefix = "layer%d.%s." % (li, d)
+    rows = packing.reverse if d == "bwd" else slice(None)
+    z = _product(x[rows], params[prefix + "Wx"])
+    z += params[prefix + "b"]
+    if layer.kind == "rnn":
+        h, state = _rnn_steps(packing, z, params[prefix + "Wh"]), None
+    else:
+        h, c = _lstm_steps(packing, z, params[prefix + "Wh"])
+        state = (z, c)
+    y[rows, di * layer.units:(di + 1) * layer.units] = h
+    return state
+
+
 @_one_blas_thread
-def forward_packed(spec, params, packing, frames):
+def forward_packed(spec, params, packing, frames, for_backward=True):
     """Run the network over the packed frames of a length-sorted batch.
 
     ``frames`` is (N, feature_dim) in ``packing``'s row order. Each
@@ -473,6 +523,12 @@ def forward_packed(spec, params, packing, frames):
     step t then multiplies only the n_t rows still running by the
     recurrent matrix. The backward direction runs every sequence from
     its own last frame. Returns (logits (N, num_classes), BatchCache).
+
+    Without ``for_backward`` the cache is None and one layer is alive
+    at a time: a direction's gates and cell states are freed once its
+    outputs are in the layer output, and a layer's input once the next
+    layer's output is complete (``stored_bytes_per_frame``). The logits
+    are the same bits either way.
     """
     audit_params(spec, params)
     x = frames
@@ -480,24 +536,18 @@ def forward_packed(spec, params, packing, frames):
     for li, layer in enumerate(spec.layers):
         y = np.empty((packing.num_frames, layer.width))
         states = []
-        for di, d in enumerate(_directions(layer)):
-            prefix = "layer%d.%s." % (li, d)
-            z = _product(x, params[prefix + "Wx"])
-            z += params[prefix + "b"]
-            if d == "bwd":
-                z = z[packing.reverse]
-            if layer.kind == "rnn":
-                h = _rnn_steps(packing, z, params[prefix + "Wh"])
-                states.append(None)
-            else:
-                h, c = _lstm_steps(packing, z, params[prefix + "Wh"])
-                states.append((z, c))
-            cols = slice(di * layer.units, (di + 1) * layer.units)
-            y[:, cols] = h[packing.reverse] if d == "bwd" else h
-        layers.append((x, y, states))
+        for di in range(len(_directions(layer))):
+            state = _direction_forward(layer, packing, params, li, di, x, y)
+            if for_backward:
+                states.append(state)
+            del state  # else this frees the direction's gates and cell states
+        if for_backward:
+            layers.append((x, y, states))
         x = y
     logits = _product(x, params["output.W"])
     logits += params["output.b"]
+    if not for_backward:
+        return logits, None
     return logits, BatchCache(packing=packing, layers=layers, logits=logits)
 
 

@@ -1,0 +1,39 @@
+"""The benchmark's output checks, run at a tiny size among the tests.
+
+``perfbench/run.py`` checks every output it produces (decodes against
+the posteriors, losses against ``ctc_loss``, each round or pipeline
+against the first, CLI artifacts byte for byte) and counts each failure
+against the operations attempted. Running it here makes a change that
+breaks one of those checks fail the tests, not only the benchmark.
+infer-long covers the facade's inference calls, cli-pipeline the CLI
+and the model files; ``--trace 1`` also checks that the traced calls
+give the untraced results.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", ["infer-long", "cli-pipeline"])
+def test_tiny_run_passes_every_output_check(workload, trace):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+         "--workload", workload, "--seed", "5", "--seconds", "0.5",
+         "--trace", str(trace), "--tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, detail, result = proc.stdout.strip().splitlines()
+    detail, result = json.loads(detail)["detail"], json.loads(result)
+    problems = [line for line in proc.stdout.splitlines() if "FAILED" in line]
+    assert result["attempted"] >= 1
+    assert detail["error_rate"] == 0 and result["correct"], problems
+    if trace:
+        assert result["metrics"]["trace.consistent"]["value"] == 1.0

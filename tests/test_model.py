@@ -422,6 +422,35 @@ class TestEvaluate:
         assert report.ser == sequence_error_rate(preds, truths)
 
 
+class TestForwardOnlyGroups:
+    def test_inference_runs_forward_only_groups_training_keeps_its_own(
+        self, monkeypatch
+    ):
+        spec = TestBatchGradients.MIXED
+        # 20 frames a training group, 29 a forward-only one
+        monkeypatch.setattr(net, "ACTIVATION_BYTES",
+                            20 * net.stored_bytes_per_frame(spec))
+        assert net.ACTIVATION_BYTES // net.stored_bytes_per_frame(spec, False) == 29
+        calls = []
+        engine = net.forward_packed
+
+        def recording(spec, params, packing, frames, for_backward=True):
+            calls.append((packing.lengths.tolist(), for_backward))
+            return engine(spec, params, packing, frames, for_backward)
+
+        monkeypatch.setattr(net, "forward_packed", recording)
+        rng = np.random.default_rng(8)
+        batch = TestBatchGradients().ragged_batch(rng, [9, 8, 7])
+        features = [batch.features[i, :t] for i, t in enumerate([9, 8, 7])]
+        model = CtcModel.compile(spec, seed=3)
+        probas = model.get_probas(features)
+        assert calls == [([9, 8, 7], False)]
+        calls.clear()
+        model.train_on_batch(batch)
+        assert calls == [([9, 8], True), ([7], True)]
+        assert [p.shape[0] for p in probas] == [9, 8, 7]
+
+
 class TestBatchIndependence:
     """A sequence's outputs are the same bits alone and inside any batch.
 

@@ -1,5 +1,7 @@
 """Network forward/backward against finite differences, init and optimizers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,71 @@ class TestForward:
             forward(TOY, params, np.ones((4, 2)))
         with pytest.raises(ValueError):
             forward(TOY, params, np.ones((4, 3)), input_len=5)
+
+
+class TestForwardOnly:
+    """``forward_packed`` without a backward to follow."""
+
+    SPECS = {
+        "toy": TOY,
+        "mixed": NetworkSpec(feature_dim=3, num_labels=3, layers=(
+            LayerSpec("lstm", 4, True), LayerSpec("rnn", 3, False))),
+        "one-way": NetworkSpec(feature_dim=2, num_labels=4, layers=(
+            LayerSpec("rnn", 3, False), LayerSpec("lstm", 5, False))),
+        # the benchmark's networks: 2x bi-LSTM 64 and bi-RNN 32
+        "bi-lstm": NetworkSpec(feature_dim=40, num_labels=28, layers=(
+            LayerSpec("lstm", 64, True), LayerSpec("lstm", 64, True))),
+        "bi-rnn": NetworkSpec(feature_dim=4, num_labels=4, layers=(
+            LayerSpec("rnn", 32, True),)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("lengths", [[1], [2], [3, 1], [5, 5, 2], [9, 4, 4, 1]])
+    def test_logits_equal_those_of_the_cache_keeping_pass(self, name, lengths):
+        spec = self.SPECS[name]
+        params = net._init_flat_params(spec, 5)
+        packing = Packing(lengths)
+        frames = np.random.default_rng(6).normal(
+            0, 1, (packing.num_frames, spec.feature_dim))
+        logits, cache = net.forward_packed(spec, params, packing, frames)
+        alone, none = net.forward_packed(spec, params, packing, frames,
+                                         for_backward=False)
+        assert none is None and cache.logits is logits
+        assert np.array_equal(alone, logits)
+
+    @pytest.mark.parametrize("name", ["bi-lstm", "bi-rnn"])
+    def test_a_full_group_stays_within_the_budget(self, name):
+        """What a forward-only group holds, traced: its packing, frames,
+        forward pass and softmax, with as many frames as the budget
+        allows. The count must cover the peak and not overstate it.
+        """
+        spec = self.SPECS[name]
+        params = net._init_flat_params(spec, 0)
+        n = net.ACTIVATION_BYTES // net.stored_bytes_per_frame(spec, False)
+        lengths = [n - 2 * (n // 3), n // 3, n // 3]
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            packing = Packing(lengths)
+            frames = rng.normal(0, 1, (n, spec.feature_dim))
+            probs = net.softmax_rows(net.forward_packed(
+                spec, params, packing, frames, for_backward=False)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (n, spec.num_classes)
+        assert 0.9 * net.ACTIVATION_BYTES <= peak <= 1.1 * net.ACTIVATION_BYTES, \
+            peak / net.ACTIVATION_BYTES
+
+    def test_groups_are_sized_by_the_forward_only_count(self, monkeypatch):
+        spec = self.SPECS["bi-lstm"]
+        assert net.stored_bytes_per_frame(spec, False) \
+            < net.stored_bytes_per_frame(spec)
+        monkeypatch.setattr(net, "ACTIVATION_BYTES",
+                            10 * net.stored_bytes_per_frame(spec, False))
+        groups = net.activation_groups(spec, [6, 5, 4], for_backward=False)
+        assert [group.tolist() for group in groups] == [[0, 2], [1]]
+        assert len(net.activation_groups(spec, [6, 5, 4])) == 3
 
 
 class TestBackward:
