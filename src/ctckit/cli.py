@@ -12,9 +12,11 @@ across repeated runs.
 import argparse
 import json
 import sys
+from contextlib import contextmanager, suppress
 
 from .data import (
     DatasetFormatError,
+    _replacing,
     generate_synthetic,
     read_dataset,
     write_dataset,
@@ -154,6 +156,21 @@ def _decode_overrides(args):
     return greedy, args.beam_width, args.top_paths
 
 
+@contextmanager
+def _output(path):
+    """A text file that replaces ``path`` once written whole (``_replacing``).
+
+    An existing ``path`` is first opened for update, which changes
+    nothing in it: one that may not be written is refused, as it was
+    when outputs were written in place, though ``os.replace`` could
+    replace it.
+    """
+    with suppress(FileNotFoundError):
+        open(path, "r+").close()
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
+
+
 def _cmd_predict(args):
     greedy, beam_width, top_paths = _decode_overrides(args)
     model, dataset = _load_model_and_data(args)
@@ -161,7 +178,7 @@ def _cmd_predict(args):
         [f for f, _ in dataset.sequences],
         greedy=greedy, beam_width=beam_width, top_paths=top_paths,
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output(args.out) as fh:
         for result in results:
             for labels, score in result.paths:
                 fh.write(json.dumps(
@@ -190,7 +207,7 @@ def _cmd_evaluate(args):
         payload["ler_mean"] = report.ler_mean
     if "ser" in requested:
         payload["ser"] = report.ser
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output(args.out) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return 0
@@ -199,7 +216,7 @@ def _cmd_evaluate(args):
 def _cmd_loss(args):
     model, dataset = _load_model_and_data(args)
     losses = model.get_loss(dataset)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output(args.out) as fh:
         for value in losses:
             fh.write(json.dumps({"loss": value}) + "\n")
     return 0
@@ -208,7 +225,7 @@ def _cmd_loss(args):
 def _cmd_probas(args):
     model, dataset = _load_model_and_data(args)
     matrices = model.get_probas(dataset)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output(args.out) as fh:
         for probs in matrices:
             fh.write(json.dumps({"probas": probs.tolist()}) + "\n")
     return 0

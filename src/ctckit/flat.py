@@ -27,11 +27,12 @@ class FlatTensors(Mapping):
         self.shapes = shapes
         self.flat = np.zeros(sum(map(math.prod, shapes.values()))) \
             if flat is None else flat
-        self._views = {}
+        self._views, self._bounds = {}, {}
         offset = 0
         for name, shape in shapes.items():
             end = offset + math.prod(shape)
             self._views[name] = self.flat[offset:end].reshape(shape)
+            self._bounds[name] = offset, end
             offset = end
 
     def __getitem__(self, name):
@@ -42,6 +43,10 @@ class FlatTensors(Mapping):
 
     def __len__(self):
         return len(self._views)
+
+    def span(self, first, last):
+        """The part of ``flat`` from tensor ``first`` through tensor ``last``."""
+        return self.flat[self._bounds[first][0]:self._bounds[last][1]]
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the views over the copied buffer;

@@ -19,13 +19,12 @@ import math
 import os
 import struct
 import time
-from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import net
-from .data import LABEL_PAD, Dataset, make_batches
+from .data import LABEL_PAD, Dataset, _replacing, make_batches
 from .decode import beam_search_decode, best_path_decode
 # ctc_gradient and ctc_loss are not called here; benchmark tracing
 # swaps its span wrappers into this namespace
@@ -387,33 +386,8 @@ def _group_gradients(spec, params, batch, index):
     return losses, net.backward_packed(spec, params, cache, grad_logits)
 
 
-@contextmanager
-def _replacing(path):
-    """A binary file that replaces ``path`` only once it is complete.
-
-    The bytes go to a temporary file in the same directory, which is
-    closed and then moved over ``path`` with ``os.replace``, so a reader
-    finds the old file or the whole new one. On an error the temporary
-    file is removed and ``path`` is left as it was.
-
-    There is no ``fsync``: it guards against power loss, not against a
-    failed or killed writer, and it waits for the whole file system's
-    journal. On ext4 on a virtual disk that another process kept writing
-    to, an fsync of a 30 kB file took 1.5-107 ms (median 68 ms), so the
-    time of a save depended on the neighbours' I/O.
-    """
-    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-
-
 def _write_json(path, value):
-    with _replacing(path) as fh:
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write((json.dumps(value, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
@@ -493,7 +467,7 @@ def write_weights(path, params):
     u8 rank, u32 per dimension, then row-major f64 values. The file
     replaces ``path`` only once it is complete (``_replacing``).
     """
-    with _replacing(path) as fh:
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<I", WEIGHTS_VERSION))
         fh.write(struct.pack("<I", len(params)))

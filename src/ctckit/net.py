@@ -16,19 +16,34 @@ One batched engine does all the work (``forward_packed`` and
 layout of ``ctckit.packing``: at step t only the n_t sequences still
 running are updated (``h[:n_t] @ Wh``), and the input projections, the
 output layer and every weight gradient are single products over all
-valid frames. Training and inference run a sorted batch in groups
+valid frames. A layer runs as one recurrence over its D directions
+(D = 2 when bidirectional). Their gate pre-activations are one
+(N, D, G·U) array, in which a step's rows are one block; each step
+multiplies the previous step's outputs of every direction by that
+direction's ``Wh`` in one stacked product, (D, n_t, U) @ (D, U, G·U),
+and runs each elementwise operation once for all directions. The
+backward direction walks the same steps through ``packing.reverse``:
+its rows stay in that recurrence order, and its outputs are put back
+in time order once the layer is done. Backpropagation through time
+runs the same way. Training and inference run a sorted batch in groups
 (``activation_groups``) so that what a forward pass holds stays under
 ``ACTIVATION_BYTES``: before a backward, the activations it keeps for
 backward; in a forward-only pass, which keeps one layer alive, its
-peak. ``forward`` and ``backward`` handle one sequence as a batch of
-one.
+peak, a layer's input beside the gates of all its directions, into
+whose buffer the layer's outputs are then written
+(``stored_bytes_per_frame``). ``forward`` and ``backward`` handle one
+sequence as a batch of one.
 
 Every product in ``forward_packed`` has at least two rows
 (``_product``): a one-row product runs another BLAS kernel, whose
 bits differ, while with two rows or more a row of ``A @ W`` is the
-same whatever rows share it. So the posteriors of a sequence do not
-depend on the other sequences of its group, and ``forward`` on the
-sequence alone gives the same bits.
+same whatever rows share it, and a stacked product runs each matrix
+through the kernel of its 2-D product. So the posteriors of a sequence
+do not depend on the other sequences of its group, and ``forward`` on
+the sequence alone gives the same bits. A one-column ``W`` (a tanh-RNN
+layer of one unit) is the exception: its product is a matrix-vector
+one, in which a row's bits depend on the rows beside it, so its
+projection is never split into chunks.
 
 Only frames ``[0, input_len)`` enter the recurrences in either
 direction; padding frames are never gathered into the packed rows,
@@ -47,6 +62,7 @@ process kept one core busy.
 """
 
 import ctypes
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from types import MappingProxyType
@@ -303,14 +319,19 @@ def stored_bytes_per_frame(spec, for_backward=True):
     A forward-only pass keeps one layer alive, and this is its peak: the
     input frame and the packing's four row maps (``Packing``), held
     throughout, and the largest of
-    - a layer's input (unless it is the input frame) and output, with
-      one direction's projection (G·U columns), alongside either the
-      input rows gathered for the backward direction or an LSTM's
-      outputs and cell states;
+    - a layer's input (unless it is the input frame) beside the gate
+      pre-activations of all its directions, G·U columns each. The
+      input is freed once projected, and the recurrence writes the
+      layer's output over the spent gates (``_lstm_steps``). A
+      bidirectional one-column projection also gathers its input whole;
+    - a bidirectional layer's output beside the backward half that is
+      put back into time order;
     - the last layer's output and the logits;
     - the logits and their softmax.
-    The lattice a loss pass adds is not counted: its width follows the
-    labels, not the network.
+    Left out: two steps of outputs and cell states, each step's
+    products, the backward direction's input rows gathered a chunk at a
+    time (``_project``), and the lattice of a loss pass, whose width
+    follows the labels.
     """
     if for_backward:
         floats = spec.feature_dim + spec.num_classes
@@ -319,11 +340,12 @@ def stored_bytes_per_frame(spec, for_backward=True):
         return 8 * floats
     held, in_dim, peak = 0, spec.feature_dim, 2 * spec.num_classes
     for layer in spec.layers:
-        lstm = layer.kind == "lstm"
-        gates = (len(LSTM_GATES) if lstm else 1) * layer.units
-        beside = max(in_dim if layer.bidirectional else 0,
-                     2 * layer.units if lstm else 0)
-        peak = max(peak, held + layer.width + gates + beside)
+        cols = (len(LSTM_GATES) if layer.kind == "lstm" else 1) * layer.units
+        # a one-column projection gathers the backward direction's input
+        # rows all at once
+        whole = in_dim if cols == 1 and layer.bidirectional else 0
+        peak = max(peak, held + cols * (layer.width // layer.units) + whole,
+                   layer.width + (layer.units if layer.bidirectional else 0))
         held = in_dim = layer.width
     peak = max(peak, held + spec.num_classes)
     return 8 * (spec.feature_dim + 4 + peak)
@@ -355,122 +377,214 @@ def activation_groups(spec, lengths, for_backward=True):
     return [np.array(group, dtype=np.int64) for group in groups]
 
 
-def _product(a, W):
-    """``a @ W`` as a product of at least two rows.
+def _product(a, W, out=None):
+    """``a @ W`` as a product of at least two rows, written into ``out`` if given.
 
-    With one row the BLAS takes another kernel and row 0 comes out with
-    other bits than in any larger product, so a lone row is multiplied
-    twice over and the copy dropped.
+    ``a`` is (n, K), or a stack (D, n, K) of one matrix per direction
+    with W (D, K, M). With one row the BLAS takes another kernel and row
+    0 comes out with other bits than in any larger product, so a lone
+    row is multiplied twice over and the copy dropped. A stack runs one
+    product per matrix through the kernel its 2-D product runs, so each
+    direction's rows have the bits they have alone.
     """
-    if a.shape[0] > 1:
-        return a @ W
-    return (np.repeat(a, 2, axis=0) @ W)[:1]
+    if a.shape[-2] > 1:
+        return np.matmul(a, W, out=out)
+    row = (np.repeat(a, 2, axis=-2) @ W)[..., :1, :]
+    if out is None:
+        return row
+    out[...] = row
+    return out
+
+
+def _layer_weights(params, li, layer):
+    """Layer ``li``'s Wx (D, in, G·U), Wh (D, U, G·U) and b (D, G·U).
+
+    ``params`` is a FlatTensors laid out by ``param_shapes``: a layer's
+    directions are blocks of one size back to back, each its Wx, Wh and
+    b, so the three stacks are views of the buffer.
+    """
+    dirs = _directions(layer)
+    first, last = "layer%d.%s." % (li, dirs[0]), "layer%d.%s." % (li, dirs[-1])
+    block = params.span(first + "Wx", last + "b").reshape(len(dirs), -1)
+    in_dim, cols = params[first + "Wx"].shape
+    wx, wh = in_dim * cols, layer.units * cols
+    return (block[:, :wx].reshape(-1, in_dim, cols),
+            block[:, wx:wx + wh].reshape(-1, layer.units, cols),
+            block[:, wx + wh:])
+
+
+def _project(packing, x, Wx, b, whole):
+    """A layer's input projections plus bias, (N, D, G·U) in recurrence order.
+
+    The backward direction projects ``x[packing.reverse]``, gathered
+    whole or, unless ``whole``, in chunks of about 1/sqrt(N) of the size
+    of z. Every product is written straight into z.
+    """
+    N = packing.num_frames
+    D, in_dim, cols = Wx.shape
+    z = np.empty((N, D, cols))
+    _product(x, Wx[0], out=z[:, 0])
+    if D == 2:
+        chunk = N if whole else max(1, D * cols * math.isqrt(N) // in_dim)
+        for start in range(0, N, chunk):
+            rows = slice(start, start + chunk)
+            _product(x[packing.reverse[rows]], Wx[1], out=z[rows, 1])
+    z += b
+    return z
 
 
 def _rnn_steps(packing, z, Wh):
-    """h_t = tanh(z_t + h_{t-1} Wh), written over z in place; returns z."""
+    """h_t = tanh(z_t + h_{t-1} Wh) for every direction, over z in place."""
     prev = None
     for start, n in packing.steps:
         zt = z[start:start + n]
         if prev is not None:
-            zt += _product(z[prev:prev + n], Wh)
+            zt += _product(z[prev:prev + n].transpose(1, 0, 2), Wh).transpose(1, 0, 2)
         np.tanh(zt, out=zt)
         prev = start
     return z
 
 
-def _lstm_steps(packing, z, Wh):
-    """LSTM recurrence; z turns into the gate activations in place.
+def _lstm_steps(packing, z, Wh, keep):
+    """LSTM recurrence of every direction; z turns into the gate activations.
 
-    ``z`` holds the input projections plus bias of every packed frame in
-    LSTM_GATES column order. Returns the outputs h and cell states c.
+    ``z`` (N, D, 4U) holds the input projections plus bias in
+    LSTM_GATES column order. Each step works on a copy of its rows with
+    the gates outermost, (4, n, D, U), so that each elementwise
+    operation runs once, on contiguous memory. With ``keep`` the
+    activations are copied back into z for backward, and this returns
+    the outputs h and cell states c, both (N, D, U). Without it only two
+    steps of h and c are held, and each step's outputs go to the front
+    of z's buffer: the outputs of the frames done take a quarter of the
+    room of their spent gates, so they never reach a gate still to be
+    read. This returns that front as h, and c None.
     """
-    units = Wh.shape[0]
-    h = np.empty((packing.num_frames, units))
-    c = np.empty((packing.num_frames, units))
+    units = Wh.shape[1]
+    N, D = z.shape[:2]
+    first = packing.steps[0][1]
+    h = np.empty((N if keep else 2 * first, D, units))
+    c = np.empty_like(h)
+    out = h if keep else z.reshape(-1)[:N * D * units].reshape(N, D, units)
+    acts = np.empty(4 * first * D * units)
     prev = None
     # exp(-x) overflows to inf for very negative x; 1 / (1 + inf) = 0 is
     # the correct sigmoid limit
     with np.errstate(over="ignore"):
-        for start, n in packing.steps:
+        for k, (start, n) in enumerate(packing.steps):
             rows = slice(start, start + n)
-            zt = z[rows]
-            if prev is not None:
-                zt += _product(h[prev:prev + n], Wh)
-            s = zt[:, :3 * units]
+            at = start if keep else k % 2 * first
+            zt = z[rows].reshape(n, D, 4, units).transpose(2, 0, 1, 3)
+            a = acts[:4 * n * D * units].reshape(4, n, D, units)
+            if prev is None:
+                np.copyto(a, zt)
+            else:
+                product = _product(h[prev:prev + n].transpose(1, 0, 2), Wh)
+                np.add(zt, product.reshape(D, n, 4, units).transpose(2, 1, 0, 3),
+                       out=a)
+            s = a[:3]
             np.negative(s, out=s)
             np.exp(s, out=s)
             s += 1.0
             np.reciprocal(s, out=s)
-            g = zt[:, 3 * units:]
-            np.tanh(g, out=g)
-            ct = c[rows]
-            np.multiply(zt[:, :units], g, out=ct)
+            np.tanh(a[3], out=a[3])
+            ct = c[at:at + n]
+            np.multiply(a[0], a[3], out=ct)
             if prev is not None:
-                ct += zt[:, units:2 * units] * c[prev:prev + n]
-            ht = h[rows]
+                ct += a[1] * c[prev:prev + n]
+            ht = h[at:at + n]
             np.tanh(ct, out=ht)
-            ht *= zt[:, 2 * units:3 * units]
-            prev = start
-    return h, c
+            ht *= a[2]
+            if keep:
+                np.copyto(zt, a)
+            else:
+                out[rows] = ht
+            prev = at
+    return (h, c) if keep else (out, None)
 
 
 def _rnn_grad_steps(packing, h, dh, Wh):
-    """Gradient w.r.t. the pre-activations, given dL/dh from above."""
-    dtanh = 1.0 - h * h
-    dz = np.empty_like(dtanh)
-    dh_next = np.zeros((packing.steps[0][1], h.shape[1]))
-    WhT = Wh.T
+    """Gradient w.r.t. the pre-activations, given dL/dh from above.
+
+    ``h`` and ``dh`` are (N, D, U) in recurrence order; returns dz in it.
+    Each step's rows of dz start as 1 - h², turned into the gradient in
+    place.
+    """
+    dz = 1.0 - h * h
+    dh_next = np.zeros((packing.steps[0][1],) + h.shape[1:])
+    WhT = Wh.transpose(0, 2, 1)
     for start, n in reversed(packing.steps):
-        rows = slice(start, start + n)
-        np.multiply(dh[rows] + dh_next[:n], dtanh[rows], out=dz[rows])
-        np.matmul(dz[rows], WhT, out=dh_next[:n])
+        dzt = dz[start:start + n]
+        np.multiply(dh[start:start + n] + dh_next[:n], dzt, out=dzt)
+        np.matmul(dzt.transpose(1, 0, 2), WhT, out=dh_next[:n].transpose(1, 0, 2))
     return dz
 
 
 def _lstm_grad_steps(packing, gates, c, dh, Wh):
     """Gradient w.r.t. the fused gate pre-activations, given dL/dh from above.
 
-    Walking backward in time, a sequence's rows of dh_next and dc_next
-    stay zero until the walk reaches its last frame.
+    ``gates`` (N, D, 4U), ``c`` and ``dh`` (N, D, U) are in recurrence
+    order, and so is the returned dz. Walking backward in time, a
+    sequence's rows of dh_next and dc_next stay zero until the walk
+    reaches its last frame.
     """
-    units = c.shape[1]
-    i, f, o, g = (gates[:, k * units:(k + 1) * units] for k in range(4))
+    D, units = c.shape[1:]
+    i, f, o, g = (gates[..., k * units:(k + 1) * units] for k in range(4))
     tc = np.tanh(c)
+    dc_dh = o * (1.0 - tc * tc)
+    do_dh = tc * o * (1.0 - o)  # dz/dh for the o block
+    del tc
     c_prev = np.zeros_like(c)
     c_prev[packing.steps[0][1]:] = c[packing.prev_rows]
-    # dz/dc for the i, f and g blocks and dz/dh for the o block
-    factor = np.concatenate(
-        [g * i * (1.0 - i), c_prev * f * (1.0 - f), tc * o * (1.0 - o),
-         i * (1.0 - g * g)], axis=1
-    )
-    dc_dh = o * (1.0 - tc * tc)
+    # dz starts as dz/dc for the i, f and g blocks, g i (1 - i),
+    # c_prev f (1 - f) and i (1 - g²), and as dz/dh for the o block,
+    # whose product with dc is then overwritten; each step's rows are
+    # turned into the gradient in place
     dz = np.empty_like(gates)
-    dh_next = np.zeros((packing.steps[0][1], units))
+    di, df, do, dg = (dz[..., k * units:(k + 1) * units] for k in range(4))
+    for out, a, b in ((di, g, i), (df, c_prev, f)):
+        np.multiply(a, b, out=out)
+        out *= 1.0 - b
+    del c_prev
+    np.multiply(g, g, out=dg)
+    np.subtract(1.0, dg, out=dg)
+    dg *= i
+    do[...] = do_dh
+    dh_next = np.zeros((packing.steps[0][1], D, units))
     dc_next = np.zeros_like(dh_next)
-    WhT = Wh.T
-    o_cols = slice(2 * units, 3 * units)
+    WhT = Wh.transpose(0, 2, 1)
     for start, n in reversed(packing.steps):
         rows = slice(start, start + n)
         dht = dh[rows] + dh_next[:n]
         dct = dht * dc_dh[rows]
         dct += dc_next[:n]
-        dzt = dz[rows]
-        np.multiply(factor[rows].reshape(n, 4, units), dct[:, None, :],
-                    out=dzt.reshape(n, 4, units))
-        np.multiply(factor[rows, o_cols], dht, out=dzt[:, o_cols])
-        np.matmul(dzt, WhT, out=dh_next[:n])
+        dzt = dz[rows].reshape(n, D, 4, units)
+        np.multiply(dzt, dct[:, :, None, :], out=dzt)
+        np.multiply(do_dh[rows], dht, out=dzt[:, :, 2])
+        np.matmul(dz[rows].transpose(1, 0, 2), WhT,
+                  out=dh_next[:n].transpose(1, 0, 2))
         np.multiply(dct, f[rows], out=dc_next[:n])
     return dz
+
+
+def _recurrence_order(packing, a, directions):
+    """(N, D·U) layer columns as (N, D, U), the backward half in recurrence order."""
+    a = a.reshape(len(a), directions, -1)
+    if directions == 1:
+        return a
+    out = np.empty_like(a)
+    out[:, 0] = a[:, 0]
+    out[:, 1] = a[packing.reverse, 1]
+    return out
 
 
 @dataclass
 class BatchCache:
     """Activations of a packed batch, recorded by forward for backward.
 
-    ``layers`` holds, per layer, its packed input, its packed output and
-    per direction the LSTM (gates, cell states) in recurrence order, or
-    None for a tanh-RNN, whose output is all backward needs.
+    ``layers`` holds, per layer, its packed input, its packed output
+    (N, D·U) and an LSTM's (gates (N, D, 4U), cell states (N, D, U)) in
+    recurrence order, or None for a tanh-RNN, whose output is all
+    backward needs.
     """
 
     packing: Packing
@@ -491,59 +605,61 @@ class NetCache:
         return self.batch.logits
 
 
-def _direction_forward(layer, packing, params, li, di, x, y):
-    """Run direction ``di`` of layer ``li`` on ``x`` into its ``y`` columns.
-
-    The backward direction gathers its input rows in recurrence order
-    before the projection, which is wider than they are, and scatters
-    its outputs back through the same map (``packing.reverse`` is its
-    own inverse). Returns what backward needs of it: an LSTM's (gates,
-    cell states) in recurrence order, or None for a tanh-RNN.
-    """
-    d = _directions(layer)[di]
-    prefix = "layer%d.%s." % (li, d)
-    rows = packing.reverse if d == "bwd" else slice(None)
-    z = _product(x[rows], params[prefix + "Wx"])
-    z += params[prefix + "b"]
-    if layer.kind == "rnn":
-        h, state = _rnn_steps(packing, z, params[prefix + "Wh"]), None
-    else:
-        h, c = _lstm_steps(packing, z, params[prefix + "Wh"])
-        state = (z, c)
-    y[rows, di * layer.units:(di + 1) * layer.units] = h
-    return state
-
-
 @_one_blas_thread
 def forward_packed(spec, params, packing, frames, for_backward=True):
     """Run the network over the packed frames of a length-sorted batch.
 
     ``frames`` is (N, feature_dim) in ``packing``'s row order. Each
-    direction of each layer makes one input projection over all N rows;
+    layer projects its input for all its directions (``_project``);
     step t then multiplies only the n_t rows still running by the
-    recurrent matrix. The backward direction runs every sequence from
-    its own last frame. Returns (logits (N, num_classes), BatchCache).
+    recurrent matrices, every direction in one stacked product. The
+    backward direction runs every sequence from its own last frame, and
+    its outputs are put back in time order once the layer is done.
+    Returns (logits (N, num_classes), BatchCache).
 
     Without ``for_backward`` the cache is None and one layer is alive
-    at a time: a direction's gates and cell states are freed once its
-    outputs are in the layer output, and a layer's input once the next
-    layer's output is complete (``stored_bytes_per_frame``). The logits
-    are the same bits either way.
+    at a time: a layer's input is freed once projected, an LSTM keeps
+    the outputs and cell states of two steps and writes each step's
+    outputs over its spent gates, and the gates' buffer is then freed or
+    shrunk to the outputs (``stored_bytes_per_frame``). The logits are
+    the same bits either way.
     """
     audit_params(spec, params)
+    params = as_flat(params, param_shapes(spec))
+    peak = None if for_backward else stored_bytes_per_frame(spec, False)
     x = frames
     layers = []
     for li, layer in enumerate(spec.layers):
-        y = np.empty((packing.num_frames, layer.width))
-        states = []
-        for di in range(len(_directions(layer))):
-            state = _direction_forward(layer, packing, params, li, di, x, y)
-            if for_backward:
-                states.append(state)
-            del state  # else this frees the direction's gates and cell states
+        Wx, Wh, b = _layer_weights(params, li, layer)
+        # a one-column product runs a matrix-vector kernel, in which a
+        # row's bits depend on the rows beside it: not split into chunks
+        z = _project(packing, x, Wx, b, for_backward or Wx.shape[-1] == 1)
+        if not for_backward:
+            x = None  # frees the layer's input, unless it is the frames
+        if layer.kind == "rnn":
+            h, c = _rnn_steps(packing, z, Wh), None
+        else:
+            h, c = _lstm_steps(packing, z, Wh, for_backward)
         if for_backward:
-            layers.append((x, y, states))
-        x = y
+            y = h.reshape(packing.num_frames, layer.width)
+            layers.append((x, y, None if c is None else (z, c)))
+            x = y
+        elif layer.kind == "lstm" and \
+                8 * (spec.feature_dim + 4 + z[0].size + layer.width) <= peak:
+            # the outputs fill the front of z's buffer. Where a copy fits
+            # the count, z is freed whole and glibc keeps its memory for
+            # the next z; shrinking z instead kept it mapping fresh pages
+            # (6228 minor faults a round of the benchmark's inference)
+            x = h.reshape(packing.num_frames, layer.width).copy()
+            del h
+        else:  # shrink z's buffer to the outputs (a tanh-RNN's z is its
+            # output); resize refuses while anything else refers to z
+            del h
+            z.resize((packing.num_frames, layer.width))
+            x = z
+        del z
+        if layer.bidirectional:  # the backward outputs into time order
+            x[:, layer.units:] = x[packing.reverse, layer.units:]
     logits = _product(x, params["output.W"])
     logits += params["output.b"]
     if not for_backward:
@@ -551,50 +667,67 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
     return logits, BatchCache(packing=packing, layers=layers, logits=logits)
 
 
+def _layer_backward(params, li, layer, packing, kept, dy, grads):
+    """Backpropagation through time for layer ``li``, all directions in one loop.
+
+    ``kept`` is the layer's (input, output, state) in the BatchCache and
+    ``dy`` dL/d(output). Writes the layer's weight gradients into
+    ``grads`` and returns dL/d(input), or None for the first layer.
+    """
+    x, y, state = kept
+    Wx, Wh, _ = _layer_weights(params, li, layer)
+    D = len(Wx)
+    dh = _recurrence_order(packing, dy, D)
+    if layer.kind == "rnn":
+        h = _recurrence_order(packing, y, D)
+        dz = _rnn_grad_steps(packing, h, dh, Wh)
+    else:  # the outputs are not needed until the loop is done
+        dz = _lstm_grad_steps(packing, *state, dh, Wh)
+        h = _recurrence_order(packing, y, D)
+    del dh
+    first = packing.steps[0][1]
+    dx = None
+    for d, name in enumerate(_directions(layer)):
+        prefix = "layer%d.%s." % (li, name)
+        # each direction's dz contiguous, as its own products had it: a
+        # product with one column runs a dot product, whose bits follow
+        # the stride of its operands
+        dz_d = np.ascontiguousarray(dz[:, d])
+        np.matmul(h[packing.prev_rows, d].T, dz_d[first:], out=grads[prefix + "Wh"])
+        if d:  # into time order
+            dz_d = dz_d[packing.reverse]
+        np.matmul(x.T, dz_d, out=grads[prefix + "Wx"])
+        dz_d.sum(axis=0, out=grads[prefix + "b"])
+        if li:  # the input frames need no gradient
+            dx_dir = dz_d @ Wx[d].T
+            dx = dx_dir if dx is None else dx + dx_dir
+    return dx
+
+
 @_one_blas_thread
 def backward_packed(spec, params, cache, grad_logits):
     """Exact parameter gradients, summed over the batch of ``cache``.
 
-    ``grad_logits`` is (N, num_classes) in the packed row order. Every
-    weight gradient is one product over all N rows, written into a new
-    FlatTensors laid out by ``param_shapes(spec)``.
+    ``grad_logits`` is (N, num_classes) in the packed row order. Each
+    layer runs backpropagation through time for all its directions in
+    one loop (``_layer_backward``); every weight gradient is one product
+    over all N rows, written into a new FlatTensors laid out by
+    ``param_shapes(spec)``.
     """
     audit_params(spec, params)
+    params = as_flat(params, param_shapes(spec))
     if len(cache.layers) != len(spec.layers) or any(
-        len(states) != len(_directions(layer))
-        for (_, _, states), layer in zip(cache.layers, spec.layers)
+        y.shape[1] != layer.width or (state is None) != (layer.kind == "rnn")
+        for (_, y, state), layer in zip(cache.layers, spec.layers)
     ):
         raise ValueError("cache does not match the network spec")
-    packing = cache.packing
-    first = packing.steps[0][1]
-    hidden = cache.layers[-1][1]
     grads = FlatTensors(param_shapes(spec))
-    np.matmul(hidden.T, grad_logits, out=grads["output.W"])
+    np.matmul(cache.layers[-1][1].T, grad_logits, out=grads["output.W"])
     grad_logits.sum(axis=0, out=grads["output.b"])
     dy = grad_logits @ params["output.W"].T
     for li in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[li]
-        x, y, states = cache.layers[li]
-        dx = None
-        for di, d in enumerate(_directions(layer)):
-            prefix = "layer%d.%s." % (li, d)
-            cols = slice(di * layer.units, (di + 1) * layer.units)
-            h, dh = y[:, cols], dy[:, cols]
-            if d == "bwd":
-                h, dh = h[packing.reverse], dh[packing.reverse]
-            if layer.kind == "rnn":
-                dz = _rnn_grad_steps(packing, h, dh, params[prefix + "Wh"])
-            else:
-                dz = _lstm_grad_steps(packing, *states[di], dh, params[prefix + "Wh"])
-            np.matmul(h[packing.prev_rows].T, dz[first:], out=grads[prefix + "Wh"])
-            if d == "bwd":
-                dz = dz[packing.reverse]
-            np.matmul(x.T, dz, out=grads[prefix + "Wx"])
-            dz.sum(axis=0, out=grads[prefix + "b"])
-            if li:  # the input frames need no gradient
-                dx_dir = dz @ params[prefix + "Wx"].T
-                dx = dx_dir if dx is None else dx + dx_dir
-        dy = dx
+        dy = _layer_backward(params, li, spec.layers[li], cache.packing,
+                             cache.layers[li], dy, grads)
     return grads
 
 

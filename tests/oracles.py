@@ -242,3 +242,168 @@ def consecutive_groups(lengths, budget):
         groups[-1].append(i)
         frames += length
     return groups
+
+
+def _two_row_product(a, W):
+    """``a @ W`` with at least two rows: a lone row is multiplied twice."""
+    if a.shape[0] > 1:
+        return a @ W
+    return (np.repeat(a, 2, axis=0) @ W)[:1]
+
+
+def _direction_rnn_steps(packing, z, Wh):
+    prev = None
+    for start, n in packing.steps:
+        zt = z[start:start + n]
+        if prev is not None:
+            zt += _two_row_product(z[prev:prev + n], Wh)
+        np.tanh(zt, out=zt)
+        prev = start
+    return z
+
+
+def _direction_lstm_steps(packing, z, Wh):
+    units = Wh.shape[0]
+    h = np.empty((packing.num_frames, units))
+    c = np.empty((packing.num_frames, units))
+    prev = None
+    with np.errstate(over="ignore"):
+        for start, n in packing.steps:
+            rows = slice(start, start + n)
+            zt = z[rows]
+            if prev is not None:
+                zt += _two_row_product(h[prev:prev + n], Wh)
+            s = zt[:, :3 * units]
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)
+            g = zt[:, 3 * units:]
+            np.tanh(g, out=g)
+            ct = c[rows]
+            np.multiply(zt[:, :units], g, out=ct)
+            if prev is not None:
+                ct += zt[:, units:2 * units] * c[prev:prev + n]
+            ht = h[rows]
+            np.tanh(ct, out=ht)
+            ht *= zt[:, 2 * units:3 * units]
+            prev = start
+    return h, c
+
+
+def _direction_rnn_grad_steps(packing, h, dh, Wh):
+    dtanh = 1.0 - h * h
+    dz = np.empty_like(dtanh)
+    dh_next = np.zeros((packing.steps[0][1], h.shape[1]))
+    WhT = Wh.T
+    for start, n in reversed(packing.steps):
+        rows = slice(start, start + n)
+        np.multiply(dh[rows] + dh_next[:n], dtanh[rows], out=dz[rows])
+        np.matmul(dz[rows], WhT, out=dh_next[:n])
+    return dz
+
+
+def _direction_lstm_grad_steps(packing, gates, c, dh, Wh):
+    units = c.shape[1]
+    i, f, o, g = (gates[:, k * units:(k + 1) * units] for k in range(4))
+    tc = np.tanh(c)
+    c_prev = np.zeros_like(c)
+    c_prev[packing.steps[0][1]:] = c[packing.prev_rows]
+    factor = np.concatenate(
+        [g * i * (1.0 - i), c_prev * f * (1.0 - f), tc * o * (1.0 - o),
+         i * (1.0 - g * g)], axis=1
+    )
+    dc_dh = o * (1.0 - tc * tc)
+    dz = np.empty_like(gates)
+    dh_next = np.zeros((packing.steps[0][1], units))
+    dc_next = np.zeros_like(dh_next)
+    WhT = Wh.T
+    o_cols = slice(2 * units, 3 * units)
+    for start, n in reversed(packing.steps):
+        rows = slice(start, start + n)
+        dht = dh[rows] + dh_next[:n]
+        dct = dht * dc_dh[rows]
+        dct += dc_next[:n]
+        dzt = dz[rows]
+        np.multiply(factor[rows].reshape(n, 4, units), dct[:, None, :],
+                    out=dzt.reshape(n, 4, units))
+        np.multiply(factor[rows, o_cols], dht, out=dzt[:, o_cols])
+        np.matmul(dzt, WhT, out=dh_next[:n])
+        np.multiply(dct, f[rows], out=dc_next[:n])
+    return dz
+
+
+def _layer_directions(layer):
+    return ("fwd", "bwd") if layer.bidirectional else ("fwd",)
+
+
+def per_direction_forward(spec, params, packing, frames):
+    """The packed forward pass with one recurrence loop per direction.
+
+    The engine as it was before both directions of a layer shared one
+    loop, kept as the bitwise reference: each direction projects its
+    input rows (gathered in recurrence order for the backward one), runs
+    its own loop and scatters its outputs into its columns of the layer
+    output. ``packing`` is a ``ctckit.packing.Packing``. Returns the
+    logits and per layer (input, output, per direction the LSTM (gates,
+    cell states) or None).
+    """
+    x = frames
+    layers = []
+    for li, layer in enumerate(spec.layers):
+        y = np.empty((packing.num_frames, layer.width))
+        states = []
+        for di, d in enumerate(_layer_directions(layer)):
+            prefix = "layer%d.%s." % (li, d)
+            rows = packing.reverse if d == "bwd" else slice(None)
+            z = _two_row_product(x[rows], params[prefix + "Wx"])
+            z += params[prefix + "b"]
+            if layer.kind == "rnn":
+                h, state = _direction_rnn_steps(packing, z, params[prefix + "Wh"]), None
+            else:
+                h, c = _direction_lstm_steps(packing, z, params[prefix + "Wh"])
+                state = (z, c)
+            y[rows, di * layer.units:(di + 1) * layer.units] = h
+            states.append(state)
+        layers.append((x, y, states))
+        x = y
+    logits = _two_row_product(x, params["output.W"])
+    logits += params["output.b"]
+    return logits, layers
+
+
+def per_direction_backward(spec, params, packing, layers, grad_logits):
+    """Gradients of ``per_direction_forward``, one BPTT loop per direction.
+
+    ``layers`` is what ``per_direction_forward`` returned with the
+    logits; returns a dict of gradients by tensor name.
+    """
+    first = packing.steps[0][1]
+    grads = {"output.W": layers[-1][1].T @ grad_logits,
+             "output.b": grad_logits.sum(axis=0)}
+    dy = grad_logits @ params["output.W"].T
+    for li in range(len(spec.layers) - 1, -1, -1):
+        layer = spec.layers[li]
+        x, y, states = layers[li]
+        dx = None
+        for di, d in enumerate(_layer_directions(layer)):
+            prefix = "layer%d.%s." % (li, d)
+            cols = slice(di * layer.units, (di + 1) * layer.units)
+            h, dh = y[:, cols], dy[:, cols]
+            if d == "bwd":
+                h, dh = h[packing.reverse], dh[packing.reverse]
+            if layer.kind == "rnn":
+                dz = _direction_rnn_grad_steps(packing, h, dh, params[prefix + "Wh"])
+            else:
+                dz = _direction_lstm_grad_steps(packing, *states[di], dh,
+                                                params[prefix + "Wh"])
+            grads[prefix + "Wh"] = h[packing.prev_rows].T @ dz[first:]
+            if d == "bwd":
+                dz = dz[packing.reverse]
+            grads[prefix + "Wx"] = x.T @ dz
+            grads[prefix + "b"] = dz.sum(axis=0)
+            if li:
+                dx_dir = dz @ params[prefix + "Wx"].T
+                dx = dx_dir if dx is None else dx + dx_dir
+        dy = dx
+    return grads

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ctckit import cli
+from ctckit import data as data_module
 from ctckit.cli import cli_main
 from ctckit.data import read_dataset
 from ctckit.model import load_model
@@ -236,3 +237,52 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestOutputsReplacedWhole:
+    """A command whose writer fails halfway leaves its old output as it was.
+
+    Every output goes to a temporary file that replaces the old one only
+    once it is complete, so no truncated file whose complete lines still
+    parse is left behind, and no temporary file either.
+    """
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "loss",
+                                         "probas", "gen-data"])
+    def test_a_failed_write_leaves_the_old_output(self, tmp_path, monkeypatch,
+                                                  capsys, command):
+        data, model_dir, _ = run_pipeline(tmp_path, "w")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b'{"old": true}\n')
+        listing = sorted(os.listdir(tmp_path))
+        held = ["--model", model_dir, "--data", data, "--out", str(out)]
+        argv = {
+            "predict": ["predict", "--greedy"] + held,
+            "evaluate": ["evaluate", "--metrics", "loss,ler"] + held,
+            "loss": ["loss"] + held,
+            "probas": ["probas"] + held,
+            "gen-data": ["gen-data", "--num", "4", "--labels", "3",
+                         "--feature-dim", "3", "--seed", "1",
+                         "--out", str(out)],
+        }[command]
+
+        def open_failing(path, mode="r", *args, **kwargs):
+            fh = builtins.open(path, mode, *args, **kwargs)
+            if "w" in mode:
+                write = fh.write
+
+                def write_half(text):
+                    write(text[:len(text) // 2])
+                    raise OSError(28, "No space left on device", path)
+
+                fh.write = write_half
+            return fh
+
+        # the CLI opens its outputs; write_dataset opens the dataset
+        module = data_module if command == "gen-data" else cli
+        monkeypatch.setattr(module, "open", open_failing, raising=False)
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b'{"old": true}\n'
+        assert sorted(os.listdir(tmp_path)) == listing

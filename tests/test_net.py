@@ -30,6 +30,8 @@ from oracles import (
     central_difference,
     consecutive_groups,
     norm_rel_err,
+    per_direction_backward,
+    per_direction_forward,
     per_tensor_clip,
     per_tensor_grad_norm,
     per_tensor_step,
@@ -243,6 +245,63 @@ class TestForwardOnly:
         groups = net.activation_groups(spec, [6, 5, 4], for_backward=False)
         assert [group.tolist() for group in groups] == [[0, 2], [1]]
         assert len(net.activation_groups(spec, [6, 5, 4])) == 3
+
+
+class TestFusedDirections:
+    """Both directions of a layer in one loop, against one loop per direction.
+
+    ``per_direction_forward`` and ``per_direction_backward`` in
+    tests/oracles.py are the engine as it was before the directions of a
+    layer shared one recurrence loop. The fused engine keeps every
+    elementwise formula and its order, and a stacked product runs each
+    direction's rows through the kernel of its 2-D product, so logits
+    and gradients must be the same bits.
+    """
+
+    @staticmethod
+    def check(spec, lengths, seed):
+        params = net._init_flat_params(spec, seed)
+        packing = Packing(lengths)
+        rng = np.random.default_rng(seed)
+        frames = rng.normal(0, 1, (packing.num_frames, spec.feature_dim))
+        grad_logits = rng.normal(0, 1, (packing.num_frames, spec.num_classes))
+        logits, cache = net.forward_packed(spec, params, packing, frames)
+        alone, _ = net.forward_packed(spec, params, packing, frames,
+                                      for_backward=False)
+        grads = net.backward_packed(spec, params, cache, grad_logits)
+        ref_logits, ref_layers = net._one_blas_thread(per_direction_forward)(
+            spec, params, packing, frames)
+        ref_grads = net._one_blas_thread(per_direction_backward)(
+            spec, params, packing, ref_layers, grad_logits)
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(alone, ref_logits)
+        assert ref_grads.keys() == grads.keys()
+        for name, ref in ref_grads.items():
+            assert np.array_equal(grads[name], ref), name
+
+    # a one-unit tanh-RNN layer projects with one-column products, whose
+    # rows' bits depend on the rows beside them
+    SPECS = {**TestForwardOnly.SPECS, "one-unit": NetworkSpec(
+        feature_dim=6, num_labels=2,
+        layers=(LayerSpec("rnn", 5, True), LayerSpec("rnn", 1, True)))}
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("lengths", [[1], [2], [3, 1], [5, 5, 2], [9, 4, 4, 1]])
+    def test_logits_and_gradients_equal_the_per_direction_loops(self, name, lengths):
+        self.check(self.SPECS[name], lengths, 7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_networks_and_lengths(self, data):
+        layers = data.draw(st.lists(st.builds(
+            LayerSpec, st.sampled_from(["rnn", "lstm"]), st.integers(1, 6),
+            st.booleans()), min_size=1, max_size=3))
+        spec = NetworkSpec(feature_dim=data.draw(st.integers(1, 5)),
+                           num_labels=data.draw(st.integers(1, 4)),
+                           layers=tuple(layers))
+        lengths = sorted(data.draw(st.lists(st.integers(1, 12), min_size=1,
+                                            max_size=6)), reverse=True)
+        self.check(spec, lengths, data.draw(st.integers(0, 2 ** 16)))
 
 
 class TestBackward:
@@ -579,4 +638,52 @@ class TestRowIndependence:
             "another number of rows, so packed inference would make a "
             "sequence's outputs depend on its batch; (W shape, rows, first "
             "row) of the mismatches: %r" % found[:10]
+        )
+
+    def test_stacked_step_products_equal_the_2d_products(self):
+        """A step's stacked product, against each direction's 2-D product.
+
+        A recurrent step multiplies the previous step's rows of all its
+        directions at once, ``(D, n, U) @ (D, U, G·U)``, reading them from
+        the (N, D, U) outputs and the weights from the parameter buffer
+        (``net._layer_weights``). Backward multiplies ``(D, n, G·U)`` by
+        the transposed weights into a (first, D, U) array. Each must give
+        every direction's rows the bits of its own 2-D product: for n = 1
+        forward, the two-row product ``_product`` runs.
+        """
+        rng = np.random.default_rng(92)
+
+        @net._one_blas_thread
+        def mismatches():
+            found = []
+            for spec in self.SPECS:
+                params = net._init_flat_params(spec, 0)
+                params.flat[...] = rng.normal(0, 1, params.flat.shape)
+                for li, layer in enumerate(spec.layers):
+                    Wh = net._layer_weights(params, li, layer)[1]
+                    D, units, cols = Wh.shape
+                    for n in range(1, 65):
+                        h = rng.normal(0, 1, (n + 3, D, units))
+                        dz = rng.normal(0, 1, (n + 3, D, cols))
+                        stacked = net._product(h[2:2 + n].transpose(1, 0, 2), Wh)
+                        dh = np.zeros((n + 1, D, units))
+                        np.matmul(dz[2:2 + n].transpose(1, 0, 2),
+                                  Wh.transpose(0, 2, 1),
+                                  out=dh[:n].transpose(1, 0, 2))
+                        for d in range(D):
+                            W = np.ascontiguousarray(Wh[d])
+                            rows = np.ascontiguousarray(h[2:2 + n, d])
+                            if not np.array_equal(stacked[d], net._product(rows, W)):
+                                found.append(("forward", W.shape, D, n))
+                            rows = np.ascontiguousarray(dz[2:2 + n, d])
+                            if not np.array_equal(dh[:n, d], rows @ W.T):
+                                found.append(("backward", W.shape, D, n))
+            return found
+
+        found = mismatches()
+        assert not found, (
+            "this BLAS gives a direction's rows other bits in a stacked "
+            "product than in its own 2-D product, so the fused recurrence "
+            "would not reproduce the per-direction loops; (pass, W shape, "
+            "directions, rows) of the mismatches: %r" % found[:10]
         )
