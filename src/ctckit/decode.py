@@ -109,6 +109,18 @@ def best_path_decode(probs, input_len=None):
     return DecodeResult(paths=[(seq, score)])
 
 
+def check_beam(beam_width, top_paths):
+    """Raise ValueError unless 1 <= top_paths <= beam_width."""
+    if beam_width < 1:
+        raise ValueError("beam_width must be >= 1")
+    if top_paths > beam_width:
+        raise ValueError(
+            "top_paths %d exceeds beam_width %d" % (top_paths, beam_width)
+        )
+    if top_paths < 1:
+        raise ValueError("top_paths must be >= 1")
+
+
 def beam_search_decode(probs, input_len=None, beam_width=100, top_paths=1):
     """Prefix beam search over collapsed label sequences.
 
@@ -123,14 +135,7 @@ def beam_search_decode(probs, input_len=None, beam_width=100, top_paths=1):
     mass survive the frame; the final ranking uses the same mass.
     """
     active = posterior_frames(probs, input_len)
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
-    if top_paths > beam_width:
-        raise ValueError(
-            "top_paths %d exceeds beam_width %d" % (top_paths, beam_width)
-        )
-    if top_paths < 1:
-        raise ValueError("top_paths must be >= 1")
+    check_beam(beam_width, top_paths)
     T, K = active.shape
     blank = K - 1
     logp = log_posteriors(active)

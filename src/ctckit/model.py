@@ -25,7 +25,7 @@ import numpy as np
 
 from . import net
 from .data import LABEL_PAD, Dataset, _replacing, make_batches
-from .decode import beam_search_decode, best_path_decode
+from .decode import beam_search_decode, best_path_decode, check_beam
 # ctc_gradient and ctc_loss are not called here; benchmark tracing
 # swaps its span wrappers into this namespace
 from .lattice import (  # noqa: F401
@@ -57,11 +57,26 @@ class ModelLoadError(Exception):
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decode defaults fixed when the model is built."""
+    """Decode defaults fixed when the model is built.
+
+    Raises ValueError unless ``greedy`` is a bool and the beam sizes are
+    ints that ``beam_search_decode`` takes (``check_beam``): the types
+    hyperparams.json stores.
+    """
 
     greedy: bool = True
     beam_width: int = 100
     top_paths: int = 1
+
+    def __post_init__(self):
+        if type(self.greedy) is not bool:
+            raise ValueError("greedy must be true or false, got %r"
+                             % (self.greedy,))
+        for name in ("beam_width", "top_paths"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError("%s must be an integer, got %r"
+                                 % (name, getattr(self, name)))
+        check_beam(self.beam_width, self.top_paths)
 
 
 @dataclass
@@ -415,6 +430,8 @@ def load_model(directory, weights=None):
     ``weights`` may name a weights file (absolute or relative to the
     directory). When omitted, weights.ctcw is used if present;
     otherwise parameters are freshly initialized from the stored seed.
+    A file that is missing, corrupt or inconsistent raises
+    ModelLoadError naming it.
     """
     arch_path = os.path.join(directory, ARCHITECTURE_FILE)
     hyper_path = os.path.join(directory, HYPERPARAMS_FILE)
@@ -426,15 +443,6 @@ def load_model(directory, weights=None):
             spec = net.spec_from_dict(json.load(fh))
     except (ValueError, KeyError) as err:
         raise ModelLoadError("%s: %s" % (arch_path, err)) from err
-    try:
-        with open(hyper_path, "r", encoding="utf-8") as fh:
-            hyper = json.load(fh)
-        decode_config = DecodeConfig(**hyper["decode"])
-        optimizer_kind = hyper["optimizer"]
-        learning_rate = float(hyper["learning_rate"])
-        seed = hyper["seed"]
-    except (ValueError, KeyError, TypeError) as err:
-        raise ModelLoadError("%s: %s" % (hyper_path, err)) from err
 
     if weights is not None:
         weights_path = weights if os.path.isabs(weights) \
@@ -445,9 +453,8 @@ def load_model(directory, weights=None):
         default = os.path.join(directory, WEIGHTS_FILE)
         weights_path = default if os.path.isfile(default) else None
 
-    if weights_path is None:
-        params = net._init_flat_params(spec, seed)
-    else:
+    params = None
+    if weights_path is not None:
         params = read_weights(weights_path)
         try:
             params = net.as_flat(net.fuse_gate_tensors(params),
@@ -455,7 +462,19 @@ def load_model(directory, weights=None):
         except ValueError as err:
             raise ModelLoadError("%s: %s" % (weights_path, err)) from err
 
-    state = net.init_optimizer(optimizer_kind, learning_rate, params)
+    try:
+        with open(hyper_path, "r", encoding="utf-8") as fh:
+            hyper = json.load(fh)
+        decode_config = DecodeConfig(**hyper["decode"])
+        seed = hyper["seed"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
+        if params is None:
+            params = net._init_flat_params(spec, seed)
+        state = net.init_optimizer(hyper["optimizer"], hyper["learning_rate"],
+                                   params)
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
+        raise ModelLoadError("%s: %s" % (hyper_path, err)) from err
     return CtcModel(spec, params, state, decode_config, seed)
 
 

@@ -29,10 +29,9 @@ runs the same way. Training and inference run a sorted batch in groups
 (``activation_groups``) so that what a forward pass holds stays under
 ``ACTIVATION_BYTES``: before a backward, the activations it keeps for
 backward; in a forward-only pass, which keeps one layer alive, its
-peak, a layer's input beside the gates of all its directions, into
-whose buffer the layer's outputs are then written
-(``stored_bytes_per_frame``). ``forward`` and ``backward`` handle one
-sequence as a batch of one.
+peak, the gates of all a layer's directions beside its input or its
+outputs (``stored_bytes_per_frame``). ``forward`` and ``backward``
+handle one sequence as a batch of one.
 
 Every product in ``forward_packed`` has at least two rows
 (``_product``): a one-row product runs another BLAS kernel, whose
@@ -319,19 +318,19 @@ def stored_bytes_per_frame(spec, for_backward=True):
     A forward-only pass keeps one layer alive, and this is its peak: the
     input frame and the packing's four row maps (``Packing``), held
     throughout, and the largest of
-    - a layer's input (unless it is the input frame) beside the gate
-      pre-activations of all its directions, G·U columns each. The
-      input is freed once projected, and the recurrence writes the
-      layer's output over the spent gates (``_lstm_steps``). A
+    - a layer's pre-activations, G·U columns for each of its
+      directions, beside its input (unless it is the input frame)
+      while it is projected; an LSTM's gates then sit beside its
+      output, which a tanh-RNN writes over its pre-activations. A
       bidirectional one-column projection also gathers its input whole;
     - a bidirectional layer's output beside the backward half that is
       put back into time order;
     - the last layer's output and the logits;
     - the logits and their softmax.
-    Left out: two steps of outputs and cell states, each step's
-    products, the backward direction's input rows gathered a chunk at a
-    time (``_project``), and the lattice of a loss pass, whose width
-    follows the labels.
+    Left out: two steps of cell states, each step's products, the
+    backward direction's input rows gathered a chunk at a time
+    (``_project``), and the lattice of a loss pass, whose width follows
+    the labels.
     """
     if for_backward:
         floats = spec.feature_dim + spec.num_classes
@@ -344,7 +343,11 @@ def stored_bytes_per_frame(spec, for_backward=True):
         # a one-column projection gathers the backward direction's input
         # rows all at once
         whole = in_dim if cols == 1 and layer.bidirectional else 0
-        peak = max(peak, held + cols * (layer.width // layer.units) + whole,
+        # an LSTM's outputs take its input's place beside the gates; a
+        # tanh-RNN's outputs are its pre-activations
+        outputs = layer.width if layer.kind == "lstm" else 0
+        z = cols * (layer.width // layer.units)
+        peak = max(peak, max(held + whole, outputs) + z,
                    layer.width + (layer.units if layer.bidirectional else 0))
         held = in_dim = layer.width
     peak = max(peak, held + spec.num_classes)
@@ -451,22 +454,18 @@ def _lstm_steps(packing, z, Wh, keep):
     ``z`` (N, D, 4U) holds the input projections plus bias in
     LSTM_GATES column order. Each step works on a copy of its rows with
     the gates outermost, (4, n, D, U), so that each elementwise
-    operation runs once, on contiguous memory. With ``keep`` the
-    activations are copied back into z for backward, and this returns
-    the outputs h and cell states c, both (N, D, U). Without it only two
-    steps of h and c are held, and each step's outputs go to the front
-    of z's buffer: the outputs of the frames done take a quarter of the
-    room of their spent gates, so they never reach a gate still to be
-    read. This returns that front as h, and c None.
+    operation runs once, on contiguous memory. Returns the outputs h
+    (N, D, U) and, with ``keep``, the cell states c (N, D, U), with the
+    activations copied back into z for backward. Without it only two
+    steps of c are held, and c is None.
     """
     units = Wh.shape[1]
     N, D = z.shape[:2]
     first = packing.steps[0][1]
-    h = np.empty((N if keep else 2 * first, D, units))
-    c = np.empty_like(h)
-    out = h if keep else z.reshape(-1)[:N * D * units].reshape(N, D, units)
+    h = np.empty((N, D, units))
+    c = np.empty((N if keep else 2 * first, D, units))
     acts = np.empty(4 * first * D * units)
-    prev = None
+    h_prev = c_prev = None
     # exp(-x) overflows to inf for very negative x; 1 / (1 + inf) = 0 is
     # the correct sigmoid limit
     with np.errstate(over="ignore"):
@@ -475,10 +474,10 @@ def _lstm_steps(packing, z, Wh, keep):
             at = start if keep else k % 2 * first
             zt = z[rows].reshape(n, D, 4, units).transpose(2, 0, 1, 3)
             a = acts[:4 * n * D * units].reshape(4, n, D, units)
-            if prev is None:
+            if h_prev is None:
                 np.copyto(a, zt)
             else:
-                product = _product(h[prev:prev + n].transpose(1, 0, 2), Wh)
+                product = _product(h_prev[:n].transpose(1, 0, 2), Wh)
                 np.add(zt, product.reshape(D, n, 4, units).transpose(2, 1, 0, 3),
                        out=a)
             s = a[:3]
@@ -489,17 +488,15 @@ def _lstm_steps(packing, z, Wh, keep):
             np.tanh(a[3], out=a[3])
             ct = c[at:at + n]
             np.multiply(a[0], a[3], out=ct)
-            if prev is not None:
-                ct += a[1] * c[prev:prev + n]
-            ht = h[at:at + n]
+            if c_prev is not None:
+                ct += a[1] * c_prev[:n]
+            ht = h[rows]
             np.tanh(ct, out=ht)
             ht *= a[2]
             if keep:
                 np.copyto(zt, a)
-            else:
-                out[rows] = ht
-            prev = at
-    return (h, c) if keep else (out, None)
+            h_prev, c_prev = ht, ct
+    return h, (c if keep else None)
 
 
 def _rnn_grad_steps(packing, h, dh, Wh):
@@ -619,14 +616,12 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
 
     Without ``for_backward`` the cache is None and one layer is alive
     at a time: a layer's input is freed once projected, an LSTM keeps
-    the outputs and cell states of two steps and writes each step's
-    outputs over its spent gates, and the gates' buffer is then freed or
-    shrunk to the outputs (``stored_bytes_per_frame``). The logits are
-    the same bits either way.
+    the cell states of two steps, and the gates are freed once the
+    recurrence is done (``stored_bytes_per_frame``). The logits are the
+    same bits either way.
     """
     audit_params(spec, params)
     params = as_flat(params, param_shapes(spec))
-    peak = None if for_backward else stored_bytes_per_frame(spec, False)
     x = frames
     layers = []
     for li, layer in enumerate(spec.layers):
@@ -640,24 +635,12 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
             h, c = _rnn_steps(packing, z, Wh), None
         else:
             h, c = _lstm_steps(packing, z, Wh, for_backward)
+        y = h.reshape(packing.num_frames, layer.width)
         if for_backward:
-            y = h.reshape(packing.num_frames, layer.width)
             layers.append((x, y, None if c is None else (z, c)))
-            x = y
-        elif layer.kind == "lstm" and \
-                8 * (spec.feature_dim + 4 + z[0].size + layer.width) <= peak:
-            # the outputs fill the front of z's buffer. Where a copy fits
-            # the count, z is freed whole and glibc keeps its memory for
-            # the next z; shrinking z instead kept it mapping fresh pages
-            # (6228 minor faults a round of the benchmark's inference)
-            x = h.reshape(packing.num_frames, layer.width).copy()
-            del h
-        else:  # shrink z's buffer to the outputs (a tanh-RNN's z is its
-            # output); resize refuses while anything else refers to z
-            del h
-            z.resize((packing.num_frames, layer.width))
-            x = z
-        del z
+        # only x may hold the output into the next layer, which frees it
+        x = y
+        del y, z, h, c
         if layer.bidirectional:  # the backward outputs into time order
             x[:, layer.units:] = x[packing.reverse, layer.units:]
     logits = _product(x, params["output.W"])

@@ -17,6 +17,8 @@ import sys
 
 import pytest
 
+from ctckit import net
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -37,3 +39,20 @@ def test_tiny_run_passes_every_output_check(workload, trace):
     assert detail["error_rate"] == 0 and result["correct"], problems
     if trace:
         assert result["metrics"]["trace.consistent"]["value"] == 1.0
+
+
+def test_the_workloads_keep_their_group_sizes(monkeypatch):
+    """The bytes a frame that size the workloads' groups.
+
+    ``net.activation_groups`` fits each group to ACTIVATION_BYTES at
+    ``net.stored_bytes_per_frame``, so these counts set how many frames
+    a group holds and how many recurrent steps a workload runs: a change
+    to them shows here before it shows in the benchmark's timings.
+    """
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+    counts = {spec: (net.stored_bytes_per_frame(spec, False),
+                     net.stored_bytes_per_frame(spec))
+              for spec in (workloads.LONG_SPEC, workloads.SHORT_SPEC)}
+    assert counts == {workloads.LONG_SPEC: (5472, 12840),
+                      workloads.SHORT_SPEC: (832, 584)}

@@ -1,13 +1,16 @@
 """Fuzzed boundary input: corrupt files raise only typed errors.
 
-Mutated bytes of a valid dataset or weights file may parse, or may fail
-with the reader's own error (DatasetFormatError, ModelLoadError); the
-CLI may only return one of its documented exit codes, with at most one
-``error[...]`` line on stderr.
+Mutated bytes of a valid dataset or weights file, or mutated values of
+a model's hyperparams.json, may parse, or may fail with the reader's
+own error (DatasetFormatError, ModelLoadError); the CLI may only return
+one of its documented exit codes, with at most one ``error[...]`` line
+on stderr.
 """
 
 import contextlib
+import copy
 import io
+import json
 import os
 import struct
 import tempfile
@@ -24,9 +27,11 @@ from ctckit.data import (
     write_dataset,
 )
 from ctckit.model import (
+    HYPERPARAMS_FILE,
     WEIGHTS_FILE,
     CtcModel,
     ModelLoadError,
+    load_model,
     read_weights,
     save_model,
 )
@@ -37,19 +42,34 @@ SPEC = NetworkSpec(feature_dim=3, num_labels=2,
 
 
 def _valid_files():
-    """Bytes of a small valid dataset and of SPEC's weights file."""
+    """Bytes of a small valid dataset and of SPEC's weights and
+    hyperparams files."""
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(generate_synthetic(3, num_labels=2, feature_dim=3, seed=1),
                       os.path.join(tmp, "data"))
         save_model(CtcModel.compile(SPEC, seed=2), tmp)
         blobs = []
-        for name in ("data", WEIGHTS_FILE):
+        for name in ("data", WEIGHTS_FILE, HYPERPARAMS_FILE):
             with open(os.path.join(tmp, name), "rb") as fh:
                 blobs.append(fh.read())
         return blobs
 
 
-DATASET, WEIGHTS = _valid_files()
+DATASET, WEIGHTS, HYPERPARAMS_JSON = _valid_files()
+HYPERPARAMS = json.loads(HYPERPARAMS_JSON)
+
+# hyperparams.json entries, a dot reaching into "decode", that
+# load_model must refuse with its own error, weights file or not
+CORRUPT_HYPERPARAMS = [("decode.beam_width", "x"), ("seed", "abc"),
+                       ("optimizer", "rmsprop"), ("decode.top_paths", 0),
+                       ("decode.greedy", "no")]
+HYPERPARAM_NAMES = ["optimizer", "learning_rate", "seed", "decode",
+                    "decode.greedy", "decode.beam_width", "decode.top_paths"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
 
 # Weights records followed by two values. For (2^31, 2^31, 4) and
 # (2^32 - 1, 2^32 - 1) an int64 element count wraps to 0 or to a
@@ -92,6 +112,34 @@ def mutated(draw, blob):
     return bytes(out)
 
 
+def with_entry(hyper, name, value=None, remove=False):
+    """``hyper`` with entry ``name`` set to ``value``, or removed.
+
+    Unchanged when the entry's parent is not a dict.
+    """
+    hyper = copy.deepcopy(hyper)
+    *parents, key = name.split(".")
+    parent = hyper
+    for part in parents:
+        parent = parent.get(part) if isinstance(parent, dict) else None
+    if isinstance(parent, dict):
+        if remove:
+            parent.pop(key, None)
+        else:
+            parent[key] = value
+    return hyper
+
+
+@st.composite
+def mutated_hyperparams(draw):
+    """HYPERPARAMS with one to three entries set to any JSON value or removed."""
+    hyper = HYPERPARAMS
+    for name in draw(st.lists(st.sampled_from(HYPERPARAM_NAMES), min_size=1,
+                              max_size=3, unique=True)):
+        hyper = with_entry(hyper, name, draw(JSON_VALUES), draw(st.booleans()))
+    return hyper
+
+
 @contextlib.contextmanager
 def files(**contents):
     """A temporary directory holding ``name=bytes`` files."""
@@ -119,6 +167,17 @@ def model_dir(tmp, weights):
     return directory
 
 
+def hyperparams_dir(tmp, hyper, weights=True):
+    """A model directory of SPEC in ``tmp`` whose hyperparams.json holds
+    ``hyper``; without ``weights`` it has no weights file."""
+    directory = model_dir(tmp, WEIGHTS)
+    with open(os.path.join(directory, HYPERPARAMS_FILE), "w") as fh:
+        json.dump(hyper, fh)
+    if not weights:
+        os.remove(os.path.join(directory, WEIGHTS_FILE))
+    return directory
+
+
 def assert_one_diagnostic(code, err):
     assert code in (0, 1, 2, 3), err
     lines = [l for l in err.splitlines() if l.startswith("error[")]
@@ -143,6 +202,26 @@ class TestReaders:
                 read_weights(os.path.join(tmp, "weights"))
             except ModelLoadError:
                 pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(hyper=mutated_hyperparams(), weights=st.booleans())
+    def test_model_loader_raises_only_its_error(self, hyper, weights):
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                model = load_model(hyperparams_dir(tmp, hyper, weights))
+            except ModelLoadError:
+                return
+        # what loads, decodes with its defaults
+        assert len(model.predict([[[0.5, 0.5, 0.5]] * 3])) == 1
+
+    @pytest.mark.parametrize("weights", [True, False])
+    @pytest.mark.parametrize("name, value", CORRUPT_HYPERPARAMS)
+    def test_corrupt_hyperparams_are_load_errors(self, name, value, weights):
+        hyper = with_entry(HYPERPARAMS, name, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ModelLoadError, match=r"%s: .*%s"
+                               % (HYPERPARAMS_FILE, name.split(".")[-1])):
+                load_model(hyperparams_dir(tmp, hyper, weights))
 
     @pytest.mark.parametrize("shape, message", CORRUPT_SHAPES)
     def test_corrupt_shape_is_load_error(self, shape, message):
@@ -188,6 +267,30 @@ class TestCli:
                 argv = [command, "--model", model_dir(tmp, weights),
                         "--data", data_path, *COMMANDS[command], "--out", out]
             assert_one_diagnostic(*run_cli(argv))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hyper=mutated_hyperparams(), command=st.sampled_from(sorted(COMMANDS)))
+    def test_exit_codes_on_corrupt_hyperparams(self, hyper, command):
+        with files(data=DATASET) as tmp:
+            code, err = run_cli([command, "--model", hyperparams_dir(tmp, hyper),
+                                 "--data", os.path.join(tmp, "data"),
+                                 *COMMANDS[command],
+                                 "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2), err
+        assert_one_diagnostic(code, err)
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("name, value", CORRUPT_HYPERPARAMS)
+    def test_corrupt_hyperparams_exit_2(self, name, value, command):
+        hyper = with_entry(HYPERPARAMS, name, value)
+        with files(data=DATASET) as tmp:
+            code, err = run_cli([command, "--model",
+                                 hyperparams_dir(tmp, hyper, weights=False),
+                                 "--data", os.path.join(tmp, "data"),
+                                 "--out", os.path.join(tmp, "out")])
+        assert code == 2
+        assert err.startswith("error[data]:") and HYPERPARAMS_FILE in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("shape, message", CORRUPT_SHAPES)
     def test_corrupt_shape_exits_2(self, shape, message):

@@ -427,10 +427,10 @@ class TestForwardOnlyGroups:
         self, monkeypatch
     ):
         spec = TestBatchGradients.MIXED
-        # 20 frames a training group, 29 a forward-only one
+        # 20 frames a training group, 24 a forward-only one
         monkeypatch.setattr(net, "ACTIVATION_BYTES",
                             20 * net.stored_bytes_per_frame(spec))
-        assert net.ACTIVATION_BYTES // net.stored_bytes_per_frame(spec, False) == 29
+        assert net.ACTIVATION_BYTES // net.stored_bytes_per_frame(spec, False) == 24
         calls = []
         engine = net.forward_packed
 

@@ -196,6 +196,9 @@ class TestForwardOnly:
             LayerSpec("lstm", 64, True), LayerSpec("lstm", 64, True))),
         "bi-rnn": NetworkSpec(feature_dim=4, num_labels=4, layers=(
             LayerSpec("rnn", 32, True),)),
+        # peaks at its first LSTM layer: the outputs beside the gates
+        "one-bi-lstm": NetworkSpec(feature_dim=40, num_labels=28, layers=(
+            LayerSpec("lstm", 64, True),)),
     }
 
     @pytest.mark.parametrize("name", sorted(SPECS))
@@ -212,7 +215,11 @@ class TestForwardOnly:
         assert none is None and cache.logits is logits
         assert np.array_equal(alone, logits)
 
-    @pytest.mark.parametrize("name", ["bi-lstm", "bi-rnn"])
+    # toy and one-way count under 250 bytes a frame, so the packing's
+    # per-step lists and tuples, which the count leaves out (about 30
+    # bytes a frame here), take their traced peaks to 1.13-1.21 times
+    # the budget
+    @pytest.mark.parametrize("name", ["bi-lstm", "bi-rnn", "mixed", "one-bi-lstm"])
     def test_a_full_group_stays_within_the_budget(self, name):
         """What a forward-only group holds, traced: its packing, frames,
         forward pass and softmax, with as many frames as the budget
