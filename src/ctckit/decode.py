@@ -11,17 +11,24 @@ Four strategies, slowest to fastest:
   node budget runs out.
 - ``beam_search_decode`` is the time-synchronous prefix beam search,
   tracking blank-ending and non-blank-ending mass separately and
-  merging additively. Prefixes are integer ids in a trie, and each
-  frame is a few numpy operations on one array of the beam's entries
-  and one (beam, K-1) array of their one-label extensions.
-- ``best_path_decode`` collapses the per-frame argmax.
+  merging additively. It is the batch of one of ``beam_search_packed``,
+  which decodes a whole packed group (``ctckit.packing``): each frame
+  step advances every sequence still running as one (sequences, beam,
+  K) candidate array, a few numpy operations whatever the group size.
+  Prefixes are integer ids in one trie with a root per sequence; ties
+  at the beam's cut go to the lexicographically smaller prefix, by one
+  ``np.lexsort`` over the prefixes' padded rows of label codes.
+- ``best_path_decode`` collapses the per-frame argmax; it is the batch
+  of one of ``best_path_packed``, one argmax over a whole group.
 
 Scores are natural-log probabilities. Ties anywhere are broken toward
 the lexicographically smaller label sequence (and the lower class index
-in per-frame argmax) so results are deterministic. Every decoder
-checks its input through ``lattice.posterior_frames``, the lattice's
-own shape and input_len rules, and raises ValueError naming the first
-active row that holds a NaN, an infinity or a negative entry.
+in per-frame argmax) so results are deterministic. Every decoder of
+one sequence checks its input through ``lattice.posterior_frames``, the
+lattice's own shape and input_len rules, and raises ValueError naming
+the first active row that holds a NaN, an infinity or a negative entry.
+The packed decoders take a group screened once by
+``lattice.check_packed_posteriors``.
 """
 
 import heapq
@@ -32,9 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import collapse, log_posteriors, posterior_frames
+from .packing import Packing
 
 DEFAULT_ENUMERATION_BUDGET = 2 ** 22
 NEG_INF = -np.inf
+# candidates in one beam step's (sequences, beam, K) arrays, at most; a
+# packed group with more sequences is decoded in runs of consecutive ones
+STEP_CANDIDATES = 2 ** 18
 
 
 class BudgetExceeded(Exception):
@@ -100,13 +111,36 @@ def best_path_decode(probs, input_len=None):
     """Per-frame argmax followed by collapse; the fast greedy default.
 
     The score is the log-probability of the argmax path itself, a lower
-    bound on the aggregated probability of the returned sequence.
+    bound on the aggregated probability of the returned sequence. This
+    is ``best_path_packed`` on a batch of one.
     """
     active = posterior_frames(probs, input_len)
-    ids = active.argmax(axis=1)
-    score = float(log_posteriors(active.max(axis=1)).sum())
-    seq = collapse(ids, active.shape[1] - 1)
-    return DecodeResult(paths=[(seq, score)])
+    return best_path_packed(active, Packing([active.shape[0]]))[0]
+
+
+def best_path_packed(probs, packing):
+    """``best_path_decode`` of every sequence of a packed group.
+
+    ``probs`` is the group's (N, K) posteriors in ``packing``'s row
+    order, already screened (``lattice.check_packed_posteriors``). One
+    argmax and one max run over all N rows; each sequence then collapses
+    its own ids and sums its own log maxima in time order. Returns one
+    DecodeResult per sequence, in packing order.
+    """
+    ids = probs.argmax(axis=1)
+    logs = log_posteriors(probs.max(axis=1))
+    blank = probs.shape[1] - 1
+    # collapse: a label that repeats the same sequence's previous frame
+    # merges into it, and blanks drop out
+    keep = ids != blank
+    keep[packing.steps[0][1]:] &= ids[packing.steps[0][1]:] != ids[packing.prev_rows]
+    results = []
+    for b in range(packing.lengths.size):
+        rows = packing.rows(b)
+        results.append(DecodeResult(paths=[
+            (ids[rows[keep[rows]]].tolist(), float(logs[rows].sum()))
+        ]))
+    return results
 
 
 def check_beam(beam_width, top_paths):
@@ -124,114 +158,272 @@ def check_beam(beam_width, top_paths):
 def beam_search_decode(probs, input_len=None, beam_width=100, top_paths=1):
     """Prefix beam search over collapsed label sequences.
 
-    Each prefix tracks the log mass of the paths that emit it and end in
-    a blank and of those that end in its last label (Graves 2012, §7.5;
-    Hannun et al. 2014). Prefixes are ids in a trie, and the beam is a
-    set of arrays over those ids. Each frame forms two candidate arrays:
-    the beam entries that keep their prefix (by a blank, or by repeating
-    the last label with no blank between) and the ``(beam, K-1)``
-    extensions by one label. An extension that is already a beam entry
-    merges into it. The ``beam_width`` candidates with the most merged
-    mass survive the frame; the final ranking uses the same mass.
+    ``beam_search_packed`` on a batch of one; see there.
     """
     active = posterior_frames(probs, input_len)
+    return beam_search_packed(active, Packing([active.shape[0]]),
+                              beam_width, top_paths)[0]
+
+
+class _Trie:
+    """Prefix ids of a packed group, one root per sequence.
+
+    Node b < B is the empty prefix of sequence b. Node n >= B is the
+    prefix of ``parent[n]`` followed by one label, whose code (label + 1)
+    is ``code[n]``, and it is ``depth[n]`` labels long. ``child`` maps
+    p * K + d to the id of p's prefix followed by the label of code d,
+    once a beam has held it: a prefix that leaves the beam and comes back
+    so keeps its id, and equal prefixes meet. ``slot[n]`` is the beam
+    column that last held n (stale once n has left the beam). A map, not
+    a (nodes, K) table, so that the trie's size follows its nodes alone.
+    """
+
+    def __init__(self, roots, num_classes):
+        self.roots = roots
+        self.num_classes = num_classes
+        self.child = {}
+        capacity = max(256, 2 * roots)
+        self.parent = np.full(capacity, -1, dtype=np.intp)
+        self.code = np.zeros(capacity, dtype=np.intp)
+        self.depth = np.zeros(capacity, dtype=np.intp)
+        self.slot = np.zeros(capacity, dtype=np.intp)
+
+    def children(self, nodes, codes):
+        """Ids of ``nodes`` each followed by a label code; new pairs get new ids."""
+        keys = (nodes * self.num_classes + codes).tolist()
+        get = self.child.get
+        kids = np.array([get(key, -1) for key in keys], dtype=np.intp)
+        new = (kids < 0).nonzero()[0]
+        if new.size:
+            size = self.roots + len(self.child)
+            if size + new.size > len(self.parent):
+                self._grow(2 * (size + new.size))
+            ids = np.arange(size, size + new.size)
+            self.child.update(zip([keys[i] for i in new.tolist()], ids.tolist()))
+            nodes = nodes[new]
+            self.parent[ids] = nodes
+            self.code[ids] = codes[new]
+            self.depth[ids] = self.depth[nodes] + 1
+            kids[new] = ids
+        return kids
+
+    def _grow(self, capacity):
+        for name, fill in (("parent", -1), ("code", 0), ("depth", 0), ("slot", 0)):
+            old = getattr(self, name)
+            new = np.full(capacity, fill, dtype=old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
+
+
+def _code_dtype(num_classes):
+    # a prefix is stored as a row of label codes (label + 1), padded
+    # with 0: big-endian, so that rows compare as byte strings in the
+    # lexicographic order of their labels, a proper prefix first
+    return np.dtype(">u1" if num_classes <= 256 else ">u2" if num_classes <= 2 ** 16
+                    else ">u4")
+
+
+def _strings(codes):
+    """Rows of prefix codes as byte strings, one per row."""
+    codes = np.ascontiguousarray(codes)
+    return codes.view("S%d" % (codes.shape[1] * codes.itemsize)).ravel()
+
+
+def beam_search_packed(probs, packing, beam_width=100, top_paths=1):
+    """Prefix beam search of every sequence of a packed group at once.
+
+    Each prefix tracks the log mass of the paths that emit it and end in
+    a blank and of those that end in its last label (Graves 2012, §7.5;
+    Hannun et al. 2014). ``probs`` is the group's (N, K) posteriors in
+    ``packing``'s row order, already screened
+    (``lattice.check_packed_posteriors``). Returns one DecodeResult per
+    sequence, in packing order, each that of the sequence decoded alone.
+
+    Step t advances the n_t sequences still running (the rows
+    ``packing.steps[t]``) as one (n_t, W, K) candidate array: per beam
+    entry the entry itself kept (by a blank, or by repeating its last
+    label with no blank between), then its K-1 one-label extensions. An
+    extension that is already a beam entry merges into it, one
+    ``logaddexp``, and its own slot drops out. The ``beam_width``
+    candidates with the most merged mass survive, a per-row
+    ``np.partition``; the final ranking uses the same mass. Every
+    sequence's beam has the same width W at every step: the beam holds
+    all prefixes until it first fills, and ``beam_width`` from then on.
+
+    Prefixes are ids in a ``_Trie`` with one root per sequence. Ties at
+    the cut, and in the final ranking, go to the lexicographically
+    smaller prefix: each beam entry carries its prefix as a row of
+    label codes padded with 0, and one ``np.lexsort`` orders candidates
+    of equal mass by those rows read as byte strings.
+
+    A step's arrays hold n_t * W * K candidates. Where that could pass
+    ``STEP_CANDIDATES``, runs of consecutive sequences are decoded one
+    after the other, each as a packing of its own.
+    """
     check_beam(beam_width, top_paths)
-    T, K = active.shape
+    logp = log_posteriors(np.asarray(probs, dtype=np.float64))
+    run = max(1, STEP_CANDIDATES // (beam_width * logp.shape[1]))
+    if run >= packing.lengths.size:
+        return _beam_search(logp, packing, beam_width, top_paths)
+    results = []
+    for first in range(0, packing.lengths.size, run):
+        part = Packing(packing.lengths[first:first + run])
+        rows = packing.offsets[part.time_of_row] + first + part.seq_of_row
+        results += _beam_search(logp[rows], part, beam_width, top_paths)
+    return results
+
+
+def _beam_search(logp, packing, beam_width, top_paths):
+    """``beam_search_packed`` of one packing, from its log posteriors."""
+    K = logp.shape[1]
     blank = K - 1
-    logp = log_posteriors(active)
-    labels = np.arange(blank)
+    B = packing.lengths.size
+    trie = _Trie(B, K)
+    results = [None] * B
 
-    # The trie: node 0 is the empty prefix and node n is the prefix of
-    # parent[n] followed by label[n]. A prefix keeps its id when it
-    # leaves the beam and comes back, so that equal prefixes meet.
-    parent = [-1]
-    label = [-1]
-    children = {}
+    # the beam, flat over (sequence, entry): node ids, the log mass
+    # ending in blank (pb) and in the last label (pnb), and the prefix
+    # codes, one row per entry
+    w = 1
+    node = np.arange(B)
+    pb = np.zeros(B)
+    pnb = np.full(B, NEG_INF)
+    codes = np.zeros((B, min(8, len(packing.steps))), dtype=_code_dtype(K))
+    shape = None
 
-    def prefix_of(n):
-        out = []
-        while n:
-            out.append(label[n])
-            n = parent[n]
-        return tuple(reversed(out))
+    for t, (start, n) in enumerate(packing.steps):
+        if n * w < node.size:  # sequences n.. ended at the previous frame
+            _finish(results, n, pb, pnb, codes, w, top_paths)
+            node, pb, pnb, codes = node[:n * w], pb[:n * w], pnb[:n * w], codes[:n * w]
+        if codes.shape[1] <= t:  # an entry may grow to t + 1 labels
+            wider = np.zeros((codes.shape[0], min(2 * t, len(packing.steps))),
+                             dtype=codes.dtype)
+            wider[:, :codes.shape[1]] = codes
+            codes = wider
+        if shape != (n, w):
+            shape = (n, w)
+            entry = np.arange(n * w)
+            seq_first = entry // w * w
+            seq_row = entry // w * K
+            column = entry - seq_first
+            entry_k = entry * K
+            slots = None  # the tie-break's, made when first needed
+        row = logp[start:start + n]
+        up = trie.parent[node]
+        last = trie.code[node]  # 0 for the empty prefix
 
-    # The beam, one entry per prefix: its node, the node's parent and
-    # last label (-1 for the empty prefix), and the log mass ending in
-    # blank (pb) and in the last label (pnb).
-    node = np.zeros(1, dtype=np.intp)
-    up = np.full(1, -1, dtype=np.intp)
-    last = np.full(1, -1, dtype=np.intp)
-    pb = np.zeros(1)
-    pnb = np.full(1, NEG_INF)
-
-    for t in range(T):
-        row = logp[t]
-        W = len(node)
         total = np.logaddexp(pb, pnb)
-        keep_b = total + row[blank]
-        keep_nb = np.where(last >= 0, pnb + row[last], NEG_INF)
-        # After a blank, the last label starts a new symbol; without
-        # one it collapses into the prefix (keep_nb above).
-        ext = np.where(labels == last[:, None], pb[:, None],
-                       total[:, None]) + row[:blank]
-        # Each prefix has one parent, so a bucket gets at most two
+        keep_b = (total.reshape(n, w) + row[:, blank:]).ravel()
+        # the empty prefix has no label mass (pnb = -inf), whatever its
+        # code 0 picks from the row before
+        last_p = row.ravel()[seq_row + last - 1]
+        keep_nb = pnb + last_p
+        cand = np.empty((n, w, K))
+        np.add(total.reshape(n, w, 1), row[:, None, :blank], out=cand[:, :, 1:])
+        cand = cand.ravel()
+        # After a blank, the last label starts a new symbol; without one
+        # it collapses into the prefix (keep_nb above). The empty
+        # prefix writes its kept slot, which is set below.
+        cand[entry_k + last] = pb + last_p
+        # Each prefix has one parent, so an entry gets at most two
         # contributions and the merge is one logaddexp in either order.
-        into, src = np.nonzero(up[:, None] == node[None, :])
-        keep_nb[into] = np.logaddexp(keep_nb[into], ext[src, last[into]])
-        fresh = np.ones(ext.shape, dtype=bool)
-        fresh[src, last[into]] = False
-        ext_src, ext_c = np.nonzero(fresh)
+        trie.slot[node] = column
+        src = seq_first + trie.slot[up]
+        into = node[src] == up
+        at = src * K + last
+        np.logaddexp(keep_nb, cand[at], out=keep_nb, where=into)
+        cand[::K] = keep_nb
+        # candidates rank by cost, the negated merged mass; a merged-away
+        # slot costs NaN, which no comparison keeps and every sort puts last
+        cost = np.negative(cand)
+        cost[::K] = np.negative(np.logaddexp(keep_b, keep_nb))
+        cost[at[into]] = np.nan
 
-        # the candidates: the W kept prefixes, then the fresh extensions
-        cand_from = np.concatenate([np.arange(W), ext_src])
-        cand_last = np.concatenate([last, ext_c])
-        cand_b = np.concatenate([keep_b, np.full(len(ext_c), NEG_INF)])
-        cand_nb = np.concatenate([keep_nb, ext[ext_src, ext_c]])
-        score = np.logaddexp(cand_b, cand_nb)
-        n = len(score)
-        if n <= beam_width:
-            sel = np.arange(n)
+        if w < beam_width and w * blank + 1 <= beam_width:
+            # the beam has held every prefix so far and holds all of them
+            # again: w * K candidates less the w - 1 merged in every row
+            sel = (cost == cost).nonzero()[0]
+            w = w * blank + 1
         else:
-            cut = np.partition(score, n - beam_width)[n - beam_width]
-            sel = np.flatnonzero(score > cut)
-            tied = np.flatnonzero(score == cut)
-            need = beam_width - len(sel)
-            if len(tied) > need:
-                # equal mass: the lexicographically smaller prefix wins
-                bases = {}
-                keys = []
-                for j, i in zip(tied.tolist(), cand_from[tied].tolist()):
-                    if i not in bases:
-                        bases[i] = prefix_of(node[i])
-                    grows = (int(cand_last[j]),) if j >= W else ()
-                    keys.append(bases[i] + grows)
-                order = sorted(range(len(tied)), key=keys.__getitem__)
-                tied = tied[order[:need]]
-            sel = np.concatenate([sel, tied])
+            by_row = cost.reshape(n, w * K)
+            cut = np.partition(by_row, beam_width - 1, axis=1)[:, beam_width - 1, None]
+            keep = by_row <= cut
+            sel = keep.ravel().nonzero()[0]
+            if sel.size != n * beam_width:  # some row's cut falls in a tie
+                if slots is None:
+                    slots = _slot_indices(n, w, K)
+                sel = _break_ties(by_row, keep, beam_width, codes,
+                                  trie.depth[node], slots)
+            w = beam_width
 
-        grown = sel >= W
-        origin = cand_from[sel]
-        up = np.where(grown, node[origin], up[origin])
-        last = cand_last[sel]
+        origin, code = np.divmod(sel, K)  # code 0: the entry kept
+        pnb = cand[sel]
+        pb = keep_b[origin]
         node = node[origin]
-        for k in np.flatnonzero(grown).tolist():
-            key = (int(node[k]), int(last[k]))
-            child = children.get(key)
-            if child is None:
-                child = len(parent)
-                parent.append(key[0])
-                label.append(key[1])
-                children[key] = child
-            node[k] = child
-        pb = cand_b[sel]
-        pnb = cand_nb[sel]
+        codes = codes[origin]
+        grown = code.nonzero()[0]
+        if grown.size:
+            pb[grown] = NEG_INF
+            parents, code = node[grown], code[grown]
+            codes[grown, trie.depth[parents]] = code
+            node[grown] = trie.children(parents, code)
 
-    score = np.logaddexp(pb, pnb)
-    finals = sorted(
-        range(len(node)), key=lambda j: (-score[j], prefix_of(node[j]))
-    )[:top_paths]
-    paths = [(list(prefix_of(node[j])), float(score[j])) for j in finals]
-    return DecodeResult(paths=paths)
+    _finish(results, 0, pb, pnb, codes, w, top_paths)
+    return results
+
+
+def _slot_indices(n, w, K):
+    """Per candidate slot of an (n, w, K) step: its index, beam entry, code and row."""
+    slot = np.arange(n * w * K)
+    entry, code = np.divmod(slot, K)
+    return slot, entry, code, slot // (w * K)
+
+
+def _break_ties(cost, keep, beam_width, codes, depth, slots):
+    """Flat indices of the ``beam_width`` cheapest slots of each row of ``cost``.
+
+    ``cost`` is (n, w * K): per beam entry the entry kept, then its K-1
+    extensions; ``keep`` marks the slots at or below each row's cut, and
+    ``slots`` is ``_slot_indices`` of the step. Rows that keep more than
+    ``beam_width`` slots have their cut in a tie, and only they are
+    ranked again, equal costs going to the lexicographically smaller
+    prefix: one ``np.lexsort`` over their slots whose last key is the
+    slot's prefix, its entry's ``codes`` row with the slot's code
+    written in at the entry's ``depth`` (a kept entry writes the 0 it
+    has there).
+    """
+    n, S = cost.shape
+    rows = (keep.sum(axis=1) != beam_width).nonzero()[0]
+    slot, entry, code, seq = slots
+    costs = cost.ravel()
+    if rows.size < n:
+        slot = (rows[:, None] * S + np.arange(S)).ravel()
+        entry, code, seq, costs = entry[slot], code[slot], seq[slot], costs[slot]
+    keys = _strings(codes)[entry]
+    keys.view(codes.dtype).reshape(slot.size, -1)[slots[0][:slot.size], depth[entry]] = code
+    top = slot[np.lexsort((keys, costs, seq)).reshape(rows.size, S)[:, :beam_width]].ravel()
+    if rows.size == n:
+        return top
+    keep[rows] = False
+    keep.ravel()[top] = True
+    return keep.ravel().nonzero()[0]
+
+
+def _finish(results, first, pb, pnb, codes, w, top_paths):
+    """Rank the beams of sequences ``first``.. into ``results``.
+
+    Each keeps its ``top_paths`` best entries by merged mass, ties to
+    the lexicographically smaller prefix.
+    """
+    score = np.logaddexp(pb[first * w:], pnb[first * w:])
+    codes = codes[first * w:]
+    seq = np.arange(score.size) // w
+    order = np.lexsort((_strings(codes), -score, seq)).reshape(-1, w)
+    for b, best in enumerate(order[:, :top_paths], first):
+        results[b] = DecodeResult(paths=[
+            ((codes[j][codes[j] > 0].astype(np.intp) - 1).tolist(), float(score[j]))
+            for j in best.tolist()
+        ])
 
 
 class _NodeBudgetExhausted(Exception):

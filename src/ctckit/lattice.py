@@ -31,7 +31,8 @@ model facade its packed groups. The single-sequence functions
 Each input rule is written once: ``_screen`` (lengths, label range,
 feasibility) screens the batches of ``check_sequences`` and the batch
 of one of every single-sequence call; ``posterior_frames`` checks
-decoder input.
+the input of a decoder called on one sequence, and
+``check_packed_posteriors`` the posteriors of a packed group.
 """
 
 from contextlib import contextmanager
@@ -340,21 +341,34 @@ def ctc_gradient_packed(packing, logits, labels, label_lengths):
     return -ll, np.exp(log_probs) - posterior
 
 
-def packed_losses(packing, probs, labels, label_lengths, index):
+def check_packed_posteriors(packing, probs, index):
+    """``_check_posteriors`` on every sequence of a packed group at once.
+
+    ``probs`` is (N, K) in ``packing``'s row order, and sequence b is
+    the caller's sequence ``index[b]``. One pass over all N rows finds
+    the rows that break a rule; the error is that of the first such
+    sequence in the caller's order, alone, and names it.
+    """
+    bad = ~(np.isfinite(probs) & (probs >= 0.0)).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row already bad
+        bad |= np.abs(probs.sum(axis=1) - 1.0) > 1e-6
+    if bad.any():
+        failing = np.unique(packing.seq_of_row[bad])
+        b = failing[np.argmin(np.asarray(index)[failing])]
+        with sequence_named(int(index[b])):
+            _check_posteriors(probs[packing.rows(b)])
+
+
+def packed_losses(packing, probs, labels, label_lengths):
     """Per-sequence losses of a packed, length-sorted batch of posteriors.
 
     ``probs`` is (N, K) in ``packing``'s row order and ``labels``
-    (B, >= L_max) holds each sequence's labels, already screened
-    (``check_sequences``). Sequence b is the caller's sequence
-    ``index[b]``: the posteriors are checked (``_check_posteriors``) in
-    the caller's order and an error names the sequence. One alpha pass
+    (B, >= L_max) holds each sequence's labels, both already screened
+    (``check_packed_posteriors``, ``check_sequences``). One alpha pass
     over ``log_posteriors(probs)``, the input ``ctc_loss`` takes, so
     each loss is that of ``ctc_loss`` on the sequence alone, bit for bit.
     Returns the losses (B,).
     """
-    for b in np.argsort(index, kind="stable").tolist():
-        with sequence_named(int(index[b])):
-            _check_posteriors(probs[packing.rows(b)])
     trellis = _Trellis(packing, log_posteriors(probs), labels, label_lengths)
     return -trellis.alpha()[1]
 
@@ -468,9 +482,11 @@ def ctc_loss_batch(batch):
     lengths = np.asarray(batch.input_lengths, dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     packing = Packing(lengths[order])
+    probs = packing.pack(features, order)
+    check_packed_posteriors(packing, probs, order)
     losses = np.empty(len(order))
     losses[order] = packed_losses(
-        packing, packing.pack(features, order), np.asarray(batch.labels)[order],
-        np.asarray(batch.label_lengths, dtype=np.int64)[order], order,
+        packing, probs, np.asarray(batch.labels)[order],
+        np.asarray(batch.label_lengths, dtype=np.int64)[order],
     )
     return losses.tolist()

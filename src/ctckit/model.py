@@ -25,12 +25,20 @@ import numpy as np
 
 from . import net
 from .data import LABEL_PAD, Dataset, _replacing, make_batches
-from .decode import beam_search_decode, best_path_decode, check_beam
-# ctc_gradient and ctc_loss are not called here; benchmark tracing
-# swaps its span wrappers into this namespace
+# beam_search_decode, best_path_decode, ctc_gradient and ctc_loss are
+# not called here; benchmark tracing swaps its span wrappers into this
+# namespace, so the names must stay importable from it
+from .decode import (  # noqa: F401
+    beam_search_decode,
+    beam_search_packed,
+    best_path_decode,
+    best_path_packed,
+    check_beam,
+)
 from .lattice import (  # noqa: F401
     InfeasibleAlignment,
     check_batch,
+    check_packed_posteriors,
     check_sequences,
     ctc_gradient,
     ctc_gradient_packed,
@@ -193,16 +201,21 @@ class CtcModel:
         """
         return self._run(
             features_list, input_lengths,
-            each=lambda probs: self._decode(probs, greedy, beam_width, top_paths),
+            each=lambda probs, packing: self._decode(
+                probs, packing, greedy, beam_width, top_paths),
         )[1]
 
-    def _decode(self, probs, greedy=None, beam_width=None, top_paths=None):
-        """Decode one posterior matrix; None takes the DecodeConfig value."""
+    def _decode(self, probs, packing, greedy=None, beam_width=None,
+                top_paths=None):
+        """Decode a packed group, one result per sequence in packing order.
+
+        None takes the DecodeConfig value.
+        """
         cfg = self.decode_config
         if cfg.greedy if greedy is None else greedy:
-            return best_path_decode(probs)
-        return beam_search_decode(
-            probs,
+            return best_path_packed(probs, packing)
+        return beam_search_packed(
+            probs, packing,
             beam_width=cfg.beam_width if beam_width is None else beam_width,
             top_paths=cfg.top_paths if top_paths is None else top_paths,
         )
@@ -233,7 +246,9 @@ class CtcModel:
         losses, preds = self._run(
             [f for f, _ in dataset.sequences],
             labels=truths if "loss" in requested else None,
-            each=(lambda probs: self._decode(probs).paths[0][0]) if decode else None,
+            each=(lambda probs, packing: [
+                r.paths[0][0] for r in self._decode(probs, packing)
+            ]) if decode else None,
         )
         report = MetricsReport(decode=asdict(self.decode_config))
         if "loss" in requested:
@@ -256,7 +271,9 @@ class CtcModel:
             feature_arrays = [f for f, _ in dataset_or_features.sequences]
         else:
             feature_arrays = list(dataset_or_features)
-        return self._run(feature_arrays, each=lambda probs: probs)[1]
+        return self._run(feature_arrays, each=lambda probs, packing: [
+            probs[packing.rows(b)] for b in range(packing.lengths.size)
+        ])[1]
 
     def _run(self, features_list, input_lengths=None, labels=None, each=None):
         """Run the network over sequences, one packed group at a time.
@@ -268,11 +285,14 @@ class CtcModel:
         against 326 in training). Returns (losses, outputs) in input
         order. With ``labels`` (one label list per sequence), losses[i]
         is the CTC loss of sequence i, from one ``packed_losses`` pass
-        per group; otherwise losses is None. With ``each``, outputs[i]
-        is ``each`` of the posteriors of the first input_len frames of
-        sequence i; otherwise outputs holds Nones. Every sequence is
-        screened before the first group runs, and an error names the
-        sequence by its index.
+        per group; otherwise losses is None. ``each(probs, packing)``
+        maps a group's posteriors (N, K), of the first input_len frames
+        of each sequence, to one output per sequence in packing order,
+        and outputs[i] is that of sequence i; without ``each`` outputs
+        holds Nones. Every sequence is screened before the first group
+        runs, and each group's posteriors once
+        (``check_packed_posteriors``); an error names the sequence by
+        its index.
         """
         features_list = list(features_list)
         n = len(features_list)
@@ -352,16 +372,12 @@ def _run_group(spec, params, arrays, lengths, labels, index, each):
     probs = net.softmax_rows(
         net.forward_packed(spec, params, packing, frames, for_backward=False)[0]
     )
+    check_packed_posteriors(packing, probs, index)
     losses = None
     if labels is not None:
         matrix, label_lengths = labels
-        losses = packed_losses(packing, probs, matrix[index],
-                               label_lengths[index], index)
-    outputs = [None] * len(index)
-    if each is not None:
-        for b, i in enumerate(index.tolist()):
-            with sequence_named(i):
-                outputs[b] = each(probs[packing.rows(b)])
+        losses = packed_losses(packing, probs, matrix[index], label_lengths[index])
+    outputs = [None] * len(index) if each is None else each(probs, packing)
     return losses, outputs
 
 

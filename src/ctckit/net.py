@@ -62,6 +62,7 @@ process kept one core busy.
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from types import MappingProxyType
@@ -782,10 +783,25 @@ class OptimizerState:
 
 
 def init_optimizer(kind, learning_rate, params):
-    """Optimizer state for ``params``; Adam's moments take their layout."""
+    """Optimizer state for ``params``; Adam's moments take their layout.
+
+    ``learning_rate`` must be a real number (not a bool or a string),
+    finite and not negative; a rate of 0 takes steps that leave the
+    parameters as they are. Any other raises ValueError before a step
+    could turn the parameters to NaN.
+    """
     if kind not in ("sgd", "adam"):
         raise ValueError("unknown optimizer %r (expected 'sgd' or 'adam')" % (kind,))
-    state = OptimizerState(kind=kind, learning_rate=float(learning_rate))
+    rate = math.nan
+    if isinstance(learning_rate, numbers.Real) and not isinstance(learning_rate, bool):
+        try:
+            rate = float(learning_rate)
+        except OverflowError:  # an int past the float range
+            rate = math.inf
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ValueError("learning_rate must be a finite number >= 0, got %r"
+                         % (learning_rate,))
+    state = OptimizerState(kind=kind, learning_rate=rate)
     if kind == "adam":
         shapes = as_flat(params).shapes
         state.m, state.v = FlatTensors(shapes), FlatTensors(shapes)

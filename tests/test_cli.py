@@ -117,6 +117,20 @@ class TestExitCodes:
         assert cli_main(["train", "--epochs", "1"]) == 1
         assert capsys.readouterr().err.startswith("error[usage]:")
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-0.001"])
+    def test_bad_learning_rate_is_usage_error(self, tmp_path, capsys, rate):
+        data = str(tmp_path / "d.jsonl")
+        assert cli_main(["gen-data", "--num", "20", "--labels", "3",
+                         "--feature-dim", "3", "--out", data]) == 0
+        code = cli_main(["train", "--config", write_arch(tmp_path),
+                         "--data", data, "--epochs", "2", "--lr", rate,
+                         "--out", str(tmp_path / "model")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[usage]: learning_rate")
+        assert err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "model")
+
     def test_unknown_metric_is_usage_error(self, tmp_path, capsys):
         data, model_dir, _ = run_pipeline(tmp_path, "u")
         capsys.readouterr()

@@ -1,17 +1,23 @@
 """Decoders against exhaustive enumeration and each other."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctckit import decode
 from ctckit.decode import (
     BudgetExceeded,
     beam_search_decode,
+    beam_search_packed,
     best_path_decode,
+    best_path_packed,
     exact_decode,
     prefix_search_decode,
 )
+from ctckit.packing import Packing
 
 from oracles import random_posterior, ranked_sequences, scalar_beam_search
 
@@ -289,3 +295,121 @@ class TestBeamMatchesScalarReference:
         got = beam_search_decode(probs, beam_width=4, top_paths=3).paths
         assert len(got) == 2
         assert got == scalar_beam_search(probs, beam_width=4, top_paths=3)
+
+
+def packed(posteriors):
+    """The (N, K) rows and the Packing of length-sorted posteriors."""
+    packing = Packing([len(p) for p in posteriors])
+    probs = np.empty((packing.num_frames, posteriors[0].shape[1]))
+    for b, p in enumerate(posteriors):
+        probs[packing.rows(b)] = p
+    return probs, packing
+
+
+class TestPackedBeamSearch:
+    """A packed group decodes each sequence as the scalar beam does alone."""
+
+    def check(self, posteriors, width, top_paths):
+        posteriors = sorted(posteriors, key=len, reverse=True)
+        got = beam_search_packed(*packed(posteriors), width, top_paths)
+        assert [r.paths for r in got] == [
+            scalar_beam_search(p, beam_width=width, top_paths=top_paths)
+            for p in posteriors]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_property(self, data):
+        K = data.draw(st.integers(2, 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        posteriors = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            p = random_posterior(rng, data.draw(st.integers(1, 40)), K)
+            if data.draw(st.booleans()):
+                # coarse values make zero entries and exactly tied prefixes
+                p = np.round(p * 4) / 4
+            posteriors.append(p)
+        width = data.draw(st.integers(1, 16))
+        self.check(posteriors, width, data.draw(st.integers(1, width)))
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_lengths_of_one(self, rounded):
+        rng = np.random.default_rng(61)
+        posteriors = [random_posterior(rng, 1, 4) for _ in range(5)]
+        if rounded:
+            posteriors = [np.round(p * 4) / 4 for p in posteriors]
+        self.check(posteriors, 3, 2)
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_equal_lengths(self, rounded):
+        rng = np.random.default_rng(62)
+        posteriors = [random_posterior(rng, 17, 5) for _ in range(4)]
+        if rounded:
+            posteriors = [np.round(p * 4) / 4 for p in posteriors]
+        self.check(posteriors, 6, 3)
+
+    def test_one_long_sequence_outlasts_the_rest(self):
+        rng = np.random.default_rng(63)
+        lengths = [120, 9, 5, 5, 2, 1]
+        posteriors = [random_posterior(rng, T, 6) for T in lengths]
+        posteriors[2] = np.round(posteriors[2] * 4) / 4
+        self.check(posteriors, 8, 4)
+
+    def test_runs_of_sequences(self, monkeypatch):
+        # a group too large for one step's arrays is decoded in runs
+        monkeypatch.setattr(decode, "STEP_CANDIDATES", 2 * 8 * 6)
+        rng = np.random.default_rng(65)
+        lengths = [30, 30, 12, 9, 9, 5, 2]
+        posteriors = [np.round(random_posterior(rng, T, 6) * 4) / 4 for T in lengths]
+        self.check(posteriors, 8, 3)
+
+    def test_labels_past_one_byte(self):
+        # 300 classes: prefix codes take two bytes each, and coarse values
+        # leave most entries 0, so most frames tie at -inf
+        rng = np.random.default_rng(66)
+        posteriors = [np.round(random_posterior(rng, T, 300) * 40) / 40
+                      for T in (12, 7, 3)]
+        self.check(posteriors, 8, 5)
+
+    def test_negative_infinity_tail(self):
+        # one prefix has mass; the rest of the beam is filled with the
+        # lexicographically smallest of the prefixes that have none
+        probs = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        got = beam_search_packed(probs, Packing([3]), 6, 5)[0].paths
+        assert got == scalar_beam_search(probs, beam_width=6, top_paths=5)
+        assert got[0] == ([1, 0], 0.0)
+        assert got[1:3] == [([], -np.inf), ([0], -np.inf)]
+
+    def test_one_hot_costs_at_most_twice_random(self):
+        """Ties at the cut are ordered by one lexsort, not a Python sort.
+
+        On one-hot posteriors about 450 candidates tie at -inf in every
+        frame. Each decode is timed in CPU time, so that other processes
+        on the machine count less, at its best of seven runs.
+        """
+        rng = np.random.default_rng(64)
+        one_hot = np.zeros((200, 29))
+        one_hot[np.arange(200), rng.integers(0, 29, 200)] = 1.0
+        dense = random_posterior(rng, 200, 29)
+        best = {}
+        for _ in range(7):
+            for name, probs in (("one_hot", one_hot), ("dense", dense)):
+                start = time.process_time()
+                beam_search_decode(probs, beam_width=16, top_paths=2)
+                elapsed = time.process_time() - start
+                best[name] = min(best.get(name, elapsed), elapsed)
+        assert best["one_hot"] <= 2 * best["dense"], best
+
+
+class TestPackedBestPath:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_each_sequence_as_alone(self, data):
+        K = data.draw(st.integers(2, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        posteriors = sorted(
+            (np.round(random_posterior(rng, data.draw(st.integers(1, 30)), K) * 4) / 4
+             for _ in range(data.draw(st.integers(1, 6)))),
+            key=len, reverse=True)
+        got = best_path_packed(*packed(posteriors))
+        assert [r.paths for r in got] == [best_path_decode(p).paths
+                                          for p in posteriors]

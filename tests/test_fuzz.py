@@ -62,7 +62,10 @@ HYPERPARAMS = json.loads(HYPERPARAMS_JSON)
 # load_model must refuse with its own error, weights file or not
 CORRUPT_HYPERPARAMS = [("decode.beam_width", "x"), ("seed", "abc"),
                        ("optimizer", "rmsprop"), ("decode.top_paths", 0),
-                       ("decode.greedy", "no")]
+                       ("decode.greedy", "no"), ("learning_rate", "1e-3"),
+                       ("learning_rate", float("nan")),
+                       ("learning_rate", float("inf")),
+                       ("learning_rate", -1.0), ("learning_rate", True)]
 HYPERPARAM_NAMES = ["optimizer", "learning_rate", "seed", "decode",
                     "decode.greedy", "decode.beam_width", "decode.top_paths"]
 JSON_VALUES = st.recursive(

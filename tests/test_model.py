@@ -98,6 +98,11 @@ class TestCompile:
         b = CtcModel.compile(SPEC, seed=3).predict(feats)
         assert [r.paths for r in a] == [r.paths for r in b]
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0, "1e-3", False])
+    def test_bad_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            CtcModel.compile(SPEC, learning_rate=rate)
+
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ValueError):
             CtcModel.compile(SPEC, optimizer="rmsprop")
@@ -329,6 +334,38 @@ class TestPredict:
         else:
             with pytest.raises(ValueError, match=message):
                 model.predict(sequences, input_lengths=[3, input_len])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_bad_posteriors_name_the_first_sequence_in_input_order(
+            self, monkeypatch, bad):
+        """One screen per group: the error is that of the sequence alone.
+
+        Sequences 0 and 2 get a bad row; the packing runs sequence 2
+        first, yet the error names sequence 0, as in input order.
+        """
+        model = CtcModel.compile(SPEC, seed=6)
+        features = [np.zeros((4, 3)), np.zeros((2, 3)), np.zeros((6, 3))]
+        lengths = np.array([4, 2, 6])
+        index = np.argsort(-lengths, kind="stable")
+        packing = model_module.Packing(lengths[index])
+        rows = [packing.rows(int(np.flatnonzero(index == i)[0]))
+                for i in range(3)]
+        softmax_rows = net.softmax_rows
+
+        def spoiled(z):
+            probs = softmax_rows(z)
+            probs[rows[0][3], 1] = bad
+            probs[rows[2][1], 0] = bad
+            return probs
+
+        monkeypatch.setattr(net, "softmax_rows", spoiled)
+        message = ("^sequence 0: posterior row 3 has a NaN, infinite or "
+                   "negative entry$")
+        for greedy in (True, False):
+            with pytest.raises(ValueError, match=message):
+                model.predict(features, greedy=greedy, beam_width=4)
+        with pytest.raises(ValueError, match=message):
+            model.get_probas(features)
 
     def test_trained_model_recovers_noiseless_training_labels(self):
         ds = generate_synthetic(60, num_labels=3, feature_dim=3,

@@ -433,6 +433,18 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             init_optimizer("rmsprop", 0.1, {})
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1.0, -1e-300,
+                                      "1e-3", True, None, [0.1], 10 ** 400])
+    def test_bad_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            init_optimizer("adam", rate, {"w": np.zeros(1)})
+
+    @pytest.mark.parametrize("rate", [0, 0.0, 1e-3, 2, np.float32(0.5), np.int64(1)])
+    def test_real_learning_rate_kept_as_float(self, rate):
+        state = init_optimizer("sgd", rate, {"w": np.zeros(1)})
+        assert type(state.learning_rate) is float
+        assert state.learning_rate == float(rate)
+
     def test_shape_disagreement_rejected(self):
         params = as_flat({"w": np.array([1.0])})
         state = init_optimizer("sgd", 0.1, params)
