@@ -15,9 +15,11 @@ Four strategies, slowest to fastest:
   which decodes a whole packed group (``ctckit.packing``): each frame
   step advances every sequence still running as one (sequences, beam,
   K) candidate array, a few numpy operations whatever the group size.
-  Prefixes are integer ids in one trie with a root per sequence; ties
-  at the beam's cut go to the lexicographically smaller prefix, by one
-  ``np.lexsort`` over the prefixes' padded rows of label codes.
+  A beam entry is named by its row of codes, its sequence's and then
+  its labels': an extension finds the entry it equals by one sorted
+  search of the rows, and ties at the beam's cut go to the
+  lexicographically smaller prefix, by one ``np.lexsort`` over the
+  rows read as byte strings.
 - ``best_path_decode`` collapses the per-frame argmax; it is the batch
   of one of ``best_path_packed``, one argmax over a whole group.
 
@@ -144,7 +146,10 @@ def best_path_packed(probs, packing):
 
 
 def check_beam(beam_width, top_paths):
-    """Raise ValueError unless 1 <= top_paths <= beam_width."""
+    """Raise ValueError unless both are integers and 1 <= top_paths <= beam_width."""
+    for name, value in (("beam_width", beam_width), ("top_paths", top_paths)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError("%s must be an integer, got %r" % (name, value))
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     if top_paths > beam_width:
@@ -165,68 +170,18 @@ def beam_search_decode(probs, input_len=None, beam_width=100, top_paths=1):
                               beam_width, top_paths)[0]
 
 
-class _Trie:
-    """Prefix ids of a packed group, one root per sequence.
-
-    Node b < B is the empty prefix of sequence b. Node n >= B is the
-    prefix of ``parent[n]`` followed by one label, whose code (label + 1)
-    is ``code[n]``, and it is ``depth[n]`` labels long. ``child`` maps
-    p * K + d to the id of p's prefix followed by the label of code d,
-    once a beam has held it: a prefix that leaves the beam and comes back
-    so keeps its id, and equal prefixes meet. ``slot[n]`` is the beam
-    column that last held n (stale once n has left the beam). A map, not
-    a (nodes, K) table, so that the trie's size follows its nodes alone.
-    """
-
-    def __init__(self, roots, num_classes):
-        self.roots = roots
-        self.num_classes = num_classes
-        self.child = {}
-        capacity = max(256, 2 * roots)
-        self.parent = np.full(capacity, -1, dtype=np.intp)
-        self.code = np.zeros(capacity, dtype=np.intp)
-        self.depth = np.zeros(capacity, dtype=np.intp)
-        self.slot = np.zeros(capacity, dtype=np.intp)
-
-    def children(self, nodes, codes):
-        """Ids of ``nodes`` each followed by a label code; new pairs get new ids."""
-        keys = (nodes * self.num_classes + codes).tolist()
-        get = self.child.get
-        kids = np.array([get(key, -1) for key in keys], dtype=np.intp)
-        new = (kids < 0).nonzero()[0]
-        if new.size:
-            size = self.roots + len(self.child)
-            if size + new.size > len(self.parent):
-                self._grow(2 * (size + new.size))
-            ids = np.arange(size, size + new.size)
-            self.child.update(zip([keys[i] for i in new.tolist()], ids.tolist()))
-            nodes = nodes[new]
-            self.parent[ids] = nodes
-            self.code[ids] = codes[new]
-            self.depth[ids] = self.depth[nodes] + 1
-            kids[new] = ids
-        return kids
-
-    def _grow(self, capacity):
-        for name, fill in (("parent", -1), ("code", 0), ("depth", 0), ("slot", 0)):
-            old = getattr(self, name)
-            new = np.full(capacity, fill, dtype=old.dtype)
-            new[:len(old)] = old
-            setattr(self, name, new)
-
-
-def _code_dtype(num_classes):
-    # a prefix is stored as a row of label codes (label + 1), padded
-    # with 0: big-endian, so that rows compare as byte strings in the
-    # lexicographic order of their labels, a proper prefix first
-    return np.dtype(">u1" if num_classes <= 256 else ">u2" if num_classes <= 2 ** 16
+def _code_dtype(largest):
+    # codes below largest, big-endian, so that rows of them padded with
+    # 0 compare as byte strings in lexicographic order, a proper prefix
+    # first
+    return np.dtype(">u1" if largest <= 256 else ">u2" if largest <= 2 ** 16
                     else ">u4")
 
 
-def _strings(codes):
-    """Rows of prefix codes as byte strings, one per row."""
+def _strings(codes, kind="S"):
+    """Rows of codes as one byte string (kind "S") or void ("V") each."""
     codes = np.ascontiguousarray(codes)
-    return codes.view("S%d" % (codes.shape[1] * codes.itemsize)).ravel()
+    return codes.view("%s%d" % (kind, codes.shape[1] * codes.itemsize)).ravel()
 
 
 def beam_search_packed(probs, packing, beam_width=100, top_paths=1):
@@ -250,11 +205,13 @@ def beam_search_packed(probs, packing, beam_width=100, top_paths=1):
     sequence's beam has the same width W at every step: the beam holds
     all prefixes until it first fills, and ``beam_width`` from then on.
 
-    Prefixes are ids in a ``_Trie`` with one root per sequence. Ties at
-    the cut, and in the final ranking, go to the lexicographically
-    smaller prefix: each beam entry carries its prefix as a row of
-    label codes padded with 0, and one ``np.lexsort`` orders candidates
-    of equal mass by those rows read as byte strings.
+    A beam entry is named by a row of codes padded with 0: its
+    sequence's number plus 1, then its labels plus 1, so no two entries
+    of a group share a row. One sorted search of the rows finds which
+    entries' parents (the prefix less its last label) are in the beam.
+    Ties at the cut, and in the final ranking, go to the
+    lexicographically smaller prefix: one ``np.lexsort`` orders
+    candidates of equal mass by their rows read as byte strings.
 
     A step's arrays hold n_t * W * K candidates. Where that could pass
     ``STEP_CANDIDATES``, runs of consecutive sequences are decoded one
@@ -278,39 +235,32 @@ def _beam_search(logp, packing, beam_width, top_paths):
     K = logp.shape[1]
     blank = K - 1
     B = packing.lengths.size
-    trie = _Trie(B, K)
     results = [None] * B
 
-    # the beam, flat over (sequence, entry): node ids, the log mass
-    # ending in blank (pb) and in the last label (pnb), and the prefix
-    # codes, one row per entry
+    # the beam, flat over (sequence, entry): the log mass ending in blank
+    # (pb) and in the last label (pnb), the code rows, and each prefix's
+    # length (depth) and last code (0 for the empty prefix)
     w = 1
-    node = np.arange(B)
     pb = np.zeros(B)
     pnb = np.full(B, NEG_INF)
-    codes = np.zeros((B, min(8, len(packing.steps))), dtype=_code_dtype(K))
+    codes = np.zeros((B, len(packing.steps) + 1), dtype=_code_dtype(max(K, B + 1)))
+    codes[:, 0] = np.arange(1, B + 1)
+    depth = np.zeros(B, dtype=np.intp)
+    last = np.zeros(B, dtype=np.intp)
     shape = None
 
     for t, (start, n) in enumerate(packing.steps):
-        if n * w < node.size:  # sequences n.. ended at the previous frame
+        if n * w < pb.size:  # sequences n.. ended at the previous frame
             _finish(results, n, pb, pnb, codes, w, top_paths)
-            node, pb, pnb, codes = node[:n * w], pb[:n * w], pnb[:n * w], codes[:n * w]
-        if codes.shape[1] <= t:  # an entry may grow to t + 1 labels
-            wider = np.zeros((codes.shape[0], min(2 * t, len(packing.steps))),
-                             dtype=codes.dtype)
-            wider[:, :codes.shape[1]] = codes
-            codes = wider
+            pb, pnb, codes, depth, last = (
+                a[:n * w] for a in (pb, pnb, codes, depth, last))
         if shape != (n, w):
             shape = (n, w)
             entry = np.arange(n * w)
-            seq_first = entry // w * w
             seq_row = entry // w * K
-            column = entry - seq_first
             entry_k = entry * K
             slots = None  # the tie-break's, made when first needed
         row = logp[start:start + n]
-        up = trie.parent[node]
-        last = trie.code[node]  # 0 for the empty prefix
 
         total = np.logaddexp(pb, pnb)
         keep_b = (total.reshape(n, w) + row[:, blank:]).ravel()
@@ -325,11 +275,21 @@ def _beam_search(logp, packing, beam_width, top_paths):
         # it collapses into the prefix (keep_nb above). The empty
         # prefix writes its kept slot, which is set below.
         cand[entry_k + last] = pb + last_p
+        # An entry's parent is its row with the code at its depth zeroed
+        # (the empty prefix's, all 0, names no entry). The first row at
+        # or after it in byte order lies between it and the entry's own,
+        # so it starts with the parent's codes, and is the parent if one
+        # label shorter than the entry. Void rows sort as byte strings
+        # do, several times faster, but np.lexsort takes only strings.
         # Each prefix has one parent, so an entry gets at most two
         # contributions and the merge is one logaddexp in either order.
-        trie.slot[node] = column
-        src = seq_first + trie.slot[up]
-        into = node[src] == up
+        keys = _strings(codes, "V")
+        parent = codes.copy()
+        parent[entry, depth] = 0
+        wanted = _strings(parent, "V")
+        order = keys.argsort()
+        src = order[np.searchsorted(keys, wanted, sorter=order)]
+        into = depth[src] == depth - 1
         at = src * K + last
         np.logaddexp(keep_nb, cand[at], out=keep_nb, where=into)
         cand[::K] = keep_nb
@@ -352,21 +312,19 @@ def _beam_search(logp, packing, beam_width, top_paths):
             if sel.size != n * beam_width:  # some row's cut falls in a tie
                 if slots is None:
                     slots = _slot_indices(n, w, K)
-                sel = _break_ties(by_row, keep, beam_width, codes,
-                                  trie.depth[node], slots)
+                sel = _break_ties(by_row, keep, beam_width, codes, depth, slots)
             w = beam_width
 
         origin, code = np.divmod(sel, K)  # code 0: the entry kept
         pnb = cand[sel]
         pb = keep_b[origin]
-        node = node[origin]
-        codes = codes[origin]
+        codes, depth, last = codes[origin], depth[origin], last[origin]
         grown = code.nonzero()[0]
         if grown.size:
             pb[grown] = NEG_INF
-            parents, code = node[grown], code[grown]
-            codes[grown, trie.depth[parents]] = code
-            node[grown] = trie.children(parents, code)
+            depth[grown] += 1
+            last[grown] = code = code[grown]
+            codes[grown, depth[grown]] = code
 
     _finish(results, 0, pb, pnb, codes, w, top_paths)
     return results
@@ -388,8 +346,8 @@ def _break_ties(cost, keep, beam_width, codes, depth, slots):
     ``beam_width`` slots have their cut in a tie, and only they are
     ranked again, equal costs going to the lexicographically smaller
     prefix: one ``np.lexsort`` over their slots whose last key is the
-    slot's prefix, its entry's ``codes`` row with the slot's code
-    written in at the entry's ``depth`` (a kept entry writes the 0 it
+    slot's code row, its entry's row with the slot's code written in
+    after the entry's ``depth`` labels (a kept entry writes the 0 it
     has there).
     """
     n, S = cost.shape
@@ -400,7 +358,7 @@ def _break_ties(cost, keep, beam_width, codes, depth, slots):
         slot = (rows[:, None] * S + np.arange(S)).ravel()
         entry, code, seq, costs = entry[slot], code[slot], seq[slot], costs[slot]
     keys = _strings(codes)[entry]
-    keys.view(codes.dtype).reshape(slot.size, -1)[slots[0][:slot.size], depth[entry]] = code
+    keys.view(codes.dtype).reshape(slot.size, -1)[slots[0][:slot.size], depth[entry] + 1] = code
     top = slot[np.lexsort((keys, costs, seq)).reshape(rows.size, S)[:, :beam_width]].ravel()
     if rows.size == n:
         return top
@@ -413,15 +371,16 @@ def _finish(results, first, pb, pnb, codes, w, top_paths):
     """Rank the beams of sequences ``first``.. into ``results``.
 
     Each keeps its ``top_paths`` best entries by merged mass, ties to
-    the lexicographically smaller prefix.
+    the lexicographically smaller prefix; an entry's labels are its code
+    row after the leading sequence code.
     """
     score = np.logaddexp(pb[first * w:], pnb[first * w:])
-    codes = codes[first * w:]
+    labels = codes[first * w:, 1:]
     seq = np.arange(score.size) // w
-    order = np.lexsort((_strings(codes), -score, seq)).reshape(-1, w)
+    order = np.lexsort((_strings(labels), -score, seq)).reshape(-1, w)
     for b, best in enumerate(order[:, :top_paths], first):
         results[b] = DecodeResult(paths=[
-            ((codes[j][codes[j] > 0].astype(np.intp) - 1).tolist(), float(score[j]))
+            ((labels[j][labels[j] > 0].astype(np.intp) - 1).tolist(), float(score[j]))
             for j in best.tolist()
         ])
 

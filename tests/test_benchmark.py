@@ -5,9 +5,10 @@ the posteriors, losses against ``ctc_loss``, each round or pipeline
 against the first, CLI artifacts byte for byte) and counts each failure
 against the operations attempted. Running it here makes a change that
 breaks one of those checks fail the tests, not only the benchmark.
-infer-long covers the facade's inference calls, cli-pipeline the CLI
-and the model files; ``--trace 1`` also checks that the traced calls
-give the untraced results.
+train-short and train-long-lstm cover ``fit`` on the RNN and the LSTM,
+infer-long the facade's inference calls, cli-pipeline the CLI and the
+model files; ``--trace 1`` also checks that the traced calls give the
+untraced results.
 """
 
 import json
@@ -23,7 +24,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("trace", [0, 1])
-@pytest.mark.parametrize("workload", ["infer-long", "cli-pipeline"])
+@pytest.mark.parametrize("workload", ["train-short", "train-long-lstm",
+                                      "infer-long", "cli-pipeline"])
 def test_tiny_run_passes_every_output_check(workload, trace):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),

@@ -1,6 +1,7 @@
 """Decoders against exhaustive enumeration and each other."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,23 @@ class TestBeamSearchDecode:
     def test_top_paths_exceeding_width_rejected(self):
         with pytest.raises(ValueError):
             beam_search_decode(DIVERGENT, beam_width=2, top_paths=3)
+
+    @pytest.mark.parametrize("name, width, top_paths", [
+        ("beam_width", 2.5, 1), ("beam_width", 3.0, 1), ("beam_width", "4", 1),
+        ("beam_width", True, 1), ("top_paths", 4, 1.5), ("top_paths", 4, False),
+    ])
+    def test_sizes_must_be_integers(self, name, width, top_paths):
+        message = "^%s must be an integer" % name
+        with pytest.raises(ValueError, match=message):
+            beam_search_decode(DIVERGENT, beam_width=width, top_paths=top_paths)
+        with pytest.raises(ValueError, match=message):
+            beam_search_packed(DIVERGENT, Packing([2]), width, top_paths)
+
+    def test_numpy_integer_sizes(self):
+        got = beam_search_decode(DIVERGENT, beam_width=np.int64(2),
+                                 top_paths=np.int32(2))
+        assert got.paths == beam_search_decode(DIVERGENT, beam_width=2,
+                                               top_paths=2).paths
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -369,6 +387,39 @@ class TestPackedBeamSearch:
         posteriors = [np.round(random_posterior(rng, T, 300) * 40) / 40
                       for T in (12, 7, 3)]
         self.check(posteriors, 8, 5)
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_sequences_repeating_one_posterior(self, rounded):
+        # equal prefixes sit in several sequences' beams at once
+        rng = np.random.default_rng(67)
+        probs = random_posterior(rng, 30, 5)
+        if rounded:
+            probs = np.round(probs * 4) / 4
+        self.check([probs, probs, probs[:20], probs[:20], probs[:7]], 6, 3)
+
+    def test_sequence_codes_past_one_byte(self):
+        # 300 sequences of 4 classes: the labels' codes fit a byte and the
+        # sequences' do not; sequences b and b + 256 share their posteriors
+        rng = np.random.default_rng(68)
+        bases = [np.round(random_posterior(rng, 5, 4) * 4) / 4 for _ in range(4)]
+        self.check([bases[b % 4] for b in range(300)], 3, 2)
+
+    def test_memory_follows_the_beam(self):
+        """Merges are found among the beam's entries alone.
+
+        Nothing outlives the step that holds it, so at W 100 the peak of
+        a 649-frame group stays near the size of a step's arrays.
+        """
+        rng = np.random.default_rng(69)
+        probs, packing = packed([random_posterior(rng, T, 29)
+                                 for T in (209, 190, 150, 100)])
+        tracemalloc.start()
+        try:
+            beam_search_packed(probs, packing, 100, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, peak
 
     def test_negative_infinity_tail(self):
         # one prefix has mass; the rest of the beam is filled with the

@@ -309,6 +309,13 @@ class TestPredict:
             expected = beam_search_decode(probs, beam_width=8, top_paths=2)
             assert result.paths == expected.paths
 
+    @pytest.mark.parametrize("name, value", [
+        ("beam_width", 2.5), ("beam_width", True), ("top_paths", 1.5)])
+    def test_beam_sizes_must_be_integers(self, name, value):
+        model = CtcModel.compile(SPEC, seed=6)
+        with pytest.raises(ValueError, match="^%s must be an integer" % name):
+            model.predict([np.zeros((4, 3))], greedy=False, **{name: value})
+
     def test_input_lengths_count_must_match(self):
         model = CtcModel.compile(SPEC, seed=6)
         f = np.zeros((4, 3))
