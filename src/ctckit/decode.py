@@ -90,8 +90,7 @@ def exact_decode(probs, input_len=None, top_paths=1,
     """
     active = posterior_frames(probs, input_len)
     T, K = active.shape
-    if top_paths < 1:
-        raise ValueError("top_paths must be >= 1")
+    _check_count("top_paths", top_paths)
     if T * math.log(K) > math.log(max_paths):
         raise BudgetExceeded(
             "%d^%d paths exceed the enumeration budget of %d" % (K, T, max_paths)
@@ -145,19 +144,22 @@ def best_path_packed(probs, packing):
     return results
 
 
+def _check_count(name, value):
+    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < 1:
+        raise ValueError("%s must be >= 1" % name)
+
+
 def check_beam(beam_width, top_paths):
     """Raise ValueError unless both are integers and 1 <= top_paths <= beam_width."""
-    for name, value in (("beam_width", beam_width), ("top_paths", top_paths)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError("%s must be an integer, got %r" % (name, value))
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
+    _check_count("beam_width", beam_width)
+    _check_count("top_paths", top_paths)
     if top_paths > beam_width:
         raise ValueError(
             "top_paths %d exceeds beam_width %d" % (top_paths, beam_width)
         )
-    if top_paths < 1:
-        raise ValueError("top_paths must be >= 1")
 
 
 def beam_search_decode(probs, input_len=None, beam_width=100, top_paths=1):

@@ -14,15 +14,16 @@ Conventions used throughout this module (and the rest of the package):
   onward, so for every t, logsumexp_s(alpha[t][s] + beta[t][s]) equals
   the full-sequence log-likelihood.
 
-One lattice implementation serves every entry point. It runs alpha and
-beta for a whole length-sorted batch at once over (B, 2 * L_max + 1)
-states in the packed layout of ``ctckit.packing``, a step at a time for
-the sequences still running (the batched lattice of warp-ctc). It is
-fed log-probabilities computed once: ``log_softmax`` of the logits in
-``ctc_gradient_packed``, ``log_posteriors`` in ``ctc_loss`` and
-``packed_losses``, so logits far apart cannot underflow a probability
-to 0 and make a feasible alignment look impossible (Graves et al.
-2006, section 4.1). ``packed_losses`` scores a packed batch of
+One lattice implementation serves every entry point (``_trellis``). It
+runs a whole length-sorted batch at once in the packed layout of
+``ctckit.packing``, a step at a time for the sequences still running
+(the batched lattice of warp-ctc). Beta is the alpha recursion run over
+the reversed sequence (Graves et al. 2006), so alpha and beta advance
+in one loop. It is fed log-probabilities computed once: ``log_softmax``
+of the logits in ``ctc_gradient_packed``, ``log_posteriors`` in
+``ctc_loss`` and ``packed_losses``, so logits far apart cannot
+underflow a probability to 0 and make a feasible alignment look
+impossible (Graves et al. 2006, section 4.1). ``packed_losses`` scores a packed batch of
 posteriors: ``ctc_loss_batch`` runs a padded batch through it, and the
 model facade its packed groups. The single-sequence functions
 (``ctc_forward``, ``ctc_backward``, ``make_lattice``, ``ctc_loss``,
@@ -242,79 +243,72 @@ def _log_softmax(logits):
     return shifted
 
 
-class _Trellis:
-    """The blank-extended lattice of a packed batch.
+def _trellis(packing, log_probs, labels, label_lengths, directions):
+    """Alpha, and beta when ``directions`` is 2, of a packed batch.
 
-    States run over the (B, S) extended label rows, S = 2 * L_max + 1,
-    padded with blanks; states past a sequence's own 2L + 1 emit -inf,
-    so they never carry mass. Alpha and beta are (N, S + 2) tables in
-    the packed row order: alpha's two extra columns lead and beta's
-    trail, both -inf, so the s-1 / s-2 (and s+1 / s+2) transitions of
-    every state are plain column shifts.
+    States run over the (B, S) extended label rows ``ext``, S = 2 *
+    L_max + 1, padded with blanks; states past a sequence's own 2L + 1
+    emit -inf, so they never carry mass. Beta is alpha run over the
+    flipped lattice: its direction takes each sequence's frames last to
+    first (``packing.reverse``, a walk of the same steps) and puts state
+    s at column S - 1 - s, where beta's s + 1, s + 2 -> s are alpha's
+    s - 1, s - 2 -> s. One loop fills an (N, D, S + 2) table ``pre`` of
+    the mass before each frame's emission, a step's rows of all
+    directions as one block: with q = pre + emit of the step before, a
+    state takes logaddexp(q[s], q[s-1]), then adds q[s-2] + skip[s].
+    Two -inf columns lead each direction's states, so the shifts need no
+    bounds. The start rows hold 0 in states 0 and 1 forward and in the
+    final states 2L - 1 and 2L backward; alpha is pre + emit. Returns
+    ext, alpha and beta (N, S) in the packed row order, beta None for
+    one direction, and the log-likelihoods (B,).
     """
-
-    def __init__(self, packing, log_probs, labels, label_lengths):
-        self.packing = packing
-        label_lengths = np.asarray(label_lengths, dtype=np.int64)
-        self.label_lengths = label_lengths
-        blank = log_probs.shape[1] - 1
-        max_len = int(label_lengths.max())
-        S = 2 * max_len + 1
-        live = np.arange(max_len) < label_lengths[:, None]
-        ext = np.full((len(label_lengths), S), blank, dtype=np.int64)
-        ext[:, 1::2] = np.where(live, labels[:, :max_len], blank)
-        self.ext = ext
-        seq = packing.seq_of_row
-        self.emit = np.take_along_axis(log_probs, ext[seq], axis=1)
-        self.emit[(np.arange(S) > 2 * label_lengths[:, None])[seq]] = NEG_INF
-        # transition s-2 -> s is allowed iff ext[s] is a label differing
-        # from ext[s-2]; 0 where allowed, -inf where not
-        skip = np.full((len(label_lengths), S), NEG_INF)
-        skip[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
-        self.skip = skip
-
-    def alpha(self):
-        """Forward table and per-sequence log-likelihoods."""
-        packing, emit = self.packing, self.emit
-        S = emit.shape[1]
-        alpha = np.full((packing.num_frames, S + 2), NEG_INF)
-        first = packing.steps[0][1]
-        alpha[:first, 2:4] = emit[:first, :2]
-        prev = 0
-        for start, n in packing.steps[1:]:
-            p = alpha[prev:prev + n]
-            acc = np.logaddexp(p[:, 2:], p[:, 1:-1])
-            np.logaddexp(acc, p[:, :-2] + self.skip[:n], out=acc)
-            np.add(acc, emit[start:start + n], out=alpha[start:start + n, 2:])
-            prev = start
-        # final states 2L - 1 and 2L sit at columns 2L + 1 and 2L + 2;
-        # with no labels column 1 is the -inf padding
-        last = alpha[packing.last_rows]
-        cols = 2 * self.label_lengths + 1
-        b = np.arange(len(cols))
-        return alpha, np.logaddexp(last[b, cols], last[b, cols + 1])
-
-    def beta(self):
-        """Backward table: beta[t][s] covers emissions at frames t+1 onward."""
-        packing, emit = self.packing, self.emit
-        N, S = emit.shape
-        beta = np.full((N, S + 2), NEG_INF)
-        states = np.arange(S) - 2 * self.label_lengths[:, None]
-        final = (states == 0) | (states == -1)  # states 2L and 2L - 1
-        beta[packing.last_rows, :S] = np.where(final, 0.0, NEG_INF)
-        skip = np.full((len(self.label_lengths), S), NEG_INF)
-        skip[:, :-2] = self.skip[:, 2:]
-        nxt = np.full((len(self.label_lengths), S + 2), NEG_INF)
-        for t in range(len(packing.steps) - 2, -1, -1):
-            start = packing.steps[t][0]
-            nstart, n = packing.steps[t + 1]
-            q = nxt[:n]
-            np.add(beta[nstart:nstart + n, :S], emit[nstart:nstart + n],
-                   out=q[:, :S])
-            acc = np.logaddexp(q[:, :S], q[:, 1:-1])
-            np.logaddexp(acc, q[:, 2:] + skip[:n], out=acc)
-            beta[start:start + n, :S] = acc
-        return beta
+    label_lengths = np.asarray(label_lengths, dtype=np.int64)
+    N, K = log_probs.shape
+    B, blank = len(label_lengths), K - 1
+    max_len = int(label_lengths.max())
+    S = 2 * max_len + 1
+    live = np.arange(max_len) < label_lengths[:, None]
+    ext = np.full((B, S), blank, dtype=np.int64)
+    ext[:, 1::2] = np.where(live, labels[:, :max_len], blank)
+    # the class each cell emits; K is an appended -inf column, read by
+    # the padding columns and by the states past a sequence's own
+    codes = np.full((B, directions, S + 2), K)
+    codes[:, 0, 2:] = np.where(np.arange(S) > 2 * label_lengths[:, None], K, ext)
+    # transition s-2 -> s is allowed iff ext[s] is a label differing
+    # from ext[s-2]; 0 where allowed, -inf where not
+    skip = np.full((B, directions, S + 2), NEG_INF)
+    skip[:, 0, 4:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
+    pre = np.full((N, directions, S + 2), NEG_INF)
+    first = packing.steps[0][1]
+    pre[:first, 0, 2:4] = 0.0
+    if directions == 2:  # flipped, s+2 -> s is allowed iff s -> s+2 is
+        codes[:, 1, 2:] = codes[:, 0, :1:-1]
+        skip[:, 1, 4:] = skip[:, 0, :3:-1]
+        states = np.arange(S) - 2 * label_lengths[:, None]
+        pre[:first, 1, :1:-1][(states == 0) | (states == -1)] = 0.0
+    cells = codes[packing.seq_of_row]
+    rows = np.stack((np.arange(N), packing.reverse)[:directions], axis=1)
+    cells += rows[:, :, None] * (K + 1)
+    padded = np.concatenate((log_probs, np.full((N, 1), NEG_INF)), axis=1)
+    emit = np.take(padded, cells)
+    table, emit_rows = pre.reshape(N, -1), emit.reshape(N, -1)
+    skip = skip.reshape(B, -1)[:, 2:].copy()
+    # every padding column emits -inf, so q is -inf there and no mass
+    # crosses from one direction into the other
+    q = np.empty((first, table.shape[1]))
+    for (prev, _), (start, n) in zip(packing.steps, packing.steps[1:]):
+        p = np.add(table[prev:prev + n], emit_rows[prev:prev + n], out=q[:n])
+        acc = np.logaddexp(p[:, 2:], p[:, 1:-1])
+        np.logaddexp(acc, p[:, :-2] + skip[:n], out=table[start:start + n, 2:])
+    # direction 0 of the table turns into alpha in place
+    alpha = np.add(pre[:, 0], emit[:, 0], out=pre[:, 0])
+    # final states 2L - 1 and 2L sit at columns 2L + 1 and 2L + 2;
+    # with no labels column 1 is the -inf padding
+    ends = alpha[packing.last_rows]
+    cols = 2 * label_lengths + 1
+    ll = np.logaddexp(ends[np.arange(B), cols], ends[np.arange(B), cols + 1])
+    beta = pre[packing.reverse, 1, :1:-1] if directions == 2 else None
+    return ext, alpha[:, 2:], beta, ll
 
 
 def ctc_gradient_packed(packing, logits, labels, label_lengths):
@@ -324,18 +318,15 @@ def ctc_gradient_packed(packing, logits, labels, label_lengths):
     (B, >= L_max) holds each sequence's labels in its first
     ``label_lengths[b]`` entries, already validated (``check_batch``).
     log_softmax is taken once; alpha and beta advance all sequences a
-    step at a time. Returns (losses (B,), grad (N, K)) with
-    grad = softmax(logits) - lattice posterior.
+    step at a time, in one recurrence. Returns (losses (B,), grad (N, K))
+    with grad = softmax(logits) - lattice posterior.
     """
     log_probs = _log_softmax(logits)
-    trellis = _Trellis(packing, log_probs, labels, label_lengths)
-    alpha, ll = trellis.alpha()
-    beta = trellis.beta()
+    ext, alpha, beta, ll = _trellis(packing, log_probs, labels, label_lengths, 2)
     seq = packing.seq_of_row
     N, K = log_probs.shape
-    S = trellis.ext.shape[1]
-    occupancy = np.exp(alpha[:, 2:] + beta[:, :S] - ll[seq][:, None])
-    cells = np.arange(N)[:, None] * K + trellis.ext[seq]
+    occupancy = np.exp(alpha + beta - ll[seq][:, None])
+    cells = np.arange(N)[:, None] * K + ext[seq]
     posterior = np.bincount(cells.ravel(), weights=occupancy.ravel(),
                             minlength=N * K).reshape(N, K)
     return -ll, np.exp(log_probs) - posterior
@@ -369,14 +360,13 @@ def packed_losses(packing, probs, labels, label_lengths):
     each loss is that of ``ctc_loss`` on the sequence alone, bit for bit.
     Returns the losses (B,).
     """
-    trellis = _Trellis(packing, log_posteriors(probs), labels, label_lengths)
-    return -trellis.alpha()[1]
+    return -_trellis(packing, log_posteriors(probs), labels, label_lengths, 1)[3]
 
 
-def _one_sequence(probs, labels):
-    """Trellis of one sequence's posteriors: the batch of one over its frames."""
-    return _Trellis(Packing([probs.shape[0]]), log_posteriors(probs),
-                    labels[None, :], [labels.size])
+def _one_sequence(probs, labels, directions):
+    """``_trellis`` of one sequence's posteriors as a batch of one."""
+    return _trellis(Packing([probs.shape[0]]), log_posteriors(probs),
+                    labels[None, :], [labels.size], directions)
 
 
 def _sequence_args(matrix, labels, input_len, label_len):
@@ -415,23 +405,21 @@ def ctc_forward(probs, ext, input_len):
     InfeasibleAlignment when input_len is too short for its labels.
     """
     active, labels = _extended_args(probs, ext, input_len)
-    alpha, ll = _one_sequence(active, labels).alpha()
-    return alpha[:, 2:], float(ll[0])
+    _, alpha, _, ll = _one_sequence(active, labels, 1)
+    return alpha, float(ll[0])
 
 
 def ctc_backward(probs, ext, input_len):
     """Backward pass; beta[t][s] covers emissions at frames t+1..input_len-1."""
     active, labels = _extended_args(probs, ext, input_len)
-    return _one_sequence(active, labels).beta()[:, :-2]
+    return _one_sequence(active, labels, 2)[2]
 
 
 def make_lattice(probs, labels, input_len=None, label_len=None):
     """Run both passes and return the filled :class:`Lattice`."""
     active, labels = _sequence_args(probs, labels, input_len, label_len)
-    trellis = _one_sequence(active, labels)
-    alpha, ll = trellis.alpha()
-    return Lattice(alpha=alpha[:, 2:], beta=trellis.beta()[:, :-2],
-                   log_likelihood=float(ll[0]))
+    _, alpha, beta, ll = _one_sequence(active, labels, 2)
+    return Lattice(alpha=alpha, beta=beta, log_likelihood=float(ll[0]))
 
 
 def ctc_loss(probs, labels, input_len=None, label_len=None):
@@ -442,8 +430,7 @@ def ctc_loss(probs, labels, input_len=None, label_len=None):
     """
     active, labels = _sequence_args(probs, labels, input_len, label_len)
     _check_posteriors(active)
-    _, ll = _one_sequence(active, labels).alpha()
-    return -float(ll[0])
+    return -float(_one_sequence(active, labels, 1)[3][0])
 
 
 def ctc_gradient(logits, labels, input_len=None, label_len=None):

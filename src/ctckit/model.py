@@ -281,7 +281,7 @@ class CtcModel:
         Each group of ``_sorted_groups(..., for_backward=False)`` is
         one ``net.forward_packed`` that keeps no activations for
         backward, so the groups are sized by the peak of a forward-only
-        pass (for two bi-LSTM layers of 64 units, 766 frames a group
+        pass (for two bi-LSTM layers of 64 units, 751 frames a group
         against 326 in training). Returns (losses, outputs) in input
         order. With ``labels`` (one label list per sequence), losses[i]
         is the CTC loss of sequence i, from one ``packed_losses`` pass

@@ -33,16 +33,10 @@ peak, the gates of all a layer's directions beside its input or its
 outputs (``stored_bytes_per_frame``). ``forward`` and ``backward``
 handle one sequence as a batch of one.
 
-Every product in ``forward_packed`` has at least two rows
-(``_product``): a one-row product runs another BLAS kernel, whose
-bits differ, while with two rows or more a row of ``A @ W`` is the
-same whatever rows share it, and a stacked product runs each matrix
-through the kernel of its 2-D product. So the posteriors of a sequence
-do not depend on the other sequences of its group, and ``forward`` on
-the sequence alone gives the same bits. A one-column ``W`` (a tanh-RNN
-layer of one unit) is the exception: its product is a matrix-vector
-one, in which a row's bits depend on the rows beside it, so its
-projection is never split into chunks.
+Every product in ``forward_packed`` runs through ``_product``, which
+gives each row of ``A @ W`` the same bits whatever rows share it. So
+the posteriors of a sequence do not depend on the other sequences of
+its group, and ``forward`` on the sequence alone gives the same bits.
 
 Only frames ``[0, input_len)`` enter the recurrences in either
 direction; padding frames are never gathered into the packed rows,
@@ -54,10 +48,7 @@ The engine and the gradient norm run on one BLAS thread
 (``_one_blas_thread``), which restores the thread count on return. The
 engine's packed products are large enough for OpenBLAS to split them
 across threads, whose workers then spin between the many small
-products of a step. Training two bi-LSTM layers of 64 units on a
-2-CPU machine, two threads used 1.9 CPUs for no more speed than one,
-and ran at 2100-2700 frames/s instead of 5000-6200 while another
-process kept one core busy.
+products of a step, for no more speed (README, The batched engine).
 """
 
 import ctypes
@@ -70,22 +61,23 @@ from types import MappingProxyType
 import numpy as np
 
 from .flat import FlatTensors, as_flat, check_tensors, same_layout
-from .packing import Packing
+from .packing import STEP_BYTES, Packing
 
 # column blocks of an LSTM direction's Wx, Wh and b: the three sigmoid
 # gates, then the tanh candidate, so each nonlinearity acts on one slice
 LSTM_GATES = ("i", "f", "o", "g")
 
-# Activations one group may keep alive (``stored_bytes_per_frame``). A
-# whole training batch at once would hold the gates, cell states and
-# outputs of all its frames until backward: training two bi-LSTM layers
-# of 64 units on batches of eight sequences of 60-280 frames, that took
+# Activations one group may keep alive (``stored_bytes_per_frame``).
+# CtcModel runs a length-sorted batch in groups that each fit it, for
+# training and inference. Training two bi-LSTM layers of 64 units on
+# batches of eight sequences of 60-280 frames, one group a batch took
 # peak RSS from 58 to 85 MB for 8 % more speed, against 62 MB with this
-# budget. CtcModel therefore runs a length-sorted batch in groups that
-# each fit it, for training and inference. A forward-only pass keeps one
-# layer alive: for that net it holds 5472 bytes a frame at its peak,
-# against the 12840 that training keeps, so its groups hold more frames.
+# budget. A forward-only pass keeps one layer alive: for that net 5584
+# bytes a frame at its peak, against the 12840 that training keeps.
 ACTIVATION_BYTES = 4 * 2 ** 20
+
+# ``_product`` runs a W narrower than NARROW_COLUMNS PADDED_COLUMNS wide
+NARROW_COLUMNS, PADDED_COLUMNS = 4, 8
 
 
 @lru_cache(maxsize=None)
@@ -317,42 +309,44 @@ def stored_bytes_per_frame(spec, for_backward=True):
     beyond its output.
 
     A forward-only pass keeps one layer alive, and this is its peak: the
-    input frame and the packing's four row maps (``Packing``), held
-    throughout, and the largest of
+    input frame and the packing's four row maps and per-step
+    bookkeeping (``Packing``), held throughout, and the largest of
     - a layer's pre-activations, G·U columns for each of its
       directions, beside its input (unless it is the input frame)
-      while it is projected; an LSTM's gates then sit beside its
-      output, which a tanh-RNN writes over its pre-activations. A
-      bidirectional one-column projection also gathers its input whole;
+      while it is projected, with the PADDED_COLUMNS product of a
+      narrow W (``_product``); an LSTM's gates then sit beside its
+      output, which a tanh-RNN writes over its pre-activations;
     - a bidirectional layer's output beside the backward half that is
       put back into time order;
-    - the last layer's output and the logits;
+    - the last layer's output and the logits, a view of their product,
+      PADDED_COLUMNS wide below NARROW_COLUMNS classes;
     - the logits and their softmax.
     Left out: two steps of cell states, each step's products, the
     backward direction's input rows gathered a chunk at a time
     (``_project``), and the lattice of a loss pass, whose width follows
-    the labels.
+    the labels. The bookkeeping is charged to every frame, as if each
+    step ran one: a group that runs several a step holds less.
     """
     if for_backward:
         floats = spec.feature_dim + spec.num_classes
         for layer in spec.layers:
             floats += (6 if layer.kind == "lstm" else 1) * layer.width
         return 8 * floats
-    held, in_dim, peak = 0, spec.feature_dim, 2 * spec.num_classes
+    K = spec.num_classes
+    logits = PADDED_COLUMNS if K < NARROW_COLUMNS else K
+    held, peak = 0, logits + K
     for layer in spec.layers:
         cols = (len(LSTM_GATES) if layer.kind == "lstm" else 1) * layer.units
-        # a one-column projection gathers the backward direction's input
-        # rows all at once
-        whole = in_dim if cols == 1 and layer.bidirectional else 0
+        padded = PADDED_COLUMNS if cols < NARROW_COLUMNS else 0
         # an LSTM's outputs take its input's place beside the gates; a
         # tanh-RNN's outputs are its pre-activations
         outputs = layer.width if layer.kind == "lstm" else 0
         z = cols * (layer.width // layer.units)
-        peak = max(peak, max(held + whole, outputs) + z,
+        peak = max(peak, max(held + padded, outputs) + z,
                    layer.width + (layer.units if layer.bidirectional else 0))
-        held = in_dim = layer.width
-    peak = max(peak, held + spec.num_classes)
-    return 8 * (spec.feature_dim + 4 + peak)
+        held = layer.width
+    peak = max(peak, held + logits)
+    return 8 * (spec.feature_dim + 4 + peak) + STEP_BYTES
 
 
 def activation_groups(spec, lengths, for_backward=True):
@@ -382,21 +376,28 @@ def activation_groups(spec, lengths, for_backward=True):
 
 
 def _product(a, W, out=None):
-    """``a @ W`` as a product of at least two rows, written into ``out`` if given.
+    """``a @ W`` into ``out`` if given, each row with the bits of any larger product.
 
     ``a`` is (n, K), or a stack (D, n, K) of one matrix per direction
-    with W (D, K, M). With one row the BLAS takes another kernel and row
-    0 comes out with other bits than in any larger product, so a lone
-    row is multiplied twice over and the copy dropped. A stack runs one
-    product per matrix through the kernel its 2-D product runs, so each
-    direction's rows have the bits they have alone.
+    with W (D, K, M). A lone row takes another BLAS kernel, so it is
+    multiplied twice over and the copy dropped. Below NARROW_COLUMNS a
+    row's bits depend on the rows beside it (two or three columns from
+    16 inputs on), so W gets zero columns up to PADDED_COLUMNS, which
+    are dropped; padded to four, a product of over a thousand rows takes
+    yet another kernel from 33 inputs on. A stack runs one product per
+    matrix through the kernel its 2-D product runs.
     """
-    if a.shape[-2] > 1:
+    rows, cols = a.shape[-2], W.shape[-1]
+    if rows > 1 and cols >= NARROW_COLUMNS:
         return np.matmul(a, W, out=out)
-    row = (np.repeat(a, 2, axis=-2) @ W)[..., :1, :]
+    if rows == 1:
+        a = np.repeat(a, 2, axis=-2)
+    if cols < NARROW_COLUMNS:
+        W = np.pad(W, [(0, 0)] * (W.ndim - 1) + [(0, PADDED_COLUMNS - cols)])
+    product = (a @ W)[..., :rows, :cols]
     if out is None:
-        return row
-    out[...] = row
+        return product
+    out[...] = product
     return out
 
 
@@ -417,19 +418,19 @@ def _layer_weights(params, li, layer):
             block[:, wx + wh:])
 
 
-def _project(packing, x, Wx, b, whole):
+def _project(packing, x, Wx, b):
     """A layer's input projections plus bias, (N, D, G·U) in recurrence order.
 
-    The backward direction projects ``x[packing.reverse]``, gathered
-    whole or, unless ``whole``, in chunks of about 1/sqrt(N) of the size
-    of z. Every product is written straight into z.
+    The backward direction projects ``x[packing.reverse]``, gathered in
+    chunks of about 1/sqrt(N) of the size of z. Every product is written
+    straight into z.
     """
     N = packing.num_frames
     D, in_dim, cols = Wx.shape
     z = np.empty((N, D, cols))
     _product(x, Wx[0], out=z[:, 0])
     if D == 2:
-        chunk = N if whole else max(1, D * cols * math.isqrt(N) // in_dim)
+        chunk = max(1, D * cols * math.isqrt(N) // in_dim)
         for start in range(0, N, chunk):
             rows = slice(start, start + chunk)
             _product(x[packing.reverse[rows]], Wx[1], out=z[rows, 1])
@@ -627,9 +628,7 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
     layers = []
     for li, layer in enumerate(spec.layers):
         Wx, Wh, b = _layer_weights(params, li, layer)
-        # a one-column product runs a matrix-vector kernel, in which a
-        # row's bits depend on the rows beside it: not split into chunks
-        z = _project(packing, x, Wx, b, for_backward or Wx.shape[-1] == 1)
+        z = _project(packing, x, Wx, b)
         if not for_backward:
             x = None  # frees the layer's input, unless it is the frames
         if layer.kind == "rnn":

@@ -16,6 +16,12 @@ in order.
 
 import numpy as np
 
+# Bytes of bookkeeping a step holds: its (first row, size) tuple in
+# ``Packing.steps`` with its list slot and the first row's int, and its
+# entries of ``batch_sizes`` and ``offsets``. tracemalloc saw 108-112
+# for packings of one and two sequences.
+STEP_BYTES = 112
+
 
 class Packing:
     """Row bookkeeping for the packed frames of a length-sorted batch."""

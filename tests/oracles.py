@@ -245,10 +245,17 @@ def consecutive_groups(lengths, budget):
 
 
 def _two_row_product(a, W):
-    """``a @ W`` with at least two rows: a lone row is multiplied twice."""
-    if a.shape[0] > 1:
-        return a @ W
-    return (np.repeat(a, 2, axis=0) @ W)[:1]
+    """``a @ W`` with at least two rows and four columns.
+
+    A lone row is multiplied twice; a W narrower than four columns gets
+    zero columns up to eight, and both copies are dropped.
+    """
+    rows, cols = a.shape[0], W.shape[1]
+    if cols < 4:
+        W = np.hstack((W, np.zeros((W.shape[0], 8 - cols))))
+    if rows == 1:
+        a = np.repeat(a, 2, axis=0)
+    return (a @ W)[:rows, :cols]
 
 
 def _direction_rnn_steps(packing, z, Wh):
@@ -407,3 +414,74 @@ def per_direction_backward(spec, params, packing, layers, grad_logits):
                 dx = dx_dir if dx is None else dx + dx_dir
         dy = dx
     return grads
+
+
+def two_loop_lattice(packing, log_probs, labels, label_lengths):
+    """Alpha and beta of a packed batch, each in its own loop.
+
+    The lattice before alpha and beta shared one recurrence: alpha runs
+    forward over (N, S + 2) with two leading -inf columns, beta backward
+    with two trailing ones and its own shifted skip table. Returns the
+    extended labels (B, S), alpha and beta (N, S) in the packed row
+    order, and the per-sequence log-likelihoods.
+    """
+    label_lengths = np.asarray(label_lengths, dtype=np.int64)
+    B, blank = len(label_lengths), log_probs.shape[1] - 1
+    max_len = int(label_lengths.max())
+    S = 2 * max_len + 1
+    live = np.arange(max_len) < label_lengths[:, None]
+    ext = np.full((B, S), blank, dtype=np.int64)
+    ext[:, 1::2] = np.where(live, labels[:, :max_len], blank)
+    seq = packing.seq_of_row
+    emit = np.take_along_axis(log_probs, ext[seq], axis=1)
+    emit[(np.arange(S) > 2 * label_lengths[:, None])[seq]] = -np.inf
+    skip = np.full((B, S), -np.inf)
+    skip[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
+
+    alpha = np.full((packing.num_frames, S + 2), -np.inf)
+    first = packing.steps[0][1]
+    alpha[:first, 2:4] = emit[:first, :2]
+    prev = 0
+    for start, n in packing.steps[1:]:
+        p = alpha[prev:prev + n]
+        acc = np.logaddexp(p[:, 2:], p[:, 1:-1])
+        np.logaddexp(acc, p[:, :-2] + skip[:n], out=acc)
+        np.add(acc, emit[start:start + n], out=alpha[start:start + n, 2:])
+        prev = start
+    last = alpha[packing.last_rows]
+    cols = 2 * label_lengths + 1
+    ll = np.logaddexp(last[np.arange(B), cols], last[np.arange(B), cols + 1])
+
+    beta = np.full((packing.num_frames, S + 2), -np.inf)
+    states = np.arange(S) - 2 * label_lengths[:, None]
+    beta[packing.last_rows, :S] = np.where((states == 0) | (states == -1), 0.0, -np.inf)
+    back_skip = np.full((B, S), -np.inf)
+    back_skip[:, :-2] = skip[:, 2:]
+    nxt = np.full((B, S + 2), -np.inf)
+    for t in range(len(packing.steps) - 2, -1, -1):
+        start = packing.steps[t][0]
+        nstart, n = packing.steps[t + 1]
+        q = nxt[:n]
+        np.add(beta[nstart:nstart + n, :S], emit[nstart:nstart + n], out=q[:, :S])
+        acc = np.logaddexp(q[:, :S], q[:, 1:-1])
+        np.logaddexp(acc, q[:, 2:] + back_skip[:n], out=acc)
+        beta[start:start + n, :S] = acc
+    return ext, alpha[:, 2:], beta[:, :S], ll
+
+
+def two_loop_gradient(packing, logits, labels, label_lengths):
+    """Losses and logit gradients from ``two_loop_lattice``.
+
+    grad = softmax(logits) - lattice posterior, with log_softmax, the
+    occupancies and their per-class sums formed as the lattice forms them.
+    """
+    log_probs = logits - logits.max(axis=1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+    ext, alpha, beta, ll = two_loop_lattice(packing, log_probs, labels, label_lengths)
+    seq = packing.seq_of_row
+    N, K = log_probs.shape
+    occupancy = np.exp(alpha + beta - ll[seq][:, None])
+    cells = np.arange(N)[:, None] * K + ext[seq]
+    posterior = np.bincount(cells.ravel(), weights=occupancy.ravel(),
+                            minlength=N * K).reshape(N, K)
+    return -ll, np.exp(log_probs) - posterior

@@ -49,6 +49,11 @@ class TestExactDecode:
         result = exact_decode(probs)
         assert result.paths == [([0, 1], 0.0)]
 
+    @pytest.mark.parametrize("top_paths", [1.5, 2.0, "2", True])
+    def test_top_paths_must_be_an_integer(self, top_paths):
+        with pytest.raises(ValueError, match="^top_paths must be an integer"):
+            exact_decode(DIVERGENT, top_paths=top_paths)
+
     def test_budget_guard(self):
         probs = np.full((30, 4), 0.25)
         with pytest.raises(BudgetExceeded):

@@ -15,12 +15,16 @@ from ctckit.lattice import (
     ctc_forward,
     ctc_gradient,
     ctc_loss,
+    ctc_gradient_packed,
     ctc_loss_batch,
     extend_with_blanks,
+    log_posteriors,
     log_sum_exp,
     make_lattice,
+    packed_losses,
 )
 from ctckit.data import PaddedBatch
+from ctckit.packing import Packing
 
 from oracles import (
     central_difference,
@@ -28,6 +32,8 @@ from oracles import (
     norm_rel_err,
     random_feasible_labels,
     random_posterior,
+    two_loop_gradient,
+    two_loop_lattice,
 )
 
 # frozen from the enumeration oracle: 3 of 4 uniform T=2 paths collapse to [a]
@@ -391,3 +397,81 @@ class TestOneInputScreen:
         assert str(excinfo.value) == "sequence %d: %s" % (i, single)
         if isinstance(single, InfeasibleAlignment):
             assert excinfo.value.sequence_index == i
+
+
+def random_packed_batch(data):
+    """A packing, logits and padded labels: lengths 1-12, L from 0 up,
+    repeated labels, logits at scales up to 30 (posteriors near 0)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    K = data.draw(st.integers(2, 6))
+    lengths = sorted(data.draw(st.lists(st.integers(1, 12), min_size=1,
+                                        max_size=6)), reverse=True)
+    label_lists = [random_feasible_labels(rng, T, K, T) for T in lengths]
+    labels = np.full((len(lengths), max(map(len, label_lists)) + 1), -1)
+    for b, seq in enumerate(label_lists):
+        labels[b, :len(seq)] = seq
+    packing = Packing(lengths)
+    scale = data.draw(st.sampled_from([0.5, 3.0, 30.0]))
+    logits = rng.normal(0, scale, (packing.num_frames, K))
+    return packing, logits, labels, [len(seq) for seq in label_lists]
+
+
+def softmax(logits):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestOneRecurrence:
+    """Alpha and beta from one recurrence, against a loop for each.
+
+    ``two_loop_lattice`` in tests/oracles.py is the lattice as it was
+    before beta ran as alpha over the flipped lattice. The operands and
+    their order are the same, so every output must be the same bits.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_entry_points_match_the_two_loops(self, data):
+        packing, logits, labels, label_lengths = random_packed_batch(data)
+        losses, grad = ctc_gradient_packed(packing, logits, labels, label_lengths)
+        ref_losses, ref_grad = two_loop_gradient(packing, logits, labels,
+                                                 label_lengths)
+        assert np.array_equal(losses, ref_losses)
+        assert np.array_equal(grad, ref_grad)
+        probs = softmax(logits)
+        _, _, _, ll = two_loop_lattice(packing, log_posteriors(probs), labels,
+                                       label_lengths)
+        assert np.array_equal(packed_losses(packing, probs, labels, label_lengths),
+                              -ll)
+        for b, L in enumerate(label_lengths):
+            active = probs[packing.rows(b)]
+            ext, alpha, beta, ll = two_loop_lattice(
+                Packing([len(active)]), log_posteriors(active), labels[b:b + 1], [L])
+            lattice = make_lattice(active, labels[b, :L])
+            assert np.array_equal(lattice.alpha, alpha)
+            assert np.array_equal(lattice.beta, beta)
+            assert lattice.log_likelihood == ll[0]
+            assert np.array_equal(ctc_backward(active, ext[0], len(active)), beta)
+            forward_alpha, forward_ll = ctc_forward(active, ext[0], len(active))
+            assert np.array_equal(forward_alpha, alpha) and forward_ll == ll[0]
+
+    def test_empty_repeated_and_one_frame_sequences(self):
+        packing = Packing([6, 3, 1, 1])
+        labels = np.array([[1, 1, 0], [0, -1, -1], [-1, -1, -1], [2, -1, -1]])
+        logits = np.random.default_rng(3).normal(0, 3, (packing.num_frames, 4))
+        losses, grad = ctc_gradient_packed(packing, logits, labels, [3, 1, 0, 1])
+        ref_losses, ref_grad = two_loop_gradient(packing, logits, labels,
+                                                 [3, 1, 0, 1])
+        assert np.array_equal(losses, ref_losses)
+        assert np.array_equal(grad, ref_grad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_packed_gradient_is_each_sequence_alone(self, data):
+        packing, logits, labels, label_lengths = random_packed_batch(data)
+        losses, grad = ctc_gradient_packed(packing, logits, labels, label_lengths)
+        for b, L in enumerate(label_lengths):
+            rows = packing.rows(b)
+            loss, alone = ctc_gradient(logits[rows], labels[b, :L])
+            assert losses[b] == loss
+            assert np.array_equal(grad[rows], alone)
