@@ -252,15 +252,16 @@ def _trellis(packing, log_probs, labels, label_lengths, directions):
     flipped lattice: its direction takes each sequence's frames last to
     first (``packing.reverse``, a walk of the same steps) and puts state
     s at column S - 1 - s, where beta's s + 1, s + 2 -> s are alpha's
-    s - 1, s - 2 -> s. One loop fills an (N, D, S + 2) table ``pre`` of
-    the mass before each frame's emission, a step's rows of all
-    directions as one block: with q = pre + emit of the step before, a
-    state takes logaddexp(q[s], q[s-1]), then adds q[s-2] + skip[s].
-    Two -inf columns lead each direction's states, so the shifts need no
-    bounds. The start rows hold 0 in states 0 and 1 forward and in the
-    final states 2L - 1 and 2L backward; alpha is pre + emit. Returns
-    ext, alpha and beta (N, S) in the packed row order, beta None for
-    one direction, and the log-likelihoods (B,).
+    s - 1, s - 2 -> s; its emissions are ``emit[packing.reverse, ::-1]``.
+    One loop fills an (N, D, S + 2) table ``pre`` of the mass before
+    each frame's emission, a step's rows of all directions as one
+    block: with q = pre + emit of the step before, a state takes
+    logaddexp(q[s], q[s-1]), then adds q[s-2] + skip[s]. Two -inf
+    columns lead each direction's states, so the shifts need no bounds.
+    The start rows hold 0 in states 0 and 1 forward and in the final states
+    2L - 1 and 2L backward; alpha is pre + emit. Returns ext, alpha and
+    beta (N, S) in the packed row order, beta None for one direction,
+    and the log-likelihoods (B,).
     """
     label_lengths = np.asarray(label_lengths, dtype=np.int64)
     N, K = log_probs.shape
@@ -270,10 +271,14 @@ def _trellis(packing, log_probs, labels, label_lengths, directions):
     live = np.arange(max_len) < label_lengths[:, None]
     ext = np.full((B, S), blank, dtype=np.int64)
     ext[:, 1::2] = np.where(live, labels[:, :max_len], blank)
-    # the class each cell emits; K is an appended -inf column, read by
-    # the padding columns and by the states past a sequence's own
-    codes = np.full((B, directions, S + 2), K)
-    codes[:, 0, 2:] = np.where(np.arange(S) > 2 * label_lengths[:, None], K, ext)
+    seq = packing.seq_of_row
+    own = np.take_along_axis(log_probs, ext[seq], axis=1)
+    own[(np.arange(S) > 2 * label_lengths[:, None])[seq]] = NEG_INF
+    emit = np.full((N, directions, S + 2), NEG_INF)
+    emit[:, 0, 2:] = own
+    if directions == 2:
+        emit[:, 1, 2:] = own[packing.reverse, ::-1]
+    del own
     # transition s-2 -> s is allowed iff ext[s] is a label differing
     # from ext[s-2]; 0 where allowed, -inf where not
     skip = np.full((B, directions, S + 2), NEG_INF)
@@ -282,15 +287,9 @@ def _trellis(packing, log_probs, labels, label_lengths, directions):
     first = packing.steps[0][1]
     pre[:first, 0, 2:4] = 0.0
     if directions == 2:  # flipped, s+2 -> s is allowed iff s -> s+2 is
-        codes[:, 1, 2:] = codes[:, 0, :1:-1]
         skip[:, 1, 4:] = skip[:, 0, :3:-1]
         states = np.arange(S) - 2 * label_lengths[:, None]
         pre[:first, 1, :1:-1][(states == 0) | (states == -1)] = 0.0
-    cells = codes[packing.seq_of_row]
-    rows = np.stack((np.arange(N), packing.reverse)[:directions], axis=1)
-    cells += rows[:, :, None] * (K + 1)
-    padded = np.concatenate((log_probs, np.full((N, 1), NEG_INF)), axis=1)
-    emit = np.take(padded, cells)
     table, emit_rows = pre.reshape(N, -1), emit.reshape(N, -1)
     skip = skip.reshape(B, -1)[:, 2:].copy()
     # every padding column emits -inf, so q is -inf there and no mass
@@ -301,14 +300,17 @@ def _trellis(packing, log_probs, labels, label_lengths, directions):
         acc = np.logaddexp(p[:, 2:], p[:, 1:-1])
         np.logaddexp(acc, p[:, :-2] + skip[:n], out=table[start:start + n, 2:])
     # direction 0 of the table turns into alpha in place
-    alpha = np.add(pre[:, 0], emit[:, 0], out=pre[:, 0])
+    alpha = np.add(pre[:, 0, 2:], emit[:, 0, 2:], out=pre[:, 0, 2:])
+    del emit, emit_rows
     # final states 2L - 1 and 2L sit at columns 2L + 1 and 2L + 2;
     # with no labels column 1 is the -inf padding
-    ends = alpha[packing.last_rows]
+    ends = pre[packing.last_rows, 0]
     cols = 2 * label_lengths + 1
     ll = np.logaddexp(ends[np.arange(B), cols], ends[np.arange(B), cols + 1])
-    beta = pre[packing.reverse, 1, :1:-1] if directions == 2 else None
-    return ext, alpha[:, 2:], beta, ll
+    if directions == 1:
+        return ext, alpha, None, ll
+    # copies, so that the table of both directions is freed on return
+    return ext, alpha.copy(), pre[packing.reverse, 1, :1:-1], ll
 
 
 def ctc_gradient_packed(packing, logits, labels, label_lengths):

@@ -26,12 +26,8 @@ backward direction walks the same steps through ``packing.reverse``:
 its rows stay in that recurrence order, and its outputs are put back
 in time order once the layer is done. Backpropagation through time
 runs the same way. Training and inference run a sorted batch in groups
-(``activation_groups``) so that what a forward pass holds stays under
-``ACTIVATION_BYTES``: before a backward, the activations it keeps for
-backward; in a forward-only pass, which keeps one layer alive, its
-peak, the gates of all a layer's directions beside its input or its
-outputs (``stored_bytes_per_frame``). ``forward`` and ``backward``
-handle one sequence as a batch of one.
+that each fit ``ACTIVATION_BYTES`` (``activation_groups``).
+``forward`` and ``backward`` handle one sequence as a batch of one.
 
 Every product in ``forward_packed`` runs through ``_product``, which
 gives each row of ``A @ W`` the same bits whatever rows share it. So
@@ -72,12 +68,11 @@ LSTM_GATES = ("i", "f", "o", "g")
 # training and inference. Training two bi-LSTM layers of 64 units on
 # batches of eight sequences of 60-280 frames, one group a batch took
 # peak RSS from 58 to 85 MB for 8 % more speed, against 62 MB with this
-# budget. A forward-only pass keeps one layer alive: for that net 5584
-# bytes a frame at its peak, against the 12840 that training keeps.
+# budget. A forward-only pass keeps one layer alive: for that net 5472
+# bytes a frame at its peak, against the 12872 that training keeps.
 ACTIVATION_BYTES = 4 * 2 ** 20
 
-# ``_product`` runs a W narrower than NARROW_COLUMNS PADDED_COLUMNS wide
-NARROW_COLUMNS, PADDED_COLUMNS = 4, 8
+NARROW_COLUMNS, PADDED_COLUMNS = 4, 8  # see ``_padded``
 
 
 @lru_cache(maxsize=None)
@@ -303,14 +298,13 @@ def softmax_rows(z):
 def stored_bytes_per_frame(spec, for_backward=True):
     """Bytes per packed frame that ``forward_packed(..., for_backward)`` holds.
 
-    Before a backward, that is what forward keeps until backward runs:
-    the input frame, each layer's output, each LSTM direction's gates
-    and cell state, and the logits. A tanh-RNN direction keeps nothing
-    beyond its output.
-
-    A forward-only pass keeps one layer alive, and this is its peak: the
-    input frame and the packing's four row maps and per-step
-    bookkeeping (``Packing``), held throughout, and the largest of
+    Both hold the input frame and the packing's four row maps
+    (``Packing``, whose per-step bookkeeping ``activation_groups``
+    charges per step). Before a backward, forward also keeps each
+    layer's output, each LSTM direction's gates and cell state, and the
+    logits, a view of their product, PADDED_COLUMNS wide below
+    NARROW_COLUMNS classes. A forward-only pass keeps one layer alive,
+    and this is its peak, the largest of
     - a layer's pre-activations, G·U columns for each of its
       directions, beside its input (unless it is the input frame)
       while it is projected, with the PADDED_COLUMNS product of a
@@ -318,22 +312,20 @@ def stored_bytes_per_frame(spec, for_backward=True):
       output, which a tanh-RNN writes over its pre-activations;
     - a bidirectional layer's output beside the backward half that is
       put back into time order;
-    - the last layer's output and the logits, a view of their product,
-      PADDED_COLUMNS wide below NARROW_COLUMNS classes;
+    - the last layer's output and the logits;
     - the logits and their softmax.
     Left out: two steps of cell states, each step's products, the
     backward direction's input rows gathered a chunk at a time
     (``_project``), and the lattice of a loss pass, whose width follows
-    the labels. The bookkeeping is charged to every frame, as if each
-    step ran one: a group that runs several a step holds less.
+    the labels.
     """
+    K = spec.num_classes
+    logits = PADDED_COLUMNS if K < NARROW_COLUMNS else K
     if for_backward:
-        floats = spec.feature_dim + spec.num_classes
+        floats = spec.feature_dim + 4 + logits
         for layer in spec.layers:
             floats += (6 if layer.kind == "lstm" else 1) * layer.width
         return 8 * floats
-    K = spec.num_classes
-    logits = PADDED_COLUMNS if K < NARROW_COLUMNS else K
     held, peak = 0, logits + K
     for layer in spec.layers:
         cols = (len(LSTM_GATES) if layer.kind == "lstm" else 1) * layer.units
@@ -346,54 +338,60 @@ def stored_bytes_per_frame(spec, for_backward=True):
                    layer.width + (layer.units if layer.bidirectional else 0))
         held = layer.width
     peak = max(peak, held + logits)
-    return 8 * (spec.feature_dim + 4 + peak) + STEP_BYTES
+    return 8 * (spec.feature_dim + 4 + peak)
 
 
 def activation_groups(spec, lengths, for_backward=True):
     """Group non-increasing ``lengths`` first-fit-decreasing.
 
-    Each sequence, longest first, joins the first group whose frames
-    stay within ACTIVATION_BYTES at ``stored_bytes_per_frame(spec,
-    for_backward)``, or opens a new one; a sequence longer than that
-    budget is a group of its own. Returns increasing index arrays into
-    ``lengths``, so each group's lengths are non-increasing. This never
-    makes more groups than splitting ``lengths`` into consecutive runs,
-    and fewer groups mean fewer recurrent steps.
+    Each sequence, longest first, joins the first group with room for
+    its frames at ``stored_bytes_per_frame(spec, for_backward)``, or
+    opens one with ACTIVATION_BYTES less the bookkeeping
+    (``packing.STEP_BYTES``) of a step per frame of that, its longest
+    sequence; one over the budget is a group of its own. Returns
+    increasing index arrays into ``lengths``, so each group's lengths
+    are non-increasing.
     """
     lengths = np.asarray(lengths).tolist()
-    budget = ACTIVATION_BYTES // stored_bytes_per_frame(spec, for_backward)
-    if lengths and sum(lengths) <= budget:
-        return [np.arange(len(lengths))]
-    groups, free = [], []  # free: the frames each group still has room for
+    per_frame = stored_bytes_per_frame(spec, for_backward)
+    groups, free = [], []  # free: the bytes each group still has room for
     for i, length in enumerate(lengths):
-        g = next((g for g, room in enumerate(free) if room >= length), len(free))
+        need = length * per_frame
+        g = next((g for g, room in enumerate(free) if room >= need), len(free))
         if g == len(free):
             groups.append([])
-            free.append(budget)
+            free.append(ACTIVATION_BYTES - length * STEP_BYTES)
         groups[g].append(i)
-        free[g] -= length
+        free[g] -= need
     return [np.array(group, dtype=np.int64) for group in groups]
 
 
-def _product(a, W, out=None):
-    """``a @ W`` into ``out`` if given, each row with the bits of any larger product.
+def _padded(W):
+    """W, with zero columns up to PADDED_COLUMNS if narrower than NARROW_COLUMNS.
 
-    ``a`` is (n, K), or a stack (D, n, K) of one matrix per direction
-    with W (D, K, M). A lone row takes another BLAS kernel, so it is
-    multiplied twice over and the copy dropped. Below NARROW_COLUMNS a
-    row's bits depend on the rows beside it (two or three columns from
-    16 inputs on), so W gets zero columns up to PADDED_COLUMNS, which
-    are dropped; padded to four, a product of over a thousand rows takes
-    yet another kernel from 33 inputs on. A stack runs one product per
-    matrix through the kernel its 2-D product runs.
+    Narrower, a row of ``a @ W`` has bits that follow the rows beside
+    it; four columns take another kernel again at 1024-8200 rows.
     """
-    rows, cols = a.shape[-2], W.shape[-1]
-    if rows > 1 and cols >= NARROW_COLUMNS:
+    cols = W.shape[-1]
+    if cols >= NARROW_COLUMNS:
+        return W
+    return np.pad(W, [(0, 0)] * (W.ndim - 1) + [(0, PADDED_COLUMNS - cols)])
+
+
+def _product(a, W, cols=None, out=None):
+    """``(a @ W)[..., :cols]``, each row with the bits of any larger product.
+
+    ``a`` is (n, K), or a stack (D, n, K) with W (D, K, M), run through
+    the kernel of its 2-D product. A narrow W comes ``_padded``; ``cols``
+    defaults to all of W. A lone row takes another BLAS kernel, so it is
+    multiplied twice and the copy dropped. Written into ``out`` if given.
+    """
+    rows = a.shape[-2]
+    cols = W.shape[-1] if cols is None else cols
+    if rows > 1 and cols == W.shape[-1]:
         return np.matmul(a, W, out=out)
     if rows == 1:
         a = np.repeat(a, 2, axis=-2)
-    if cols < NARROW_COLUMNS:
-        W = np.pad(W, [(0, 0)] * (W.ndim - 1) + [(0, PADDED_COLUMNS - cols)])
     product = (a @ W)[..., :rows, :cols]
     if out is None:
         return product
@@ -421,30 +419,32 @@ def _layer_weights(params, li, layer):
 def _project(packing, x, Wx, b):
     """A layer's input projections plus bias, (N, D, G·U) in recurrence order.
 
-    The backward direction projects ``x[packing.reverse]``, gathered in
-    chunks of about 1/sqrt(N) of the size of z. Every product is written
-    straight into z.
+    ``Wx`` comes ``_padded``. The backward direction projects
+    ``x[packing.reverse]``, gathered in chunks of about 1/sqrt(N) of the
+    size of z. Every product is written straight into z.
     """
     N = packing.num_frames
-    D, in_dim, cols = Wx.shape
+    D, cols = b.shape
+    in_dim = Wx.shape[1]
     z = np.empty((N, D, cols))
-    _product(x, Wx[0], out=z[:, 0])
+    _product(x, Wx[0], cols, out=z[:, 0])
     if D == 2:
         chunk = max(1, D * cols * math.isqrt(N) // in_dim)
         for start in range(0, N, chunk):
             rows = slice(start, start + chunk)
-            _product(x[packing.reverse[rows]], Wx[1], out=z[rows, 1])
+            _product(x[packing.reverse[rows]], Wx[1], cols, out=z[rows, 1])
     z += b
     return z
 
 
 def _rnn_steps(packing, z, Wh):
     """h_t = tanh(z_t + h_{t-1} Wh) for every direction, over z in place."""
-    prev = None
+    units, prev = z.shape[-1], None
     for start, n in packing.steps:
         zt = z[start:start + n]
         if prev is not None:
-            zt += _product(z[prev:prev + n].transpose(1, 0, 2), Wh).transpose(1, 0, 2)
+            zt += _product(z[prev:prev + n].transpose(1, 0, 2), Wh,
+                           units).transpose(1, 0, 2)
         np.tanh(zt, out=zt)
         prev = start
     return z
@@ -628,11 +628,11 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
     layers = []
     for li, layer in enumerate(spec.layers):
         Wx, Wh, b = _layer_weights(params, li, layer)
-        z = _project(packing, x, Wx, b)
+        z = _project(packing, x, _padded(Wx), b)
         if not for_backward:
             x = None  # frees the layer's input, unless it is the frames
         if layer.kind == "rnn":
-            h, c = _rnn_steps(packing, z, Wh), None
+            h, c = _rnn_steps(packing, z, _padded(Wh)), None
         else:
             h, c = _lstm_steps(packing, z, Wh, for_backward)
         y = h.reshape(packing.num_frames, layer.width)
@@ -643,7 +643,7 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
         del y, z, h, c
         if layer.bidirectional:  # the backward outputs into time order
             x[:, layer.units:] = x[packing.reverse, layer.units:]
-    logits = _product(x, params["output.W"])
+    logits = _product(x, _padded(params["output.W"]), spec.num_classes)
     logits += params["output.b"]
     if not for_backward:
         return logits, None

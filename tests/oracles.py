@@ -229,18 +229,20 @@ def per_tensor_step(kind, learning_rate, params, grads, m=None, v=None, step=0,
     return step
 
 
-def consecutive_groups(lengths, budget):
-    """Split non-increasing lengths into consecutive runs of at most budget frames.
+def consecutive_groups(lengths, frame_bytes, step_bytes, budget):
+    """Split non-increasing lengths into consecutive runs within budget bytes.
 
-    A length over the budget is a run of its own. Returns lists of indices.
+    A run costs ``frame_bytes`` a frame and ``step_bytes`` a step of its
+    first, longest sequence. A length over the budget is a run of its
+    own. Returns lists of indices.
     """
-    groups, frames = [], 0
+    groups, used = [], 0
     for i, length in enumerate(lengths):
-        if not groups or frames + length > budget:
+        if not groups or used + length * frame_bytes > budget:
             groups.append([])
-            frames = 0
+            used = length * step_bytes
         groups[-1].append(i)
-        frames += length
+        used += length * frame_bytes
     return groups
 
 

@@ -56,5 +56,5 @@ def test_the_workloads_keep_their_group_sizes(monkeypatch):
     counts = {spec: (net.stored_bytes_per_frame(spec, False),
                      net.stored_bytes_per_frame(spec))
               for spec in (workloads.LONG_SPEC, workloads.SHORT_SPEC)}
-    assert counts == {workloads.LONG_SPEC: (5584, 12840),
-                      workloads.SHORT_SPEC: (944, 584)}
+    assert counts == {workloads.LONG_SPEC: (5472, 12872),
+                      workloads.SHORT_SPEC: (832, 616)}

@@ -26,6 +26,7 @@ from ctckit.model import (
     write_weights,
 )
 from ctckit.net import LayerSpec, NetworkSpec, backward, forward
+from ctckit.packing import STEP_BYTES
 
 from oracles import random_feasible_labels
 
@@ -471,12 +472,12 @@ class TestForwardOnlyGroups:
         self, monkeypatch
     ):
         spec = TestBatchGradients.MIXED
-        # 24 frames a training group, 22 a forward-only one: for this
-        # small net the packing's per-step bookkeeping, which only the
-        # forward-only count holds, outweighs the LSTM state training keeps
+        # beside the bookkeeping of 9 steps, 20 frames a training group
+        # and 26 a forward-only one
         monkeypatch.setattr(net, "ACTIVATION_BYTES",
-                            24 * net.stored_bytes_per_frame(spec))
-        assert net.ACTIVATION_BYTES // net.stored_bytes_per_frame(spec, False) == 22
+                            20 * net.stored_bytes_per_frame(spec) + 9 * STEP_BYTES)
+        assert (net.ACTIVATION_BYTES - 9 * STEP_BYTES) \
+            // net.stored_bytes_per_frame(spec, False) == 26
         calls = []
         engine = net.forward_packed
 
@@ -490,10 +491,10 @@ class TestForwardOnlyGroups:
         features = [batch.features[i, :t] for i, t in enumerate([9, 8, 7])]
         model = CtcModel.compile(spec, seed=3)
         probas = model.get_probas(features)
-        assert calls == [([9, 8], False), ([7], False)]
+        assert calls == [([9, 8, 7], False)]
         calls.clear()
         model.train_on_batch(batch)
-        assert calls == [([9, 8, 7], True)]
+        assert calls == [([9, 8], True), ([7], True)]
         assert [p.shape[0] for p in probas] == [9, 8, 7]
 
 

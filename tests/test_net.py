@@ -219,16 +219,17 @@ class TestForwardOnly:
     def test_a_full_group_stays_within_the_budget(self, name):
         """What a forward-only group holds, traced: its packing, frames,
         forward pass and softmax, with as many frames as the budget
-        allows. The count must cover the peak and not overstate it. It
-        charges the packing's per-step bookkeeping to every frame, which
-        is exact for one sequence; three sequences run three frames a
-        step, so the count overstates their peak by the bookkeeping of
-        the other two thirds.
+        allows, for one sequence and for three that share each step. The
+        count and the per-step bookkeeping ``activation_groups`` charges
+        must cover the peak and not overstate it.
         """
         spec = self.SPECS[name]
         params = net._init_flat_params(spec, 0)
-        n = net.ACTIVATION_BYTES // net.stored_bytes_per_frame(spec, False)
-        for lengths in ([n], [n - 2 * (n // 3), n // 3, n // 3]):
+        per_frame = net.stored_bytes_per_frame(spec, False)
+        for share in (1, 3):
+            steps = net.ACTIVATION_BYTES // (share * per_frame + STEP_BYTES)
+            lengths, n = [steps] * share, share * steps
+            assert len(net.activation_groups(spec, lengths, False)) == 1
             rng = np.random.default_rng(1)
             tracemalloc.start()
             try:
@@ -240,16 +241,17 @@ class TestForwardOnly:
             finally:
                 tracemalloc.stop()
             assert probs.shape == (n, spec.num_classes)
-            counted = net.ACTIVATION_BYTES - (n - lengths[0]) * STEP_BYTES
-            assert 0.9 * counted <= peak <= 1.1 * net.ACTIVATION_BYTES, \
-                (lengths, peak / counted)
+            assert 0.9 * net.ACTIVATION_BYTES <= peak <= 1.1 * net.ACTIVATION_BYTES, \
+                (share, peak / net.ACTIVATION_BYTES)
 
     def test_groups_are_sized_by_the_forward_only_count(self, monkeypatch):
         spec = self.SPECS["bi-lstm"]
         assert net.stored_bytes_per_frame(spec, False) \
             < net.stored_bytes_per_frame(spec)
+        # 10 forward-only frames beside the bookkeeping of 6 steps
         monkeypatch.setattr(net, "ACTIVATION_BYTES",
-                            10 * net.stored_bytes_per_frame(spec, False))
+                            10 * net.stored_bytes_per_frame(spec, False)
+                            + 6 * STEP_BYTES)
         groups = net.activation_groups(spec, [6, 5, 4], for_backward=False)
         assert [group.tolist() for group in groups] == [[0, 2], [1]]
         assert len(net.activation_groups(spec, [6, 5, 4])) == 3
@@ -553,25 +555,58 @@ class TestActivationGroups:
     @given(lengths=st.lists(st.integers(1, 50), max_size=30),
            budget=st.integers(1, 120))
     def test_first_fit_decreasing(self, lengths, budget):
+        """Each group's frames and the steps of its longest sequence fit."""
         lengths = sorted(lengths, reverse=True)
+        per_frame = net.stored_bytes_per_frame(TOY)
+        budget *= per_frame
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(net, "ACTIVATION_BYTES",
-                          budget * net.stored_bytes_per_frame(TOY))
+            patch.setattr(net, "ACTIVATION_BYTES", budget)
             groups = net.activation_groups(TOY, lengths)
         indices = sorted(i for group in groups for i in group.tolist())
         assert indices == list(range(len(lengths)))
         for group in groups:
             group_lengths = [lengths[i] for i in group]
             assert group_lengths == sorted(group_lengths, reverse=True)
-            assert len(group) == 1 or sum(group_lengths) <= budget
-        assert len(groups) <= len(consecutive_groups(lengths, budget))
+            assert len(group) == 1 or (sum(group_lengths) * per_frame
+                                       + group_lengths[0] * STEP_BYTES <= budget)
+        assert len(groups) <= len(consecutive_groups(lengths, per_frame,
+                                                     STEP_BYTES, budget))
 
     def test_fewer_groups_than_consecutive_runs(self, monkeypatch):
-        monkeypatch.setattr(net, "ACTIVATION_BYTES",
-                            10 * net.stored_bytes_per_frame(TOY))
+        # 10 frames beside the bookkeeping of 6 steps
+        per_frame = net.stored_bytes_per_frame(TOY)
+        budget = 10 * per_frame + 6 * STEP_BYTES
+        monkeypatch.setattr(net, "ACTIVATION_BYTES", budget)
         groups = net.activation_groups(TOY, [6, 5, 4, 3])
         assert [group.tolist() for group in groups] == [[0, 2], [1, 3]]
-        assert len(consecutive_groups([6, 5, 4, 3], 10)) == 3
+        assert len(consecutive_groups([6, 5, 4, 3], per_frame, STEP_BYTES,
+                                      budget)) == 3
+
+    @pytest.mark.parametrize("name", sorted(TestForwardOnly.SPECS))
+    def test_a_full_training_group_holds_the_budget(self, name):
+        """What a training group holds once forward returns, traced: its
+        packing, frames and the activations kept for backward, with as
+        many frames as the budget allows, for one sequence and for three.
+        """
+        spec = TestForwardOnly.SPECS[name]
+        params = net._init_flat_params(spec, 0)
+        per_frame = net.stored_bytes_per_frame(spec)
+        for share in (1, 3):
+            steps = net.ACTIVATION_BYTES // (share * per_frame + STEP_BYTES)
+            lengths = [steps] * share
+            assert len(net.activation_groups(spec, lengths)) == 1
+            rng = np.random.default_rng(1)
+            tracemalloc.start()
+            try:
+                packing = Packing(lengths)
+                frames = rng.normal(0, 1, (share * steps, spec.feature_dim))
+                kept = net.forward_packed(spec, params, packing, frames)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert kept[1].packing is packing
+            assert 0.9 * net.ACTIVATION_BYTES <= held <= 1.02 * net.ACTIVATION_BYTES, \
+                (share, held / net.ACTIVATION_BYTES)
 
 
 class TestBlasThreads:
@@ -617,8 +652,8 @@ class TestRowIndependence:
     several offsets, as the engine's prefix slices ``h[prev:prev + n]``
     do. A one-row product takes another BLAS kernel, so ``_product``
     runs a lone row as two. A W narrower than four columns takes kernels
-    in which a row's bits follow the rows beside it, so ``_product`` pads
-    it to eight columns; the NARROW shapes check that.
+    in which a row's bits follow the rows beside it, so the engine runs
+    it ``_padded`` to eight columns; the NARROW shapes check that.
     """
 
     SPECS = (
@@ -644,16 +679,18 @@ class TestRowIndependence:
         def mismatches():
             found = []
             for shape in shapes:
-                W = rng.normal(0, 1, shape)
+                W = net._padded(rng.normal(0, 1, shape))
                 A = rng.normal(0, 1, (max(self.ROW_COUNTS) + 3, shape[0]))
-                full = net._product(A, W)
+                full = net._product(A, W, shape[1])
                 for rows in self.ROW_COUNTS:
                     for start in (0, 1, 3):
-                        if not np.array_equal(net._product(A[start:start + rows], W),
-                                              full[start:start + rows]):
+                        if not np.array_equal(
+                                net._product(A[start:start + rows], W, shape[1]),
+                                full[start:start + rows]):
                             found.append((shape, rows, start))
                 for r in range(0, 40, 3):
-                    if not np.array_equal(net._product(A[r:r + 1], W), full[r:r + 1]):
+                    if not np.array_equal(net._product(A[r:r + 1], W, shape[1]),
+                                          full[r:r + 1]):
                         found.append((shape, 1, r))
             return found
 
@@ -674,7 +711,8 @@ class TestRowIndependence:
         (``net._layer_weights``). Backward multiplies ``(D, n, G·U)`` by
         the transposed weights into a (first, D, U) array. Each must give
         every direction's rows the bits of its own 2-D product: for n = 1
-        forward, the two-row product ``_product`` runs.
+        forward, the two-row product ``_product`` runs, over the
+        ``_padded`` weights.
         """
         rng = np.random.default_rng(92)
 
@@ -690,7 +728,8 @@ class TestRowIndependence:
                     for n in range(1, 65):
                         h = rng.normal(0, 1, (n + 3, D, units))
                         dz = rng.normal(0, 1, (n + 3, D, cols))
-                        stacked = net._product(h[2:2 + n].transpose(1, 0, 2), Wh)
+                        stacked = net._product(h[2:2 + n].transpose(1, 0, 2),
+                                               net._padded(Wh), cols)
                         dh = np.zeros((n + 1, D, units))
                         np.matmul(dz[2:2 + n].transpose(1, 0, 2),
                                   Wh.transpose(0, 2, 1),
@@ -698,7 +737,8 @@ class TestRowIndependence:
                         for d in range(D):
                             W = np.ascontiguousarray(Wh[d])
                             rows = np.ascontiguousarray(h[2:2 + n, d])
-                            if not np.array_equal(stacked[d], net._product(rows, W)):
+                            if not np.array_equal(
+                                    stacked[d], net._product(rows, net._padded(W), cols)):
                                 found.append(("forward", W.shape, D, n))
                             rows = np.ascontiguousarray(dz[2:2 + n, d])
                             if not np.array_equal(dh[:n, d], rows @ W.T):
