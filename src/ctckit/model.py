@@ -133,8 +133,11 @@ class CtcModel:
 
         The whole batch is evaluated before any parameter moves, so an
         infeasible sequence or a non-finite gradient leaves parameters
-        and optimizer state untouched.
+        and optimizer state untouched. ``clip_norm``, if given, must be
+        a finite number > 0; it is checked before the batch is.
         """
+        if clip_norm is not None:
+            net.checked_real("clip_norm", clip_norm)
         losses, grads = batch_gradients(self.spec, self.params, batch)
         if clip_norm is not None:
             grads = net.clip_by_global_norm(grads, clip_norm)
@@ -149,8 +152,11 @@ class CtcModel:
         optional validation loss, wall-clock seconds). When
         ``checkpoint_dir`` is set, weights are written after each epoch
         as weights.epochN.ctcw (``write_weights``, so a failed write
-        leaves an older checkpoint of that name intact).
+        leaves an older checkpoint of that name intact). ``epochs`` must
+        be >= 0; ``clip_norm`` is checked as ``train_on_batch`` checks it.
         """
+        if epochs < 0:
+            raise ValueError("epochs must be >= 0, got %r" % (epochs,))
         if not len(dataset):
             raise ValueError("training dataset is empty")
         if validation is not None and not len(validation):
@@ -278,14 +284,15 @@ class CtcModel:
     def _run(self, features_list, input_lengths=None, labels=None, each=None):
         """Run the network over sequences, one packed group at a time.
 
-        Each group of ``_sorted_groups(..., for_backward=False)`` is
-        one ``net.forward_packed`` that keeps no activations for
+        Each group of ``net.activation_groups(..., for_backward=False)``
+        is one ``net.forward_packed`` that keeps no activations for
         backward, so the groups are sized by the peak of a forward-only
-        pass (for two bi-LSTM layers of 64 units, 751 frames a group
-        against 326 in training). Returns (losses, outputs) in input
-        order. With ``labels`` (one label list per sequence), losses[i]
-        is the CTC loss of sequence i, from one ``packed_losses`` pass
-        per group; otherwise losses is None. ``each(probs, packing)``
+        pass (for two bi-LSTM layers of 64 units and sequences of 280
+        frames, 760 frames a group against 323 in training). Returns
+        (losses, outputs) in input order. With ``labels`` (one label
+        list per sequence), losses[i] is the CTC loss of sequence i,
+        from one ``packed_losses`` pass per group; otherwise losses is
+        None. ``each(probs, packing)``
         maps a group's posteriors (N, K), of the first input_len frames
         of each sequence, to one output per sequence in packing order,
         and outputs[i] is that of sequence i; without ``each`` outputs
@@ -315,7 +322,8 @@ class CtcModel:
                             lengths.max(initial=1), self.spec.num_classes)
             losses = np.empty(n)
         outputs = [None] * n
-        for index in _sorted_groups(self.spec, lengths, for_backward=False):
+        groups = net.activation_groups(self.spec, lengths, for_backward=False)
+        for index in groups:
             group_losses, group_outputs = _run_group(
                 self.spec, self.params, arrays, lengths, labels, index, each
             )
@@ -345,23 +353,6 @@ def _label_matrix(labels, label_lengths):
     return matrix
 
 
-def _sorted_groups(spec, lengths, for_backward=True):
-    """Index arrays of the groups of the sequences, each sorted by length.
-
-    The sort is stable and longest first; ``net.activation_groups``
-    packs it into groups first-fit-decreasing, keeping the sorted order
-    within each group, so each group's lengths make a valid
-    ``Packing``. The groups are sized by what ``net.forward_packed``
-    holds per frame when run with the same ``for_backward``: training
-    keeps its activations for backward, inference passes
-    ``for_backward=False``.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    return [order[group] for group in
-            net.activation_groups(spec, lengths[order], for_backward)]
-
-
 def _run_group(spec, params, arrays, lengths, labels, index, each):
     # a function of its own, so each group's activations and posteriors
     # are freed before the next group's forward runs
@@ -386,15 +377,15 @@ def batch_gradients(spec, params, batch):
 
     Every sequence is validated first; errors carry the sequence's index
     in ``batch``. The batch then runs in the groups of
-    ``_sorted_groups``: per group one forward, one lattice pass and one
-    backward over its packed frames. Returns (losses in batch order,
+    ``net.activation_groups``: per group one forward, one lattice pass
+    and one backward over its packed frames. Returns (losses in batch order,
     the batch-mean gradients as a ``net.FlatTensors`` laid out by
     ``net.param_shapes(spec)``).
     """
     check_batch(batch, spec.num_classes)
     losses = np.empty(len(batch.input_lengths))
     total = None
-    for index in _sorted_groups(spec, batch.input_lengths):
+    for index in net.activation_groups(spec, batch.input_lengths):
         losses[index], grads = _group_gradients(spec, params, batch, index)
         if total is None:
             total = grads
@@ -430,7 +421,7 @@ def save_model(model, directory):
     """
     os.makedirs(directory, exist_ok=True)
     _write_json(os.path.join(directory, ARCHITECTURE_FILE),
-                net.spec_to_dict(model.spec))
+                asdict(model.spec))
     _write_json(os.path.join(directory, HYPERPARAMS_FILE), {
         "optimizer": model.optimizer.kind,
         "learning_rate": model.optimizer.learning_rate,

@@ -29,10 +29,11 @@ runs the same way. Training and inference run a sorted batch in groups
 that each fit ``ACTIVATION_BYTES`` (``activation_groups``).
 ``forward`` and ``backward`` handle one sequence as a batch of one.
 
-Every product in ``forward_packed`` runs through ``_product``, which
-gives each row of ``A @ W`` the same bits whatever rows share it. So
-the posteriors of a sequence do not depend on the other sequences of
-its group, and ``forward`` on the sequence alone gives the same bits.
+Every product in ``forward_packed`` runs through ``_product`` with a
+W ``_padded`` to a multiple of COLUMN_MULTIPLE columns, so each row of
+``A @ W`` has the same bits whatever rows share it (up to 384 inputs on
+OpenBLAS; README, The batched engine). So a sequence's posteriors do
+not depend on its group, and ``forward`` on it alone gives those bits.
 
 Only frames ``[0, input_len)`` enter the recurrences in either
 direction; padding frames are never gathered into the packed rows,
@@ -41,10 +42,9 @@ and nothing past input_len influences gradients. Forward and backward
 use fixed summation orders, so results are bit-reproducible.
 
 The engine and the gradient norm run on one BLAS thread
-(``_one_blas_thread``), which restores the thread count on return. The
-engine's packed products are large enough for OpenBLAS to split them
-across threads, whose workers then spin between the many small
-products of a step, for no more speed (README, The batched engine).
+(``_one_blas_thread``): on more, OpenBLAS splits the packed products,
+and its workers spin between the small products of a step for no more
+speed (README, The batched engine).
 """
 
 import ctypes
@@ -63,16 +63,18 @@ from .packing import STEP_BYTES, Packing
 # gates, then the tanh candidate, so each nonlinearity acts on one slice
 LSTM_GATES = ("i", "f", "o", "g")
 
-# Activations one group may keep alive (``stored_bytes_per_frame``).
-# CtcModel runs a length-sorted batch in groups that each fit it, for
+# What a group's forward may keep (``stored_bytes_per_frame``), for
 # training and inference. Training two bi-LSTM layers of 64 units on
 # batches of eight sequences of 60-280 frames, one group a batch took
 # peak RSS from 58 to 85 MB for 8 % more speed, against 62 MB with this
 # budget. A forward-only pass keeps one layer alive: for that net 5472
 # bytes a frame at its peak, against the 12872 that training keeps.
+# The peaks of a training step lie above it: traced full groups of that
+# net reach 1.02x it in forward, 1.17x in the lattice (20 labels) and
+# 2.2x in backward, and of a bi-RNN of 32 units 1.33x, 3.6x and 5.0x.
 ACTIVATION_BYTES = 4 * 2 ** 20
 
-NARROW_COLUMNS, PADDED_COLUMNS = 4, 8  # see ``_padded``
+COLUMN_MULTIPLE = 8  # see ``_padded``
 
 
 @lru_cache(maxsize=None)
@@ -161,21 +163,6 @@ def validate_spec(spec):
             raise ValueError("unknown layer kind %r" % (layer.kind,))
         if layer.units < 1:
             raise ValueError("layer units must be >= 1")
-
-
-def spec_to_dict(spec):
-    return {
-        "feature_dim": spec.feature_dim,
-        "num_labels": spec.num_labels,
-        "layers": [
-            {
-                "kind": layer.kind,
-                "units": layer.units,
-                "bidirectional": layer.bidirectional,
-            }
-            for layer in spec.layers
-        ],
-    }
 
 
 def spec_from_dict(d):
@@ -302,60 +289,60 @@ def stored_bytes_per_frame(spec, for_backward=True):
     (``Packing``, whose per-step bookkeeping ``activation_groups``
     charges per step). Before a backward, forward also keeps each
     layer's output, each LSTM direction's gates and cell state, and the
-    logits, a view of their product, PADDED_COLUMNS wide below
-    NARROW_COLUMNS classes. A forward-only pass keeps one layer alive,
-    and this is its peak, the largest of
+    logits. A forward-only pass keeps one layer alive, and this is its
+    peak, the largest of
     - a layer's pre-activations, G·U columns for each of its
       directions, beside its input (unless it is the input frame)
-      while it is projected, with the PADDED_COLUMNS product of a
-      narrow W (``_product``); an LSTM's gates then sit beside its
+      while it is projected; an LSTM's gates then sit beside its
       output, which a tanh-RNN writes over its pre-activations;
     - a bidirectional layer's output beside the backward half that is
       put back into time order;
-    - the last layer's output and the logits;
+    - the last layer's output and the logits, beside the ``_padded``
+      product they are copied out of unless K is a multiple of
+      COLUMN_MULTIPLE;
     - the logits and their softmax.
-    Left out: two steps of cell states, each step's products, the
-    backward direction's input rows gathered a chunk at a time
+    Left out: two steps of cell states, each step's products, and a
+    layer's input rows and padded products made a chunk at a time
     (``_project``), and the lattice of a loss pass, whose width follows
     the labels.
     """
     K = spec.num_classes
-    logits = PADDED_COLUMNS if K < NARROW_COLUMNS else K
     if for_backward:
-        floats = spec.feature_dim + 4 + logits
+        floats = spec.feature_dim + 4 + K
         for layer in spec.layers:
             floats += (6 if layer.kind == "lstm" else 1) * layer.width
         return 8 * floats
-    held, peak = 0, logits + K
+    held, peak = 0, 2 * K
     for layer in spec.layers:
         cols = (len(LSTM_GATES) if layer.kind == "lstm" else 1) * layer.units
-        padded = PADDED_COLUMNS if cols < NARROW_COLUMNS else 0
         # an LSTM's outputs take its input's place beside the gates; a
         # tanh-RNN's outputs are its pre-activations
         outputs = layer.width if layer.kind == "lstm" else 0
         z = cols * (layer.width // layer.units)
-        peak = max(peak, max(held + padded, outputs) + z,
+        peak = max(peak, max(held, outputs) + z,
                    layer.width + (layer.units if layer.bidirectional else 0))
         held = layer.width
-    peak = max(peak, held + logits)
+    padded = K + -K % COLUMN_MULTIPLE if K % COLUMN_MULTIPLE else 0
+    peak = max(peak, held + padded + K)
     return 8 * (spec.feature_dim + 4 + peak)
 
 
 def activation_groups(spec, lengths, for_backward=True):
-    """Group non-increasing ``lengths`` first-fit-decreasing.
+    """Group ``lengths``, in any order, first-fit-decreasing.
 
-    Each sequence, longest first, joins the first group with room for
-    its frames at ``stored_bytes_per_frame(spec, for_backward)``, or
-    opens one with ACTIVATION_BYTES less the bookkeeping
-    (``packing.STEP_BYTES``) of a step per frame of that, its longest
-    sequence; one over the budget is a group of its own. Returns
-    increasing index arrays into ``lengths``, so each group's lengths
-    are non-increasing.
+    Each sequence, longest first (a stable sort), joins the first group
+    with room for its frames at ``stored_bytes_per_frame(spec,
+    for_backward)``, or opens one with ACTIVATION_BYTES less the
+    bookkeeping (``packing.STEP_BYTES``) of a step per frame of that,
+    its longest sequence; one over the budget is a group of its own.
+    Returns index arrays into ``lengths``, each in the sorted order, so
+    each group's lengths are non-increasing.
     """
-    lengths = np.asarray(lengths).tolist()
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
     per_frame = stored_bytes_per_frame(spec, for_backward)
     groups, free = [], []  # free: the bytes each group still has room for
-    for i, length in enumerate(lengths):
+    for i, length in zip(order.tolist(), lengths[order].tolist()):
         need = length * per_frame
         g = next((g for g, room in enumerate(free) if room >= need), len(free))
         if g == len(free):
@@ -367,27 +354,28 @@ def activation_groups(spec, lengths, for_backward=True):
 
 
 def _padded(W):
-    """W, with zero columns up to PADDED_COLUMNS if narrower than NARROW_COLUMNS.
+    """W, with zero columns up to the next multiple of COLUMN_MULTIPLE.
 
-    Narrower, a row of ``a @ W`` has bits that follow the rows beside
-    it; four columns take another kernel again at 1024-8200 rows.
+    At other widths a row of ``a @ W`` may have bits that follow the
+    rows beside it, as the BLAS picks its kernel by the column count.
     """
     cols = W.shape[-1]
-    if cols >= NARROW_COLUMNS:
+    if cols % COLUMN_MULTIPLE == 0:
         return W
-    return np.pad(W, [(0, 0)] * (W.ndim - 1) + [(0, PADDED_COLUMNS - cols)])
+    padded = np.zeros(W.shape[:-1] + (cols + -cols % COLUMN_MULTIPLE,))
+    padded[..., :cols] = W
+    return padded
 
 
-def _product(a, W, cols=None, out=None):
+def _product(a, W, cols, out=None):
     """``(a @ W)[..., :cols]``, each row with the bits of any larger product.
 
     ``a`` is (n, K), or a stack (D, n, K) with W (D, K, M), run through
-    the kernel of its 2-D product. A narrow W comes ``_padded``; ``cols``
-    defaults to all of W. A lone row takes another BLAS kernel, so it is
-    multiplied twice and the copy dropped. Written into ``out`` if given.
+    the kernel of its 2-D product; W comes ``_padded``. A lone row takes
+    another BLAS kernel, so it is multiplied twice and the copy dropped.
+    Written into ``out`` if given.
     """
     rows = a.shape[-2]
-    cols = W.shape[-1] if cols is None else cols
     if rows > 1 and cols == W.shape[-1]:
         return np.matmul(a, W, out=out)
     if rows == 1:
@@ -419,19 +407,19 @@ def _layer_weights(params, li, layer):
 def _project(packing, x, Wx, b):
     """A layer's input projections plus bias, (N, D, G·U) in recurrence order.
 
-    ``Wx`` comes ``_padded``. The backward direction projects
-    ``x[packing.reverse]``, gathered in chunks of about 1/sqrt(N) of the
-    size of z. Every product is written straight into z.
+    ``Wx`` comes ``_padded``. Both directions are projected in chunks of
+    rows of about 1/sqrt(N) of the size of z, so neither the backward
+    direction's input ``x[packing.reverse]`` nor a padded product is
+    made whole. Every product is written into z.
     """
     N = packing.num_frames
     D, cols = b.shape
-    in_dim = Wx.shape[1]
     z = np.empty((N, D, cols))
-    _product(x, Wx[0], cols, out=z[:, 0])
-    if D == 2:
-        chunk = max(1, D * cols * math.isqrt(N) // in_dim)
-        for start in range(0, N, chunk):
-            rows = slice(start, start + chunk)
+    chunk = max(1, D * cols * math.isqrt(N) // Wx.shape[1])
+    for start in range(0, N, chunk):
+        rows = slice(start, start + chunk)
+        _product(x[rows], Wx[0], cols, out=z[rows, 0])
+        if D == 2:
             _product(x[packing.reverse[rows]], Wx[1], cols, out=z[rows, 1])
     z += b
     return z
@@ -479,7 +467,7 @@ def _lstm_steps(packing, z, Wh, keep):
             if h_prev is None:
                 np.copyto(a, zt)
             else:
-                product = _product(h_prev[:n].transpose(1, 0, 2), Wh)
+                product = _product(h_prev[:n].transpose(1, 0, 2), Wh, 4 * units)
                 np.add(zt, product.reshape(D, n, 4, units).transpose(2, 1, 0, 3),
                        out=a)
             s = a[:3]
@@ -634,7 +622,7 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
         if layer.kind == "rnn":
             h, c = _rnn_steps(packing, z, _padded(Wh)), None
         else:
-            h, c = _lstm_steps(packing, z, Wh, for_backward)
+            h, c = _lstm_steps(packing, z, _padded(Wh), for_backward)
         y = h.reshape(packing.num_frames, layer.width)
         if for_backward:
             layers.append((x, y, None if c is None else (z, c)))
@@ -643,7 +631,8 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
         del y, z, h, c
         if layer.bidirectional:  # the backward outputs into time order
             x[:, layer.units:] = x[packing.reverse, layer.units:]
-    logits = _product(x, _padded(params["output.W"]), spec.num_classes)
+    logits = _product(x, _padded(params["output.W"]), spec.num_classes,
+                      out=np.empty((packing.num_frames, spec.num_classes)))
     logits += params["output.b"]
     if not for_backward:
         return logits, None
@@ -769,37 +758,44 @@ def backward(spec, params, cache, grad_logits):
                            grad_logits[:cache.input_len])
 
 
+# Adam's moment decays and the epsilon beside its root (Kingma & Ba 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     kind: str
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: FlatTensors | None = None
     v: FlatTensors | None = None
 
 
+def checked_real(name, value, positive=True):
+    """``value`` as a float if a finite real number > 0 (or 0, unless
+    ``positive``); anything else, a bool or a string among them, raises
+    a ValueError that names the argument."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            number = math.inf
+    if not math.isfinite(number) or number < 0.0 or positive and number == 0.0:
+        raise ValueError("%s must be a finite number %s 0, got %r"
+                         % (name, ">" if positive else ">=", value))
+    return number
+
+
 def init_optimizer(kind, learning_rate, params):
     """Optimizer state for ``params``; Adam's moments take their layout.
 
-    ``learning_rate`` must be a real number (not a bool or a string),
-    finite and not negative; a rate of 0 takes steps that leave the
-    parameters as they are. Any other raises ValueError before a step
-    could turn the parameters to NaN.
+    ``learning_rate`` must be a finite number >= 0 (``checked_real``),
+    so no step turns the parameters to NaN; a rate of 0 leaves them be.
     """
     if kind not in ("sgd", "adam"):
         raise ValueError("unknown optimizer %r (expected 'sgd' or 'adam')" % (kind,))
-    rate = math.nan
-    if isinstance(learning_rate, numbers.Real) and not isinstance(learning_rate, bool):
-        try:
-            rate = float(learning_rate)
-        except OverflowError:  # an int past the float range
-            rate = math.inf
-    if not (math.isfinite(rate) and rate >= 0.0):
-        raise ValueError("learning_rate must be a finite number >= 0, got %r"
-                         % (learning_rate,))
+    rate = checked_real("learning_rate", learning_rate, positive=False)
     state = OptimizerState(kind=kind, learning_rate=rate)
     if kind == "adam":
         shapes = as_flat(params).shapes
@@ -821,11 +817,13 @@ def global_grad_norm(grads):
 def clip_by_global_norm(grads, max_norm):
     """Scale all gradients down when their joint norm exceeds max_norm.
 
+    ``max_norm`` must be a finite number > 0 (``checked_real``).
     Returns ``grads`` itself when it does not clip. When it clips, it
     scales ``as_flat(grads)`` in place and returns a new FlatTensors
     over that buffer: a FlatTensors ``grads`` is itself scaled, a plain
     dict is left as it was.
     """
+    max_norm = checked_real("max_norm", max_norm)
     flat = as_flat(grads)
     norm = global_grad_norm(flat)
     if norm <= max_norm or norm == 0.0:
@@ -860,18 +858,18 @@ def optimizer_step(state, params, grads):
         params.flat -= lr * g
         return params, state
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     m, v = state.m.flat, state.v.flat
     scratch = np.empty_like(g)
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=scratch)
-    v *= state.beta2
-    v += np.multiply(np.square(g, out=scratch), 1.0 - state.beta2, out=scratch)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+    v *= ADAM_BETA2
+    v += np.multiply(np.square(g, out=scratch), 1.0 - ADAM_BETA2, out=scratch)
     # lr * (m / c1) / (sqrt(v / c2) + eps) in that order, so each
     # element gets the bits of the per-tensor expression
     np.sqrt(np.divide(v, c2, out=scratch), out=scratch)
-    scratch += state.epsilon
+    scratch += ADAM_EPSILON
     update = m / c1
     update *= lr
     update /= scratch

@@ -247,14 +247,15 @@ def consecutive_groups(lengths, frame_bytes, step_bytes, budget):
 
 
 def _two_row_product(a, W):
-    """``a @ W`` with at least two rows and four columns.
+    """``a @ W`` with at least two rows and a multiple of eight columns.
 
-    A lone row is multiplied twice; a W narrower than four columns gets
-    zero columns up to eight, and both copies are dropped.
+    A lone row is multiplied twice; a W of another width gets zero
+    columns up to the next multiple of eight, and both copies are
+    dropped.
     """
     rows, cols = a.shape[0], W.shape[1]
-    if cols < 4:
-        W = np.hstack((W, np.zeros((W.shape[0], 8 - cols))))
+    if cols % 8:
+        W = np.hstack((W, np.zeros((W.shape[0], -cols % 8))))
     if rows == 1:
         a = np.repeat(a, 2, axis=0)
     return (a @ W)[:rows, :cols]

@@ -131,6 +131,23 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not os.path.exists(tmp_path / "model")
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--clip-norm", "-5", "clip_norm"), ("--clip-norm", "0", "clip_norm"),
+        ("--clip-norm", "nan", "clip_norm"), ("--epochs", "-2", "epochs")])
+    def test_bad_clip_norm_or_epochs_is_usage_error(self, tmp_path, capsys,
+                                                    flag, value, name):
+        data = str(tmp_path / "d.jsonl")
+        assert cli_main(["gen-data", "--num", "20", "--labels", "3",
+                         "--feature-dim", "3", "--out", data]) == 0
+        argv = ["train", "--config", write_arch(tmp_path), "--data", data,
+                "--epochs", "2", "--out", str(tmp_path / "model")]
+        code = cli_main(argv + [flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[usage]: " + name)
+        assert err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "model")
+
     def test_unknown_metric_is_usage_error(self, tmp_path, capsys):
         data, model_dir, _ = run_pipeline(tmp_path, "u")
         capsys.readouterr()

@@ -254,6 +254,25 @@ class TestFit:
         assert history == []
         assert params_equal(model.params, before)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"epochs": -2}, "epochs"),
+        ({"epochs": 1, "clip_norm": -5.0}, "clip_norm"),
+        ({"epochs": 1, "clip_norm": 0.0}, "clip_norm"),
+        ({"epochs": 1, "clip_norm": np.inf}, "clip_norm"),
+    ])
+    def test_bad_epochs_or_clip_norm_rejected_before_a_step(self, kwargs, name):
+        model = CtcModel.compile(SPEC, seed=4)
+        before = clone(model.params)
+        with pytest.raises(ValueError, match=name):
+            model.fit(small_dataset(), **kwargs)
+        assert params_equal(model.params, before)
+        assert model.optimizer.step == 0
+        if "clip_norm" in kwargs:
+            (batch,) = make_batches(small_dataset(4), 4)
+            with pytest.raises(ValueError, match=name):
+                model.train_on_batch(batch, clip_norm=kwargs["clip_norm"])
+            assert params_equal(model.params, before)
+
     def test_identical_seeds_identical_histories(self):
         ds = small_dataset(8)
         val = small_dataset(4, seed=9)
@@ -538,23 +557,27 @@ class TestBatchIndependence:
     def test_posteriors_losses_and_decodes(self, data):
         self.check(TestBatchGradients.MIXED, data)
 
-    # each has a W narrower than four columns with 16 inputs or more: the
-    # output layer for 3 and for 2 classes, the input projection of a
-    # tanh-RNN of 3 units
-    NARROW = {
+    # each has a W of 16 inputs or more whose width is not a multiple of
+    # eight, which the engine runs padded: the output layer for 3, 2 and
+    # 9 classes, the input projection of a tanh-RNN of 3 and of 10 units
+    PADDED = {
         "3-classes": NetworkSpec(feature_dim=20, num_labels=2,
                                  layers=(LayerSpec("rnn", 16, True),)),
         "2-classes": NetworkSpec(feature_dim=5, num_labels=1,
                                  layers=(LayerSpec("lstm", 32, True),)),
+        "9-classes": NetworkSpec(feature_dim=20, num_labels=8,
+                                 layers=(LayerSpec("rnn", 16, True),)),
         "3-units": NetworkSpec(feature_dim=20, num_labels=3,
                                layers=(LayerSpec("rnn", 3, True),)),
+        "10-units": NetworkSpec(feature_dim=20, num_labels=7,
+                                layers=(LayerSpec("rnn", 10, True),)),
     }
 
-    @pytest.mark.parametrize("name", sorted(NARROW))
+    @pytest.mark.parametrize("name", sorted(PADDED))
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_narrow_products(self, name, data):
-        self.check(self.NARROW[name], data)
+    def test_padded_products(self, name, data):
+        self.check(self.PADDED[name], data)
 
 
 class TestBranchSeparation:

@@ -463,6 +463,15 @@ class TestOptimizers:
         untouched = clip_by_global_norm(grads, 10.0)
         assert untouched is grads
 
+    @pytest.mark.parametrize("max_norm", [-1.0, 0, 0.0, np.nan, np.inf, "5", True])
+    def test_bad_clip_norm_rejected(self, max_norm):
+        # a negative norm would turn [3, 4] into [-0.6, -0.8], gradient
+        # ascent, and 0 would zero every step
+        grads = as_flat({"a": np.array([3.0]), "b": np.array([4.0])})
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_by_global_norm(grads, max_norm)
+        np.testing.assert_array_equal(grads.flat, [3.0, 4.0])
+
     def test_clipping_returns_another_mapping(self):
         # benchmark tracing counts a clip event as a result that is not
         # the argument; flat gradients are scaled in place
@@ -582,6 +591,16 @@ class TestActivationGroups:
         assert len(consecutive_groups([6, 5, 4, 3], per_frame, STEP_BYTES,
                                       budget)) == 3
 
+    def test_lengths_in_any_order(self, monkeypatch):
+        # the groups of [6, 5, 4, 3] above, as indices into these lengths;
+        # equal lengths keep their order
+        monkeypatch.setattr(net, "ACTIVATION_BYTES",
+                            10 * net.stored_bytes_per_frame(TOY) + 6 * STEP_BYTES)
+        groups = net.activation_groups(TOY, [4, 6, 3, 5])
+        assert [group.tolist() for group in groups] == [[1, 0], [3, 2]]
+        groups = net.activation_groups(TOY, [2, 5, 2, 5])
+        assert [group.tolist() for group in groups] == [[1, 3], [0, 2]]
+
     @pytest.mark.parametrize("name", sorted(TestForwardOnly.SPECS))
     def test_a_full_training_group_holds_the_budget(self, name):
         """What a training group holds once forward returns, traced: its
@@ -651,9 +670,12 @@ class TestRowIndependence:
     benchmark's networks and in a small mixed one; row slices start at
     several offsets, as the engine's prefix slices ``h[prev:prev + n]``
     do. A one-row product takes another BLAS kernel, so ``_product``
-    runs a lone row as two. A W narrower than four columns takes kernels
-    in which a row's bits follow the rows beside it, so the engine runs
-    it ``_padded`` to eight columns; the NARROW shapes check that.
+    runs a lone row as two. At widths that are not a multiple of eight
+    columns some kernels give a row bits that follow the rows beside
+    it, so the engine runs every W ``_padded`` to a multiple of eight;
+    the WIDTHS shapes check that, up to 384 inputs. From 385 inputs on
+    OpenBLAS's SkylakeX kernel splits the inner dimension by the row
+    count, which padding cannot mend.
     """
 
     SPECS = (
@@ -667,12 +689,13 @@ class TestRowIndependence:
     ROW_COUNTS = sorted({*range(2, 18), 3000,
                          *(2 ** k + d for k in range(5, 13) for d in (-1, 0, 1))})
 
-    NARROW = [(inputs, cols) for inputs in (16, 17, 33, 64) for cols in (1, 2, 3)]
+    WIDTHS = [(inputs, cols) for inputs in (16, 17, 33, 64, 384)
+              for cols in (*range(1, 13), *range(16, 21), *range(24, 29))]
 
     def test_rows_of_a_product_do_not_depend_on_the_row_count(self):
         shapes = sorted({shape for spec in self.SPECS
                          for shape in param_shapes(spec).values() if len(shape) == 2}
-                        | set(self.NARROW))
+                        | set(self.WIDTHS))
         rng = np.random.default_rng(91)
 
         @net._one_blas_thread  # the thread setting the engine runs under
