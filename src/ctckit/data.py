@@ -12,8 +12,11 @@ import json
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+from .net import checked_int, checked_real
 
 LABEL_PAD = -1  # cannot collide with a class index; leaks fail loudly
 
@@ -83,17 +86,11 @@ def read_dataset(path):
                         "line %d: header must carry feature_dim and num_labels"
                         % lineno
                     )
-                header = {key: obj[key] for key in ("feature_dim", "num_labels")}
-                if any(not isinstance(v, int) or isinstance(v, bool)
-                       for v in header.values()):
-                    raise DatasetFormatError(
-                        "line %d: feature_dim and num_labels must be integers"
-                        % lineno
-                    )
-                if header["feature_dim"] < 1 or header["num_labels"] < 1:
-                    raise DatasetFormatError(
-                        "line %d: feature_dim and num_labels must be >= 1" % lineno
-                    )
+                try:
+                    header = {key: checked_int(key, obj[key])
+                              for key in ("feature_dim", "num_labels")}
+                except ValueError as err:
+                    raise DatasetFormatError("line %d: %s" % (lineno, err)) from err
                 continue
             if not isinstance(obj, dict) or "features" not in obj \
                     or "labels" not in obj:
@@ -105,27 +102,30 @@ def read_dataset(path):
                 raise DatasetFormatError(
                     "line %d: features must be a non-empty list of rows" % lineno
                 )
-            widths = {len(r) for r in rows if isinstance(r, list)}
-            if len(widths) != 1 or widths != {header["feature_dim"]}:
+            if any(not isinstance(r, list) or len(r) != header["feature_dim"]
+                   for r in rows):
                 raise DatasetFormatError(
-                    "line %d: feature rows must all have width %d"
+                    "line %d: feature rows must all be lists of width %d"
                     % (lineno, header["feature_dim"])
+                )
+            # JSON numbers only: a string or a bool would parse as a float
+            if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
+                raise DatasetFormatError(
+                    "line %d: non-numeric feature value" % lineno
                 )
             try:
                 features = np.asarray(rows, dtype=np.float64)
-            except (TypeError, ValueError) as err:
+            except OverflowError as err:  # an int past the float range
                 raise DatasetFormatError(
-                    "line %d: non-numeric feature value (%s)" % (lineno, err)
+                    "line %d: non-finite feature value (%s)" % (lineno, err)
                 ) from err
             # json.loads accepts NaN and Infinity
             if not np.isfinite(features).all():
                 raise DatasetFormatError(
                     "line %d: non-finite feature value" % lineno
                 )
-            labels = obj["labels"]
-            if not isinstance(labels, list) or any(
-                not isinstance(l, int) or isinstance(l, bool) for l in labels
-            ):
+            labels = obj["labels"]  # type(True) is bool: a bool is no label
+            if not isinstance(labels, list) or not set(map(type, labels)) <= {int}:
                 raise DatasetFormatError(
                     "line %d: labels must be a list of integers" % lineno
                 )
@@ -193,9 +193,9 @@ def make_batches(dataset, batch_size, seed=None):
     ``seed`` may be an int / int sequence (shuffled with that seed), a
     Generator, or None for the original order. Per batch, the padded
     sizes are the within-batch maxima and every true length is kept.
+    ``batch_size`` must be an integer >= 1 (``net.checked_int``).
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    batch_size = checked_int("batch_size", batch_size)
     n = len(dataset)
     if seed is None:
         order = np.arange(n)
@@ -229,21 +229,22 @@ def generate_synthetic(num_sequences, num_labels, feature_dim,
     Label sequences are uniform in length over [1, 5]; each label emits
     k ~ uniform(frames_per_label) frames carrying its one-hot in the
     first num_labels feature coordinates plus Gaussian noise of the
-    given sigma on every coordinate. Deterministic in ``seed``.
+    given sigma on every coordinate. Deterministic in ``seed``. The
+    counts must be integers >= 1 (``net.checked_int``), with
+    feature_dim >= num_labels, and ``noise_sigma`` a finite number >= 0
+    (``net.checked_real``).
     """
-    if num_sequences < 1:
-        raise ValueError("num_sequences must be >= 1")
-    if num_labels < 1:
-        raise ValueError("num_labels must be >= 1")
+    num_sequences = checked_int("num_sequences", num_sequences)
+    num_labels = checked_int("num_labels", num_labels)
+    feature_dim = checked_int("feature_dim", feature_dim)
     if feature_dim < num_labels:
         raise ValueError(
             "feature_dim %d must be >= num_labels %d" % (feature_dim, num_labels)
         )
     lo, hi = frames_per_label
-    if not 1 <= lo <= hi:
-        raise ValueError("frames_per_label must satisfy 1 <= lo <= hi")
-    if noise_sigma < 0:
-        raise ValueError("noise sigma must be >= 0")
+    lo = checked_int("frames_per_label[0]", lo)
+    hi = checked_int("frames_per_label[1]", hi, lo)
+    noise_sigma = checked_real("noise_sigma", noise_sigma, positive=False)
 
     rng = np.random.default_rng(seed)
     sequences = []

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import collapse, log_posteriors, posterior_frames
+from .net import checked_int
 from .packing import Packing
 
 DEFAULT_ENUMERATION_BUDGET = 2 ** 22
@@ -90,7 +91,7 @@ def exact_decode(probs, input_len=None, top_paths=1,
     """
     active = posterior_frames(probs, input_len)
     T, K = active.shape
-    _check_count("top_paths", top_paths)
+    top_paths = checked_int("top_paths", top_paths)
     if T * math.log(K) > math.log(max_paths):
         raise BudgetExceeded(
             "%d^%d paths exceed the enumeration budget of %d" % (K, T, max_paths)
@@ -144,22 +145,16 @@ def best_path_packed(probs, packing):
     return results
 
 
-def _check_count(name, value):
-    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    if value < 1:
-        raise ValueError("%s must be >= 1" % name)
-
-
 def check_beam(beam_width, top_paths):
-    """Raise ValueError unless both are integers and 1 <= top_paths <= beam_width."""
-    _check_count("beam_width", beam_width)
-    _check_count("top_paths", top_paths)
+    """(beam_width, top_paths) as ints (``checked_int``), if
+    1 <= top_paths <= beam_width; otherwise ValueError."""
+    beam_width = checked_int("beam_width", beam_width)
+    top_paths = checked_int("top_paths", top_paths)
     if top_paths > beam_width:
         raise ValueError(
             "top_paths %d exceeds beam_width %d" % (top_paths, beam_width)
         )
+    return beam_width, top_paths
 
 
 def beam_search_decode(probs, input_len=None, beam_width=100, top_paths=1):
@@ -219,7 +214,7 @@ def beam_search_packed(probs, packing, beam_width=100, top_paths=1):
     ``STEP_CANDIDATES``, runs of consecutive sequences are decoded one
     after the other, each as a packing of its own.
     """
-    check_beam(beam_width, top_paths)
+    beam_width, top_paths = check_beam(beam_width, top_paths)
     logp = log_posteriors(np.asarray(probs, dtype=np.float64))
     run = max(1, STEP_CANDIDATES // (beam_width * logp.shape[1]))
     if run >= packing.lengths.size:

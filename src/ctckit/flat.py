@@ -2,8 +2,8 @@
 
 A model's parameters, their gradients and Adam's moments each live in
 one such buffer, laid out in ``net.param_shapes`` order, with a view per
-tensor. Code that works by name (the network, serialization, the
-audit) indexes the views; the optimizer step, the gradient norm and the
+tensor. Code that works by name (the network, serialization)
+indexes the views; the optimizer step, the gradient norm and the
 clip act on the whole buffer with one array operation each, and
 gradients of several groups add up with one ``+=``.
 """
@@ -54,8 +54,24 @@ class FlatTensors(Mapping):
         return FlatTensors, (dict(self.shapes), self.flat)
 
 
-def check_tensors(shapes, tensors):
-    """Raise ValueError unless ``tensors`` has the names and shapes of ``shapes``."""
+def same_layout(a, b):
+    """Whether two ``shapes`` mappings list the same names and shapes in one order."""
+    return a is b or list(a.items()) == list(b.items())
+
+
+def as_flat(tensors, shapes=None):
+    """``tensors`` as a FlatTensors laid out as ``shapes``.
+
+    ``shapes`` defaults to the tensors' own names and shapes, in their
+    order. A FlatTensors already in that layout is returned as it is;
+    anything else must have the names and shapes of ``shapes``, or a
+    ValueError names what differs, and is copied into a new buffer.
+    """
+    if isinstance(tensors, FlatTensors) and (
+            shapes is None or same_layout(tensors.shapes, shapes)):
+        return tensors
+    if shapes is None:
+        shapes = {name: np.shape(t) for name, t in tensors.items()}
     if set(tensors) != set(shapes):
         missing = sorted(set(shapes) - set(tensors))
         extra = sorted(set(tensors) - set(shapes))
@@ -68,27 +84,6 @@ def check_tensors(shapes, tensors):
                 "tensor %s has shape %r, expected %r"
                 % (name, np.shape(tensors[name]), shape)
             )
-
-
-def same_layout(a, b):
-    """Whether two ``shapes`` mappings list the same names and shapes in one order."""
-    return a is b or list(a.items()) == list(b.items())
-
-
-def as_flat(tensors, shapes=None):
-    """``tensors`` as a FlatTensors laid out as ``shapes``.
-
-    ``shapes`` defaults to the tensors' own names and shapes, in their
-    order. A FlatTensors already in that layout is returned as it is;
-    anything else is checked against ``shapes`` (``check_tensors``) and
-    copied into a new buffer.
-    """
-    if isinstance(tensors, FlatTensors) and (
-            shapes is None or same_layout(tensors.shapes, shapes)):
-        return tensors
-    if shapes is None:
-        shapes = {name: np.shape(t) for name, t in tensors.items()}
-    check_tensors(shapes, tensors)
     out = FlatTensors(shapes)
     for name, view in out.items():
         view[...] = tensors[name]

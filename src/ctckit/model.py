@@ -68,8 +68,8 @@ class DecodeConfig:
     """Decode defaults fixed when the model is built.
 
     Raises ValueError unless ``greedy`` is a bool and the beam sizes are
-    ints that ``beam_search_decode`` takes (``check_beam``): the types
-    hyperparams.json stores.
+    integers that ``beam_search_decode`` takes (``check_beam``), which
+    are stored as ints: the types hyperparams.json stores.
     """
 
     greedy: bool = True
@@ -80,11 +80,9 @@ class DecodeConfig:
         if type(self.greedy) is not bool:
             raise ValueError("greedy must be true or false, got %r"
                              % (self.greedy,))
-        for name in ("beam_width", "top_paths"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError("%s must be an integer, got %r"
-                                 % (name, getattr(self, name)))
-        check_beam(self.beam_width, self.top_paths)
+        beam_width, top_paths = check_beam(self.beam_width, self.top_paths)
+        object.__setattr__(self, "beam_width", beam_width)
+        object.__setattr__(self, "top_paths", top_paths)
 
 
 @dataclass
@@ -119,8 +117,10 @@ class CtcModel:
         """Initialize parameters and attach the optimizer.
 
         The loss is fixed to CTC and is not an argument. ``decode``
-        fixes the model's default decoding behavior.
+        fixes the model's default decoding behavior. ``seed`` must be
+        an integer >= 0 (``net.checked_int``).
         """
+        seed = net.checked_int("seed", seed, 0)
         params = net._init_flat_params(spec, seed)
         state = net.init_optimizer(optimizer, learning_rate, params)
         return cls(spec, params, state, decode or DecodeConfig(), seed)
@@ -153,10 +153,10 @@ class CtcModel:
         ``checkpoint_dir`` is set, weights are written after each epoch
         as weights.epochN.ctcw (``write_weights``, so a failed write
         leaves an older checkpoint of that name intact). ``epochs`` must
-        be >= 0; ``clip_norm`` is checked as ``train_on_batch`` checks it.
+        be an integer >= 0 (``net.checked_int``); ``clip_norm`` is
+        checked as ``train_on_batch`` checks it.
         """
-        if epochs < 0:
-            raise ValueError("epochs must be >= 0, got %r" % (epochs,))
+        epochs = net.checked_int("epochs", epochs, 0)
         if not len(dataset):
             raise ValueError("training dataset is empty")
         if validation is not None and not len(validation):
@@ -473,9 +473,7 @@ def load_model(directory, weights=None):
         with open(hyper_path, "r", encoding="utf-8") as fh:
             hyper = json.load(fh)
         decode_config = DecodeConfig(**hyper["decode"])
-        seed = hyper["seed"]
-        if type(seed) is not int or seed < 0:
-            raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
+        seed = net.checked_int("seed", hyper["seed"], 0)
         if params is None:
             params = net._init_flat_params(spec, seed)
         state = net.init_optimizer(hyper["optimizer"], hyper["learning_rate"],
@@ -508,7 +506,8 @@ def write_weights(path, params):
 
 
 def read_weights(path):
-    """Parse a weights file written by write_weights."""
+    """Parse a weights file written by write_weights; a tensor name
+    stored twice is refused, as write_weights never writes one."""
     with open(path, "rb") as fh:
         blob = fh.read()
 
@@ -554,6 +553,8 @@ def read_weights(path):
             fail("tensor %s: %s" % (name, err))
         if not np.isfinite(values).all():
             fail("tensor %s holds non-finite values" % name)
+        if name in params:
+            fail("tensor %s is stored twice" % name)
         params[name] = values.astype(np.float64)  # a copy, off the blob
         offset += nbytes
     if offset != len(blob):

@@ -56,7 +56,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .flat import FlatTensors, as_flat, check_tensors, same_layout
+from .flat import FlatTensors, as_flat, same_layout
 from .packing import STEP_BYTES, Packing
 
 # column blocks of an LSTM direction's Wx, Wh and b: the three sigmoid
@@ -128,9 +128,21 @@ class NonFiniteGradient(Exception):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str                  # "rnn" | "lstm"
-    units: int                 # per direction
+    """One recurrent layer: ``kind`` "rnn" or "lstm", ``units`` per
+    direction an integer >= 1 (``checked_int``, stored as an int) and
+    ``bidirectional`` True or False. Anything else raises ValueError."""
+
+    kind: str
+    units: int
     bidirectional: bool = True
+
+    def __post_init__(self):
+        if self.kind not in ("rnn", "lstm"):
+            raise ValueError("unknown layer kind %r" % (self.kind,))
+        object.__setattr__(self, "units", checked_int("units", self.units))
+        if type(self.bidirectional) is not bool:
+            raise ValueError("bidirectional must be true or false, got %r"
+                             % (self.bidirectional,))
 
     @property
     def width(self):
@@ -139,50 +151,39 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """``feature_dim`` and ``num_labels`` integers >= 1 (``checked_int``,
+    stored as ints) and one LayerSpec or more, stored as a tuple.
+    Anything else raises ValueError."""
+
     feature_dim: int
     num_labels: int
     layers: tuple
 
     def __post_init__(self):
+        for name in ("feature_dim", "num_labels"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
         object.__setattr__(self, "layers", tuple(self.layers))
+        if not self.layers:
+            raise ValueError("at least one recurrent layer is required")
+        if not all(isinstance(layer, LayerSpec) for layer in self.layers):
+            raise ValueError("layers must be LayerSpecs")
 
     @property
     def num_classes(self):
         return self.num_labels + 1
 
 
-def validate_spec(spec):
-    if spec.feature_dim < 1:
-        raise ValueError("feature_dim must be >= 1")
-    if spec.num_labels < 1:
-        raise ValueError("num_labels must be >= 1")
-    if not spec.layers:
-        raise ValueError("at least one recurrent layer is required")
-    for layer in spec.layers:
-        if layer.kind not in ("rnn", "lstm"):
-            raise ValueError("unknown layer kind %r" % (layer.kind,))
-        if layer.units < 1:
-            raise ValueError("layer units must be >= 1")
-
-
 def spec_from_dict(d):
+    """The NetworkSpec of its ``dataclasses.asdict`` form (architecture.json),
+    whose every layer names its kind, units and bidirectional. The types
+    check the values; a missing key or a misshapen value raises
+    ValueError ("malformed network description")."""
     try:
-        spec = NetworkSpec(
-            feature_dim=int(d["feature_dim"]),
-            num_labels=int(d["num_labels"]),
-            layers=tuple(
-                LayerSpec(
-                    kind=str(ld["kind"]),
-                    units=int(ld["units"]),
-                    bidirectional=bool(ld["bidirectional"]),
-                )
-                for ld in d["layers"]
-            ),
-        )
+        return NetworkSpec(d["feature_dim"], d["num_labels"], tuple(
+            LayerSpec(ld["kind"], ld["units"], ld["bidirectional"])
+            for ld in d["layers"]))
     except (KeyError, TypeError) as err:
         raise ValueError("malformed network description: %s" % err) from err
-    validate_spec(spec)
-    return spec
 
 
 def _directions(layer):
@@ -197,9 +198,8 @@ def param_shapes(spec):
     ``Wh`` (U, G·U) and ``b`` (G·U), with G = 1 for a tanh-RNN and
     G = 4 for an LSTM, whose column blocks follow LSTM_GATES. The
     read-only mapping is made once per spec, so a model's tensors share
-    it as their layout and ``audit_params`` can compare by identity.
+    it as their layout and ``as_flat`` can compare by identity.
     """
-    validate_spec(spec)
     shapes = {}
     in_dim = spec.feature_dim
     for li, layer in enumerate(spec.layers):
@@ -221,7 +221,7 @@ def fuse_gate_tensors(params):
     Weight files written before the fused layout hold twelve tensors per
     LSTM direction (``Wx_i``, ``Wh_i``, ``b_i``, ..., ``b_o``). Each
     complete set of four is concatenated in LSTM_GATES order; every other
-    tensor keeps its name, so ``audit_params`` reports what is left over.
+    tensor keeps its name, so ``as_flat`` reports what is left over.
     """
     fused = dict(params)
     for name in params:
@@ -233,17 +233,6 @@ def fuse_gate_tensors(params):
                     [fused.pop(part) for part in parts], axis=-1
                 )
     return fused
-
-
-def audit_params(spec, params):
-    """Check that ``params`` carries exactly the tensors the spec implies.
-
-    Tensors laid out by ``param_shapes(spec)`` itself pass at once: a
-    FlatTensors cannot lose, gain or reshape a tensor.
-    """
-    expected = param_shapes(spec)
-    if not (isinstance(params, FlatTensors) and params.shapes is expected):
-        check_tensors(expected, params)
 
 
 def init_params(spec, seed):
@@ -610,7 +599,6 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
     recurrence is done (``stored_bytes_per_frame``). The logits are the
     same bits either way.
     """
-    audit_params(spec, params)
     params = as_flat(params, param_shapes(spec))
     x = frames
     layers = []
@@ -686,7 +674,6 @@ def backward_packed(spec, params, cache, grad_logits):
     over all N rows, written into a new FlatTensors laid out by
     ``param_shapes(spec)``.
     """
-    audit_params(spec, params)
     params = as_flat(params, param_shapes(spec))
     if len(cache.layers) != len(spec.layers) or any(
         y.shape[1] != layer.width or (state is None) != (layer.kind == "rnn")
@@ -769,6 +756,20 @@ class OptimizerState:
     step: int = 0
     m: FlatTensors | None = None
     v: FlatTensors | None = None
+
+
+def checked_int(name, value, minimum=1):
+    """``value`` as an int if an integer in [minimum, 2**63), a numpy
+    integer among them; anything else, a bool, a float or a string
+    among them, raises a ValueError that names the argument. numpy
+    sizes arrays with int64, so no larger count can size one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    number = int(value)
+    if not minimum <= number < 2 ** 63:
+        raise ValueError("%s must be an integer in [%d, 2**63), got %d"
+                         % (name, minimum, number))
+    return number
 
 
 def checked_real(name, value, positive=True):

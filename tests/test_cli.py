@@ -11,7 +11,8 @@ from ctckit import cli
 from ctckit import data as data_module
 from ctckit.cli import cli_main
 from ctckit.data import read_dataset
-from ctckit.model import load_model
+from ctckit.model import CtcModel, load_model
+from ctckit.net import spec_from_dict
 
 ARCH = {
     "feature_dim": 3,
@@ -205,6 +206,58 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error[data]:")
         assert "line %d" % len(lines) in err
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate",
+                                         "loss", "probas"])
+    @pytest.mark.parametrize("value", ['"0.5"', "true", str(10 ** 400)],
+                             ids=["string", "bool", "10**400"])
+    def test_non_number_feature_is_data_error(self, tmp_path, capsys,
+                                              command, value):
+        data = tmp_path / "bad.jsonl"
+        data.write_text('{"feature_dim": 3, "num_labels": 3}\n'
+                        '{"features": [[0.0, %s, 1.0]], "labels": [0]}\n' % value)
+        if command == "train":
+            argv = ["train", "--config", write_arch(tmp_path), "--epochs", "1"]
+        else:
+            model_dir = str(tmp_path / "model")
+            CtcModel.compile(spec_from_dict(ARCH)).save(model_dir)
+            argv = [command, "--model", model_dir]
+        code = cli_main(argv + ["--data", str(data), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: line 2: non-")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("feature_dim", float("inf")), ("bidirectional", "false"),
+        ("units", 4.5)])
+    def test_bad_architecture_in_model_is_data_error(self, tmp_path, capsys,
+                                                     field, value):
+        data = str(tmp_path / "d.jsonl")
+        assert cli_main(["gen-data", "--num", "2", "--labels", "3",
+                         "--feature-dim", "3", "--out", data]) == 0
+        model_dir = tmp_path / "model"
+        CtcModel.compile(spec_from_dict(ARCH)).save(model_dir)
+        arch = json.loads(json.dumps(ARCH))
+        (arch if field in arch else arch["layers"][0])[field] = value
+        (model_dir / "architecture.json").write_text(json.dumps(arch))
+        code = cli_main(["predict", "--model", str(model_dir), "--data", data,
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]:") and "architecture.json" in err
+        assert field in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.5"])
+    def test_bad_sigma_is_usage_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "d.jsonl"
+        code = cli_main(["gen-data", "--num", "2", "--labels", "2",
+                         "--feature-dim", "2", "--sigma", sigma,
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error[usage]: noise_sigma must be a finite number >= 0")
+        assert not out.exists()
 
     def test_config_dataset_mismatch_is_data_error(self, tmp_path, capsys):
         data = str(tmp_path / "d.jsonl")

@@ -67,6 +67,17 @@ class TestReadWrite:
         with pytest.raises(DatasetFormatError, match="line 2"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("labels", ["[true]", "[1.0]", '["1"]', "1"])
+    def test_non_integer_labels_name_the_line(self, tmp_path, labels):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(
+            '{"feature_dim": 1, "num_labels": 2}\n'
+            '{"features": [[0.0]], "labels": %s}\n' % labels
+        )
+        with pytest.raises(DatasetFormatError,
+                           match="^line 2: labels must be a list of integers$"):
+            read_dataset(path)
+
     def test_malformed_json_names_the_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text(
@@ -96,6 +107,11 @@ class TestReadWrite:
     @pytest.mark.parametrize("header", [
         '{"feature_dim": "x", "num_labels": 2}',
         '{"feature_dim": 1, "num_labels": [2]}',
+        '{"feature_dim": 1.0, "num_labels": 2}',
+        '{"feature_dim": 1, "num_labels": true}',
+        '{"feature_dim": 0, "num_labels": 2}',
+        pytest.param('{"feature_dim": %d, "num_labels": 2}' % 10 ** 400,
+                     id="10**400"),
     ])
     def test_non_integer_header_names_the_line(self, tmp_path, header):
         path = tmp_path / "header.jsonl"
@@ -115,6 +131,22 @@ class TestReadWrite:
         with pytest.raises(DatasetFormatError, match="line 3"):
             read_dataset(path)
 
+
+    @pytest.mark.parametrize("value", ['"1.5"', "true", "null", "[0.5]",
+                                       "{}", str(10 ** 400)],
+                             ids=["string", "bool", "null", "list", "object",
+                                  "10**400"])
+    def test_non_number_feature_names_the_line(self, tmp_path, value):
+        # a JSON string or bool would parse as a float, and an int past
+        # the float range would not convert
+        path = tmp_path / "text.jsonl"
+        path.write_text(
+            '{"feature_dim": 2, "num_labels": 2}\n'
+            '{"features": [[0.0, 1.0]], "labels": [0]}\n'
+            '{"features": [[0.5, 1], [%s, 0.5]], "labels": [1]}\n' % value
+        )
+        with pytest.raises(DatasetFormatError, match="line 3"):
+            read_dataset(path)
 
     def test_non_utf8_line_names_the_line(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
@@ -184,6 +216,11 @@ class TestMakeBatches:
         with pytest.raises(ValueError):
             make_batches(tiny_dataset(), 0)
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2", True])
+    def test_batch_size_must_be_an_integer(self, size):
+        with pytest.raises(ValueError, match="^batch_size must be an integer"):
+            make_batches(tiny_dataset(), size)
+
 
 class TestGenerateSynthetic:
     def test_noiseless_frames_decode_pointwise(self):
@@ -227,3 +264,16 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 2, 2, noise_sigma=-0.1)
         with pytest.raises(ValueError):
             generate_synthetic(10, 2, 2, frames_per_label=(0, 4))
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"num_sequences": 2.5}, "num_sequences"),
+        ({"num_labels": 2.0}, "num_labels"),
+        ({"feature_dim": "3"}, "feature_dim"),
+        ({"frames_per_label": (1, 2.5)}, r"frames_per_label\[1\]"),
+        ({"noise_sigma": float("nan")}, "noise_sigma"),
+        ({"noise_sigma": float("inf")}, "noise_sigma"),
+    ])
+    def test_counts_are_integers_and_sigma_finite(self, kwargs, name):
+        args = {"num_sequences": 4, "num_labels": 2, "feature_dim": 3, **kwargs}
+        with pytest.raises(ValueError, match="^" + name):
+            generate_synthetic(**args)

@@ -1,7 +1,8 @@
 """Fuzzed boundary input: corrupt files raise only typed errors.
 
 Mutated bytes of a valid dataset or weights file, or mutated values of
-a model's hyperparams.json, may parse, or may fail with the reader's
+a model's hyperparams.json or architecture.json, may parse, or may fail
+with the reader's
 own error (DatasetFormatError, ModelLoadError); the CLI may only return
 one of its documented exit codes, with at most one ``error[...]`` line
 on stderr.
@@ -9,6 +10,7 @@ on stderr.
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -27,6 +29,7 @@ from ctckit.data import (
     write_dataset,
 )
 from ctckit.model import (
+    ARCHITECTURE_FILE,
     HYPERPARAMS_FILE,
     WEIGHTS_FILE,
     CtcModel,
@@ -66,6 +69,16 @@ CORRUPT_HYPERPARAMS = [("decode.beam_width", "x"), ("seed", "abc"),
                        ("learning_rate", float("nan")),
                        ("learning_rate", float("inf")),
                        ("learning_rate", -1.0), ("learning_rate", True)]
+# architecture.json values that load_model and train --config must
+# refuse, set on the spec or, for a layer's key, on its one layer. The
+# sizes are a fixed table: without a weights file load_model allocates
+# units^2 values, so a drawn size could exhaust the machine's memory.
+CORRUPT_ARCHITECTURE = [("feature_dim", float("inf")), ("units", float("nan")),
+                        ("units", 4.5), ("num_labels", "2"),
+                        ("feature_dim", True), ("units", 0),
+                        ("num_labels", -1), ("bidirectional", "false"),
+                        pytest.param("units", 10 ** 400, id="units-10**400"),
+                        ("kind", "gru")]
 HYPERPARAM_NAMES = ["optimizer", "learning_rate", "seed", "decode",
                     "decode.greedy", "decode.beam_width", "decode.top_paths"]
 JSON_VALUES = st.recursive(
@@ -181,6 +194,13 @@ def hyperparams_dir(tmp, hyper, weights=True):
     return directory
 
 
+def corrupt_architecture(name, value):
+    """SPEC's architecture.json text with entry ``name`` set to ``value``."""
+    arch = dataclasses.asdict(SPEC)
+    (arch if name in arch else arch["layers"][0])[name] = value
+    return json.dumps(arch)
+
+
 def assert_one_diagnostic(code, err):
     assert code in (0, 1, 2, 3), err
     lines = [l for l in err.splitlines() if l.startswith("error[")]
@@ -226,6 +246,16 @@ class TestReaders:
                                % (HYPERPARAMS_FILE, name.split(".")[-1])):
                 load_model(hyperparams_dir(tmp, hyper, weights))
 
+    @pytest.mark.parametrize("name, value", CORRUPT_ARCHITECTURE)
+    def test_corrupt_architecture_is_load_error(self, name, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = hyperparams_dir(tmp, HYPERPARAMS, weights=False)
+            with open(os.path.join(directory, ARCHITECTURE_FILE), "w") as fh:
+                fh.write(corrupt_architecture(name, value))
+            with pytest.raises(ModelLoadError,
+                               match=r"%s: .*%s" % (ARCHITECTURE_FILE, name)):
+                load_model(directory)
+
     @pytest.mark.parametrize("shape, message", CORRUPT_SHAPES)
     def test_corrupt_shape_is_load_error(self, shape, message):
         with files(weights=corrupt_weights(shape)) as tmp:
@@ -263,7 +293,8 @@ class TestCli:
             if command == "train":
                 with open(os.path.join(tmp, "arch.json"), "w") as fh:
                     fh.write('{"feature_dim": 3, "num_labels": 2, "layers": '
-                             '[{"kind": "rnn", "units": 3}]}')
+                             '[{"kind": "rnn", "units": 3, '
+                             '"bidirectional": true}]}')
                 argv = ["train", "--config", os.path.join(tmp, "arch.json"),
                         "--data", data_path, "--epochs", "1", "--out", out]
             else:
@@ -293,6 +324,19 @@ class TestCli:
                                  "--out", os.path.join(tmp, "out")])
         assert code == 2
         assert err.startswith("error[data]:") and HYPERPARAMS_FILE in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, value", CORRUPT_ARCHITECTURE)
+    def test_corrupt_architecture_exits_2(self, name, value):
+        with files(data=DATASET,
+                   arch=corrupt_architecture(name, value).encode()) as tmp:
+            out = os.path.join(tmp, "out")
+            code, err = run_cli(["train", "--config", os.path.join(tmp, "arch"),
+                                 "--data", os.path.join(tmp, "data"),
+                                 "--epochs", "1", "--out", out])
+            assert not os.path.exists(out)
+        assert code == 2
+        assert err.startswith("error[data]:") and name in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("shape, message", CORRUPT_SHAPES)

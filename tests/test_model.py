@@ -4,6 +4,7 @@ import builtins
 import copy
 import os
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ class TestCompile:
     def test_bad_learning_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="learning_rate"):
             CtcModel.compile(SPEC, learning_rate=rate)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            CtcModel.compile(SPEC, seed=seed)
+
+    def test_numpy_integer_sizes_save_and_load(self, tmp_path):
+        spec = NetworkSpec(np.int64(SPEC.feature_dim), np.int64(SPEC.num_labels),
+                           [LayerSpec(layer.kind, np.int64(layer.units),
+                                      layer.bidirectional)
+                            for layer in SPEC.layers])
+        model = CtcModel.compile(spec, seed=np.int64(3), decode=DecodeConfig(
+            beam_width=np.int64(4), top_paths=np.int32(2)))
+        save_model(model, tmp_path / "model")
+        loaded = load_model(tmp_path / "model")
+        assert loaded.spec == SPEC and loaded.seed == 3
+        assert loaded.decode_config == DecodeConfig(beam_width=4, top_paths=2)
+        assert params_equal(loaded.params, CtcModel.compile(SPEC, seed=3).params)
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ValueError):
@@ -259,6 +278,8 @@ class TestFit:
         ({"epochs": 1, "clip_norm": -5.0}, "clip_norm"),
         ({"epochs": 1, "clip_norm": 0.0}, "clip_norm"),
         ({"epochs": 1, "clip_norm": np.inf}, "clip_norm"),
+        ({"epochs": 2.5}, "epochs"),
+        ({"epochs": 1, "batch_size": 2.5}, "batch_size"),
     ])
     def test_bad_epochs_or_clip_norm_rejected_before_a_step(self, kwargs, name):
         model = CtcModel.compile(SPEC, seed=4)
@@ -748,6 +769,16 @@ class TestPersistence:
         path = tmp_path / "w.ctcw"
         write_weights(path, {"a": np.array([1.0, bad]), "b": np.zeros(1)})
         with pytest.raises(ModelLoadError, match="tensor a"):
+            read_weights(path)
+
+    def test_duplicate_tensor_is_load_error(self, tmp_path):
+        path = tmp_path / "w.ctcw"
+        records = []
+        for value in (0.0, 1.0):
+            write_weights(path, {"output.b": np.full(3, value)})
+            records.append(path.read_bytes()[12:])
+        path.write_bytes(b"CTCW" + struct.pack("<II", 1, 2) + b"".join(records))
+        with pytest.raises(ModelLoadError, match="tensor output.b is stored twice"):
             read_weights(path)
 
     def test_per_gate_lstm_weights_load_fused(self, tmp_path):

@@ -14,7 +14,6 @@ from ctckit.net import (
     LayerSpec,
     NetworkSpec,
     NonFiniteGradient,
-    audit_params,
     backward,
     clip_by_global_norm,
     forward,
@@ -22,7 +21,6 @@ from ctckit.net import (
     init_params,
     optimizer_step,
     param_shapes,
-    validate_spec,
 )
 from ctckit.packing import STEP_BYTES, Packing
 
@@ -71,13 +69,66 @@ class TestSpec:
 
     def test_requires_recurrent_layer(self):
         with pytest.raises(ValueError):
-            validate_spec(NetworkSpec(feature_dim=3, num_labels=2, layers=()))
+            NetworkSpec(feature_dim=3, num_labels=2, layers=())
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            validate_spec(NetworkSpec(
+            NetworkSpec(
                 feature_dim=3, num_labels=2, layers=(LayerSpec("gru", 4),)
-            ))
+            )
+
+
+    @pytest.mark.parametrize("value", [True, 2.0, 4.5, float("inf"), "2", None])
+    def test_checked_int_takes_integers_only(self, value):
+        with pytest.raises(ValueError,
+                           match="^units must be an integer, got %r$" % (value,)):
+            net.checked_int("units", value)
+
+    @pytest.mark.parametrize("value, minimum", [(0, 1), (-1, 0), (2 ** 63, 1)])
+    def test_checked_int_bounds(self, value, minimum):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[%d, "
+                           % minimum):
+            net.checked_int("seed", value, minimum)
+        assert net.checked_int("seed", 2 ** 63 - 1) == 2 ** 63 - 1
+
+    def test_numpy_integers_stored_as_ints(self):
+        spec = NetworkSpec(np.int64(3), np.int32(2),
+                           [LayerSpec("rnn", np.int64(5))])
+        assert spec == TOY and hash(spec) == hash(TOY)
+        assert type(spec.feature_dim) is type(spec.num_labels) is int
+        assert type(spec.layers[0].units) is int
+        assert type(net.checked_int("beam_width", np.uint8(4))) is int
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("feature_dim", float("inf"), "feature_dim must be an integer, got inf"),
+        ("num_labels", 0, "num_labels must be an integer in"),
+        ("units", 4.5, "units must be an integer, got 4.5"),
+        ("units", "4", "units must be an integer, got '4'"),
+        ("bidirectional", "false", "bidirectional must be true or false"),
+        ("bidirectional", 1, "bidirectional must be true or false"),
+        ("kind", "gru", "unknown layer kind 'gru'"),
+    ])
+    def test_spec_from_dict_checks_every_value(self, field, value, message):
+        d = {"feature_dim": 3, "num_labels": 2,
+             "layers": [{"kind": "rnn", "units": 5, "bidirectional": True}]}
+        assert net.spec_from_dict(d) == TOY
+        (d if field in d else d["layers"][0])[field] = value
+        with pytest.raises(ValueError, match="^" + message):
+            net.spec_from_dict(d)
+
+    @pytest.mark.parametrize("d", [
+        {"feature_dim": 3, "num_labels": 2, "layers": [{"kind": "rnn", "units": 5}]},
+        {"feature_dim": 3, "num_labels": 2, "layers": 5},
+        {"feature_dim": 3, "num_labels": 2, "layers": ["rnn"]},
+        [3, 2],
+    ])
+    def test_malformed_description(self, d):
+        with pytest.raises(ValueError, match="^malformed network description"):
+            net.spec_from_dict(d)
+
+    def test_layers_must_be_layer_specs(self):
+        with pytest.raises(ValueError, match="LayerSpec"):
+            NetworkSpec(3, 2, ({"kind": "rnn", "units": 5},))
 
 
 class TestInitParams:
@@ -128,15 +179,16 @@ class TestInitParams:
                 np.testing.assert_array_equal(block, np.zeros(3))
         np.testing.assert_array_equal(params["output.b"], np.zeros(3))
 
-    def test_audit_catches_mismatch(self):
+    def test_forward_catches_mismatch(self):
+        packing = Packing([2])
         params = init_params(TOY, seed=0)
         params.pop("output.b")
-        with pytest.raises(ValueError):
-            audit_params(TOY, params)
+        with pytest.raises(ValueError, match="missing"):
+            net.forward_packed(TOY, params, packing, np.zeros((2, 3)))
         params = init_params(TOY, seed=0)
         params["output.b"] = np.zeros(4)
-        with pytest.raises(ValueError):
-            audit_params(TOY, params)
+        with pytest.raises(ValueError, match="output.b has shape"):
+            net.forward_packed(TOY, params, packing, np.zeros((2, 3)))
 
 
 class TestForward:
@@ -644,9 +696,9 @@ class TestBlasThreads:
         self, threads, monkeypatch
     ):
         seen = []
-        audit = net.audit_params  # the first call of both packed passes
+        flat = net.as_flat  # the first call of both packed passes
         monkeypatch.setattr(
-            net, "audit_params", lambda *a: seen.append(threads()) or audit(*a)
+            net, "as_flat", lambda *a: seen.append(threads()) or flat(*a)
         )
         params = init_params(TOY, 0)
         probs, cache = forward(TOY, params, np.zeros((4, 3)))
