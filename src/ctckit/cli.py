@@ -122,14 +122,16 @@ def _load_model_and_data(args):
 def _cmd_train(args):
     dataset = read_dataset(args.data)
     spec = _load_architecture(args.config, dataset)
-    validation = read_dataset(args.val) if args.val else None
-    model = CtcModel.compile(
-        spec,
-        optimizer=args.optimizer,
-        learning_rate=args.lr,
-        decode=DecodeConfig(),
-        seed=args.seed,
-    )
+    validation = None
+    if args.val:
+        validation = read_dataset(args.val)
+        _check_fits(spec, validation, "config")
+    try:
+        model = CtcModel.compile(spec, optimizer=args.optimizer,
+                                 learning_rate=args.lr, decode=DecodeConfig(),
+                                 seed=args.seed)
+    except MemoryError as err:  # sizes the spec takes but no memory holds
+        raise DatasetFormatError("%s: %s" % (args.config, err)) from err
     history = model.fit(
         dataset,
         epochs=args.epochs,
@@ -149,11 +151,11 @@ def _cmd_train(args):
 
 
 def _decode_overrides(args):
+    """``predict``'s decode arguments; beam options alone ask for beam search."""
     if args.greedy and (args.beam_width is not None or args.top_paths is not None):
         raise UsageError("--greedy cannot be combined with beam options")
-    greedy = True if args.greedy else (False if args.beam_width is not None
-                                       or args.top_paths is not None else None)
-    return greedy, args.beam_width, args.top_paths
+    return {"greedy": args.greedy or None, "beam_width": args.beam_width,
+            "top_paths": args.top_paths}
 
 
 @contextmanager
@@ -172,12 +174,9 @@ def _output(path):
 
 
 def _cmd_predict(args):
-    greedy, beam_width, top_paths = _decode_overrides(args)
+    overrides = _decode_overrides(args)
     model, dataset = _load_model_and_data(args)
-    results = model.predict(
-        [f for f, _ in dataset.sequences],
-        greedy=greedy, beam_width=beam_width, top_paths=top_paths,
-    )
+    results = model.predict([f for f, _ in dataset.sequences], **overrides)
     with _output(args.out) as fh:
         for result in results:
             for labels, score in result.paths:

@@ -19,15 +19,15 @@ runs a whole length-sorted batch at once in the packed layout of
 ``ctckit.packing``, a step at a time for the sequences still running
 (the batched lattice of warp-ctc). Beta is the alpha recursion run over
 the reversed sequence (Graves et al. 2006), so alpha and beta advance
-in one loop. It is fed log-probabilities computed once: ``log_softmax``
-of the logits in ``ctc_gradient_packed``, ``log_posteriors`` in
-``ctc_loss`` and ``packed_losses``, so logits far apart cannot
-underflow a probability to 0 and make a feasible alignment look
-impossible (Graves et al. 2006, section 4.1). ``packed_losses`` scores a packed batch of
-posteriors: ``ctc_loss_batch`` runs a padded batch through it, and the
-model facade its packed groups. The single-sequence functions
-(``ctc_forward``, ``ctc_backward``, ``make_lattice``, ``ctc_loss``,
-``ctc_gradient``) run a batch of one.
+in one loop. It is fed log-probabilities computed once:
+``net.log_softmax_rows`` of logits, ``log_posteriors`` of posteriors,
+so logits far apart cannot underflow a probability to 0 and make a
+feasible alignment look impossible (Graves et al. 2006, section 4.1).
+``packed_losses`` scores a packed batch of them: ``ctc_loss_batch``
+runs a padded batch through it, and the model facade the log-softmax
+of its packed groups, the input training gives ``ctc_gradient_packed``.
+The single-sequence functions (``ctc_forward``, ``ctc_backward``,
+``make_lattice``, ``ctc_loss``, ``ctc_gradient``) run a batch of one.
 
 Each input rule is written once: ``_screen`` (lengths, label range,
 feasibility) screens the batches of ``check_sequences`` and the batch
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .net import checked_int, log_softmax_rows
 from .packing import Packing
 
 NEG_INF = -np.inf
@@ -116,14 +117,24 @@ def extend_with_blanks(labels, blank_index):
 def _screen(labels, input_lengths, label_lengths, num_frames, num_classes):
     """None, or (index, error) of the first sequence breaking a rule.
 
-    ``labels`` is (B, L_max). All sequences are checked at once, and the
-    error is worded by the first rule broken, in this order:
-    1 <= input_len <= num_frames; 0 <= label_len <= L_max; the first
-    label_len labels lie in [0, num_classes - 1), so neither the blank
-    nor the padding leaks in; L labels with R adjacent repeats get at
-    least L + R frames, since a repeat needs a blank between
+    ``labels`` is (B, L_max). A length that is not an integer
+    (``checked_int``; an integer array passes unlooped) comes first,
+    input lengths before label lengths. Then all sequences are checked
+    at once, and the error is worded by the first rule broken, in this
+    order: 1 <= input_len <= num_frames; 0 <= label_len <= L_max; the
+    first label_len labels lie in [0, num_classes - 1), so neither the
+    blank nor the padding leaks in; L labels with R adjacent repeats get
+    at least L + R frames, since a repeat needs a blank between
     (InfeasibleAlignment).
     """
+    for name, lengths in (("input_len", input_lengths),
+                          ("label_len", label_lengths)):
+        if not (isinstance(lengths, np.ndarray) and lengths.dtype.kind in "iu"):
+            for i, value in enumerate(lengths):
+                try:
+                    checked_int(name, value, -2 ** 63)
+                except ValueError as err:
+                    return i, err
     labels = np.asarray(labels, dtype=np.int64)
     input_lengths = np.asarray(input_lengths, dtype=np.int64)
     label_lengths = np.asarray(label_lengths, dtype=np.int64)
@@ -237,12 +248,6 @@ def posterior_frames(probs, input_len=None):
     return active
 
 
-def _log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted
-
-
 def _trellis(packing, log_probs, labels, label_lengths, directions):
     """Alpha, and beta when ``directions`` is 2, of a packed batch.
 
@@ -323,7 +328,7 @@ def ctc_gradient_packed(packing, logits, labels, label_lengths):
     step at a time, in one recurrence. Returns (losses (B,), grad (N, K))
     with grad = softmax(logits) - lattice posterior.
     """
-    log_probs = _log_softmax(logits)
+    log_probs = log_softmax_rows(logits)
     ext, alpha, beta, ll = _trellis(packing, log_probs, labels, label_lengths, 2)
     seq = packing.seq_of_row
     N, K = log_probs.shape
@@ -352,17 +357,16 @@ def check_packed_posteriors(packing, probs, index):
             _check_posteriors(probs[packing.rows(b)])
 
 
-def packed_losses(packing, probs, labels, label_lengths):
-    """Per-sequence losses of a packed, length-sorted batch of posteriors.
+def packed_losses(packing, log_probs, labels, label_lengths):
+    """Per-sequence losses of a packed, length-sorted batch.
 
-    ``probs`` is (N, K) in ``packing``'s row order and ``labels``
+    ``log_probs`` is (N, K) in ``packing``'s row order and ``labels``
     (B, >= L_max) holds each sequence's labels, both already screened
-    (``check_packed_posteriors``, ``check_sequences``). One alpha pass
-    over ``log_posteriors(probs)``, the input ``ctc_loss`` takes, so
-    each loss is that of ``ctc_loss`` on the sequence alone, bit for bit.
-    Returns the losses (B,).
+    (``check_packed_posteriors`` on ``exp(log_probs)``,
+    ``check_sequences``). One alpha pass: of logits' log-softmax each
+    loss is ``ctc_gradient_packed``'s, bit for bit. Returns the losses (B,).
     """
-    return -_trellis(packing, log_posteriors(probs), labels, label_lengths, 1)[3]
+    return -_trellis(packing, log_probs, labels, label_lengths, 1)[3]
 
 
 def _one_sequence(probs, labels, directions):
@@ -475,7 +479,7 @@ def ctc_loss_batch(batch):
     check_packed_posteriors(packing, probs, order)
     losses = np.empty(len(order))
     losses[order] = packed_losses(
-        packing, probs, np.asarray(batch.labels)[order],
+        packing, log_posteriors(probs), np.asarray(batch.labels)[order],
         np.asarray(batch.label_lengths, dtype=np.int64)[order],
     )
     return losses.tolist()

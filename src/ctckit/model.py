@@ -19,7 +19,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -149,7 +149,9 @@ class CtcModel:
         """Epoch loop over deterministically shuffled batches.
 
         Returns one EpochRecord per epoch run (mean training loss,
-        optional validation loss, wall-clock seconds). When
+        optional validation loss, wall-clock seconds). ``validation`` is
+        screened as ``get_loss`` screens it before the first step, so a
+        set that it refuses moves no parameter. When
         ``checkpoint_dir`` is set, weights are written after each epoch
         as weights.epochN.ctcw (``write_weights``, so a failed write
         leaves an older checkpoint of that name intact). ``epochs`` must
@@ -159,8 +161,11 @@ class CtcModel:
         epochs = net.checked_int("epochs", epochs, 0)
         if not len(dataset):
             raise ValueError("training dataset is empty")
-        if validation is not None and not len(validation):
-            raise ValueError("validation dataset is empty")
+        if validation is not None:
+            if not len(validation):
+                raise ValueError("validation dataset is empty")
+            self._screened([f for f, _ in validation.sequences],
+                           labels=[l for _, l in validation.sequences])
         history = []
         for epoch in range(epochs):
             start = time.perf_counter()
@@ -202,29 +207,22 @@ class CtcModel:
                 beam_width=None, top_paths=None):
         """Decode each sequence; two inputs only.
 
-        Decode parameters default to the model's DecodeConfig; pass
-        ``greedy``/``beam_width``/``top_paths`` to override per call.
+        Decode parameters default to the model's DecodeConfig; each of
+        ``greedy``, ``beam_width`` and ``top_paths`` that is not None
+        overrides it for the call, and the call's DecodeConfig checks
+        them before any sequence runs. ``beam_width`` or ``top_paths``
+        without ``greedy`` asks for beam search.
         """
+        if greedy is None and (beam_width, top_paths) != (None, None):
+            greedy = False
+        overrides = {name: value for name, value in (
+            ("greedy", greedy), ("beam_width", beam_width),
+            ("top_paths", top_paths)) if value is not None}
+        config = replace(self.decode_config, **overrides)
         return self._run(
             features_list, input_lengths,
-            each=lambda probs, packing: self._decode(
-                probs, packing, greedy, beam_width, top_paths),
+            each=lambda probs, packing: _decode(config, probs, packing),
         )[1]
-
-    def _decode(self, probs, packing, greedy=None, beam_width=None,
-                top_paths=None):
-        """Decode a packed group, one result per sequence in packing order.
-
-        None takes the DecodeConfig value.
-        """
-        cfg = self.decode_config
-        if cfg.greedy if greedy is None else greedy:
-            return best_path_packed(probs, packing)
-        return beam_search_packed(
-            probs, packing,
-            beam_width=cfg.beam_width if beam_width is None else beam_width,
-            top_paths=cfg.top_paths if top_paths is None else top_paths,
-        )
 
     # ------------------------------------------------------------------
     # evaluation branch and getters (consume the full four-input data)
@@ -253,7 +251,8 @@ class CtcModel:
             [f for f, _ in dataset.sequences],
             labels=truths if "loss" in requested else None,
             each=(lambda probs, packing: [
-                r.paths[0][0] for r in self._decode(probs, packing)
+                r.paths[0][0]
+                for r in _decode(self.decode_config, probs, packing)
             ]) if decode else None,
         )
         report = MetricsReport(decode=asdict(self.decode_config))
@@ -267,7 +266,11 @@ class CtcModel:
         return report
 
     def get_loss(self, dataset):
-        """Per-sequence negative log-likelihoods, in dataset order."""
+        """Per-sequence negative log-likelihoods, in dataset order.
+
+        Each is the loss ``train_on_batch`` takes of the sequence's
+        logits, bit for bit.
+        """
         return self._run([f for f, _ in dataset.sequences],
                          labels=[l for _, l in dataset.sequences])[0]
 
@@ -281,25 +284,13 @@ class CtcModel:
             probs[packing.rows(b)] for b in range(packing.lengths.size)
         ])[1]
 
-    def _run(self, features_list, input_lengths=None, labels=None, each=None):
-        """Run the network over sequences, one packed group at a time.
+    def _screened(self, features_list, input_lengths=None, labels=None):
+        """``_run``'s inputs checked: (arrays, lengths, labels).
 
-        Each group of ``net.activation_groups(..., for_backward=False)``
-        is one ``net.forward_packed`` that keeps no activations for
-        backward, so the groups are sized by the peak of a forward-only
-        pass (for two bi-LSTM layers of 64 units and sequences of 280
-        frames, 760 frames a group against 323 in training). Returns
-        (losses, outputs) in input order. With ``labels`` (one label
-        list per sequence), losses[i] is the CTC loss of sequence i,
-        from one ``packed_losses`` pass per group; otherwise losses is
-        None. ``each(probs, packing)``
-        maps a group's posteriors (N, K), of the first input_len frames
-        of each sequence, to one output per sequence in packing order,
-        and outputs[i] is that of sequence i; without ``each`` outputs
-        holds Nones. Every sequence is screened before the first group
-        runs, and each group's posteriors once
-        (``check_packed_posteriors``); an error names the sequence by
-        its index.
+        Each sequence's features as a float64 (T, feature_dim) array and
+        its input length; with ``labels``, their ``_label_matrix`` and
+        label lengths, else None. An error names the sequence by its
+        index.
         """
         features_list = list(features_list)
         n = len(features_list)
@@ -314,14 +305,38 @@ class CtcModel:
                     None if input_lengths is None else input_lengths[i],
                 )
             arrays.append(features)
-        losses = None
         if labels is not None:
             label_lengths = np.array([len(l) for l in labels], dtype=np.int64)
             labels = (_label_matrix(labels, label_lengths), label_lengths)
             check_sequences(labels[0], lengths, label_lengths,
                             lengths.max(initial=1), self.spec.num_classes)
-            losses = np.empty(n)
-        outputs = [None] * n
+        return arrays, lengths, labels
+
+    def _run(self, features_list, input_lengths=None, labels=None, each=None):
+        """Run the network over sequences, one packed group at a time.
+
+        Each group of ``net.activation_groups(..., for_backward=False)``
+        is one ``net.forward_packed`` that keeps no activations for
+        backward, so the groups are sized by the peak of a forward-only
+        pass (for two bi-LSTM layers of 64 units and sequences of 280
+        frames, 760 frames a group against 323 in training). Returns
+        (losses, outputs) in input order. With ``labels`` (one label
+        list per sequence), losses[i] is the CTC loss of sequence i,
+        from one ``packed_losses`` pass per group over
+        ``net.log_softmax_rows`` of its logits: the loss training takes
+        of them. Otherwise losses is None. ``each(probs, packing)`` maps
+        a group's posteriors (N, K), the ``exp`` of that log-softmax, of
+        the first input_len frames of each sequence, to one output per
+        sequence in packing order, and outputs[i] is that of sequence i;
+        without ``each`` outputs holds Nones. Every sequence is screened
+        before the first group runs (``_screened``), and each group's
+        posteriors once (``check_packed_posteriors``); an error names
+        the sequence by its index.
+        """
+        arrays, lengths, labels = self._screened(features_list, input_lengths,
+                                                 labels)
+        losses = None if labels is None else np.empty(len(arrays))
+        outputs = [None] * len(arrays)
         groups = net.activation_groups(self.spec, lengths, for_backward=False)
         for index in groups:
             group_losses, group_outputs = _run_group(
@@ -353,6 +368,13 @@ def _label_matrix(labels, label_lengths):
     return matrix
 
 
+def _decode(config, probs, packing):
+    """Decode a packed group by ``config``, one result per sequence in packing order."""
+    if config.greedy:
+        return best_path_packed(probs, packing)
+    return beam_search_packed(probs, packing, config.beam_width, config.top_paths)
+
+
 def _run_group(spec, params, arrays, lengths, labels, index, each):
     # a function of its own, so each group's activations and posteriors
     # are freed before the next group's forward runs
@@ -360,14 +382,15 @@ def _run_group(spec, params, arrays, lengths, labels, index, each):
     frames = np.empty((packing.num_frames, spec.feature_dim))
     for b, i in enumerate(index.tolist()):
         frames[packing.rows(b)] = arrays[i][:lengths[i]]
-    probs = net.softmax_rows(
+    log_probs = net.log_softmax_rows(
         net.forward_packed(spec, params, packing, frames, for_backward=False)[0]
     )
+    probs = np.exp(log_probs)
     check_packed_posteriors(packing, probs, index)
     losses = None
     if labels is not None:
         matrix, label_lengths = labels
-        losses = packed_losses(packing, probs, matrix[index], label_lengths[index])
+        losses = packed_losses(packing, log_probs, matrix[index], label_lengths[index])
     outputs = [None] * len(index) if each is None else each(probs, packing)
     return losses, outputs
 
@@ -438,7 +461,8 @@ def load_model(directory, weights=None):
     directory). When omitted, weights.ctcw is used if present;
     otherwise parameters are freshly initialized from the stored seed.
     A file that is missing, corrupt or inconsistent raises
-    ModelLoadError naming it.
+    ModelLoadError naming it, as does an architecture too large to
+    allocate.
     """
     arch_path = os.path.join(directory, ARCHITECTURE_FILE)
     hyper_path = os.path.join(directory, HYPERPARAMS_FILE)
@@ -480,6 +504,8 @@ def load_model(directory, weights=None):
                                    params)
     except (ValueError, KeyError, TypeError, OverflowError) as err:
         raise ModelLoadError("%s: %s" % (hyper_path, err)) from err
+    except MemoryError as err:  # sizes the spec takes but no memory holds
+        raise ModelLoadError("%s: %s" % (arch_path, err)) from err
     return CtcModel(spec, params, state, decode_config, seed)
 
 

@@ -263,12 +263,14 @@ def _init_flat_params(spec, seed):
     return params
 
 
-def softmax_rows(z):
-    """Softmax of each row of a (N, K) array of logits, in one new array."""
-    e = z - z.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+def log_softmax_rows(z):
+    """Log-softmax of each row of a (N, K) array of logits, in one new array.
+
+    The package's one softmax: every posterior is its ``np.exp``.
+    """
+    shifted = z - z.max(axis=1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
 
 
 def stored_bytes_per_frame(spec, for_backward=True):
@@ -289,7 +291,8 @@ def stored_bytes_per_frame(spec, for_backward=True):
     - the last layer's output and the logits, beside the ``_padded``
       product they are copied out of unless K is a multiple of
       COLUMN_MULTIPLE;
-    - the logits and their softmax.
+    - the logits, their log-softmax and the ``exp`` its row sums are
+      taken of (``log_softmax_rows``).
     Left out: two steps of cell states, each step's products, and a
     layer's input rows and padded products made a chunk at a time
     (``_project``), and the lattice of a loss pass, whose width follows
@@ -301,7 +304,7 @@ def stored_bytes_per_frame(spec, for_backward=True):
         for layer in spec.layers:
             floats += (6 if layer.kind == "lstm" else 1) * layer.width
         return 8 * floats
-    held, peak = 0, 2 * K
+    held, peak = 0, 3 * K
     for layer in spec.layers:
         cols = (len(LSTM_GATES) if layer.kind == "lstm" else 1) * layer.units
         # an LSTM's outputs take its input's place beside the gates; a
@@ -693,7 +696,8 @@ def backward_packed(spec, params, cache, grad_logits):
 def sequence_frames(spec, features, input_len=None):
     """One sequence's features as a float64 (T, feature_dim) array, and its input_len.
 
-    ``input_len`` defaults to T and must lie in [1, T].
+    ``input_len`` defaults to T and must be an integer (``checked_int``)
+    in [1, T].
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != spec.feature_dim:
@@ -701,7 +705,8 @@ def sequence_frames(spec, features, input_len=None):
             "features must be (T, %d), got %r" % (spec.feature_dim, features.shape)
         )
     T = features.shape[0]
-    input_len = T if input_len is None else int(input_len)
+    input_len = checked_int("input_len", T if input_len is None else input_len,
+                            -2 ** 63)
     if not 1 <= input_len <= T:
         raise ValueError("input_len %d outside [1, %d]" % (input_len, T))
     return features, input_len
@@ -721,9 +726,8 @@ def forward(spec, params, features, input_len=None):
         spec, params, Packing([input_len]), features[:input_len]
     )
     probs = np.empty((T, spec.num_classes))
-    probs[:input_len] = softmax_rows(logits)
-    if input_len < T:
-        probs[input_len:] = softmax_rows(params["output.b"][None, :])
+    probs[:input_len] = np.exp(log_softmax_rows(logits))
+    probs[input_len:] = np.exp(log_softmax_rows(params["output.b"][None, :]))
     return probs, NetCache(input_len=input_len, num_frames=T, batch=batch)
 
 

@@ -10,7 +10,7 @@ import pytest
 from ctckit import cli
 from ctckit import data as data_module
 from ctckit.cli import cli_main
-from ctckit.data import read_dataset
+from ctckit.data import Dataset, make_batches, read_dataset
 from ctckit.model import CtcModel, load_model
 from ctckit.net import spec_from_dict
 
@@ -269,6 +269,49 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error[data]:")
 
+    def test_val_dataset_mismatch_is_data_error_before_training(
+            self, tmp_path, capsys):
+        data, val = str(tmp_path / "d.jsonl"), str(tmp_path / "v.jsonl")
+        cli_main(["gen-data", "--num", "4", "--labels", "3",
+                  "--feature-dim", "3", "--out", data])
+        cli_main(["gen-data", "--num", "2", "--labels", "3",
+                  "--feature-dim", "5", "--out", val])
+        code = cli_main(["train", "--config", write_arch(tmp_path),
+                         "--data", data, "--val", val, "--epochs", "1",
+                         "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error[data]: config feature_dim 3 does not match dataset "
+            "feature_dim 5\n")
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_architecture_too_large_to_allocate_is_data_error(
+            self, tmp_path, capsys, command):
+        # 142 PiB of parameters: more than any address space, so the
+        # allocation fails at once
+        data = str(tmp_path / "d.jsonl")
+        cli_main(["gen-data", "--num", "2", "--labels", "3",
+                  "--feature-dim", "3", "--out", data])
+        arch = json.loads(json.dumps(ARCH))
+        arch["layers"][0]["units"] = 100000000
+        model_dir = tmp_path / "model"
+        CtcModel.compile(spec_from_dict(ARCH)).save(model_dir)
+        (model_dir / "weights.ctcw").unlink()
+        (model_dir / "architecture.json").write_text(json.dumps(arch))
+        if command == "train":
+            argv = ["train", "--config", str(model_dir / "architecture.json"),
+                    "--epochs", "1"]
+        else:
+            argv = ["predict", "--model", str(model_dir)]
+        code = cli_main(argv + ["--data", data, "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: %s: Unable to allocate"
+                              % (model_dir / "architecture.json"))
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["predict", "evaluate", "loss", "probas"])
     def test_model_dataset_mismatch_is_data_error(self, tmp_path, capsys,
                                                   command):
@@ -321,6 +364,39 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestFarApartLogits:
+    """Losses of logits far apart are finite, and the outputs strict JSON."""
+
+    def test_evaluate_and_loss_write_the_training_loss(self, tmp_path):
+        data = str(tmp_path / "d.jsonl")
+        cli_main(["gen-data", "--num", "3", "--labels", "3",
+                  "--feature-dim", "3", "--seed", "4", "--out", data])
+        model = CtcModel.compile(spec_from_dict(ARCH), learning_rate=0.0,
+                                 optimizer="sgd")
+        model.params["output.W"][...] = 0.0
+        model.params["output.b"][...] = [0.0, 0.0, 0.0, 800.0]
+        model.save(tmp_path / "model")
+        dataset = read_dataset(data)
+        losses = [model.train_on_batch(make_batches(
+            Dataset(3, 3, [seq]), 1)[0]) for seq in dataset.sequences]
+        assert np.isfinite(losses).all()
+
+        def strict(text):
+            def refuse(constant):
+                raise ValueError("not JSON: %s" % constant)
+            return json.loads(text, parse_constant=refuse)
+
+        report, loss_out = tmp_path / "report.json", tmp_path / "loss.jsonl"
+        model_dir = str(tmp_path / "model")
+        assert cli_main(["evaluate", "--model", model_dir, "--data", data,
+                         "--metrics", "loss", "--out", str(report)]) == 0
+        assert strict(report.read_text())["loss"] == float(np.mean(losses))
+        assert cli_main(["loss", "--model", model_dir, "--data", data,
+                         "--out", str(loss_out)]) == 0
+        assert [strict(line)["loss"] for line in
+                loss_out.read_text().splitlines()] == losses
 
 
 class TestOutputsReplacedWhole:

@@ -1,6 +1,5 @@
 """Decoders against exhaustive enumeration and each other."""
 
-import time
 import tracemalloc
 
 import numpy as np
@@ -257,6 +256,15 @@ class TestRejectsBadPosteriors:
         with pytest.raises(ValueError, match="row 2"):
             self.DECODERS[decoder](probs)
 
+    @pytest.mark.parametrize("decoder", [exact_decode, best_path_decode,
+                                         beam_search_decode, prefix_search_decode])
+    @pytest.mark.parametrize("input_len", [2.5, 3.0, True])
+    def test_input_len_must_be_an_integer(self, decoder, input_len):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        with pytest.raises(ValueError, match="^input_len must be an integer, "
+                           "got %s$" % input_len):
+            decoder(probs, input_len=input_len)
+
     def test_frames_past_input_len_are_not_checked(self):
         probs = np.full((4, 3), 1.0 / 3.0)
         probs[3] = np.nan
@@ -435,25 +443,42 @@ class TestPackedBeamSearch:
         assert got[0] == ([1, 0], 0.0)
         assert got[1:3] == [([], -np.inf), ([0], -np.inf)]
 
-    def test_one_hot_costs_at_most_twice_random(self):
+    def test_ties_cost_one_lexsort_a_step_over_the_tied_rows(self, monkeypatch):
         """Ties at the cut are ordered by one lexsort, not a Python sort.
 
         On one-hot posteriors about 450 candidates tie at -inf in every
-        frame. Each decode is timed in CPU time, so that other processes
-        on the machine count less, at its best of seven runs.
+        frame. In a group of a one-hot and a dense sequence, each step
+        may re-rank the one-hot sequence's row alone, in one lexsort over
+        its slots, and the final ranking is one lexsort more: counts that
+        hold on any machine, where CPU times do not.
         """
         rng = np.random.default_rng(64)
         one_hot = np.zeros((200, 29))
         one_hot[np.arange(200), rng.integers(0, 29, 200)] = 1.0
         dense = random_posterior(rng, 200, 29)
-        best = {}
-        for _ in range(7):
-            for name, probs in (("one_hot", one_hot), ("dense", dense)):
-                start = time.process_time()
-                beam_search_decode(probs, beam_width=16, top_paths=2)
-                elapsed = time.process_time() - start
-                best[name] = min(best.get(name, elapsed), elapsed)
-        assert best["one_hot"] <= 2 * best["dense"], best
+        sorted_sizes, re_ranked = [], []
+        lexsort, break_ties = np.lexsort, decode._break_ties
+
+        def counting_lexsort(keys):
+            sorted_sizes.append(len(keys[-1]))
+            return lexsort(keys)
+
+        def recording_break_ties(cost, keep, beam_width, *rest):
+            # the rows whose cut falls in a tie, and a row's slots
+            re_ranked.append((int((keep.sum(axis=1) != beam_width).sum()),
+                              cost.shape[1]))
+            return break_ties(cost, keep, beam_width, *rest)
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        monkeypatch.setattr(decode, "_break_ties", recording_break_ties)
+        got = beam_search_packed(*packed([one_hot, dense]), 16, 2)
+        monkeypatch.undo()
+        assert 0 < len(re_ranked) <= 200
+        assert all(rows == 1 for rows, _ in re_ranked)
+        assert sorted_sizes == [slots for _, slots in re_ranked] + [2 * 16]
+        assert [r.paths for r in got] == [
+            beam_search_decode(p, beam_width=16, top_paths=2).paths
+            for p in (one_hot, dense)]
 
 
 class TestPackedBestPath:

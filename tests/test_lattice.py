@@ -340,6 +340,13 @@ class TestLossBatch:
         assert excinfo.value.sequence_index == 0
         assert "sequence 0" in str(excinfo.value)
 
+    def test_negative_posterior_names_its_sequence(self):
+        batch = self._batch()
+        batch.features[1, 0] = [1.2, -0.2]
+        with pytest.raises(ValueError, match=r"^sequence 1: posterior row 0 "
+                           r"has a NaN, infinite or negative entry$"):
+            ctc_loss_batch(batch)
+
 
 class TestOneInputScreen:
     """check_batch and the single-sequence entry points share one rule set."""
@@ -354,6 +361,34 @@ class TestOneInputScreen:
         message = "label_len %d outside [0, 2]" % label_len
         with pytest.raises(ValueError, match=re.escape(message)):
             self.ENTRY_POINTS[entry](probs, [0, 1], label_len=label_len)
+
+    @pytest.mark.parametrize("name, value", [
+        ("input_len", 2.5), ("input_len", 2.0), ("input_len", "2"),
+        ("label_len", True), ("label_len", 1.0)])
+    def test_lengths_must_be_integers(self, name, value):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        message = "^%s$" % re.escape("%s must be an integer, got %r" % (name, value))
+        for entry in (ctc_loss, ctc_gradient, make_lattice):
+            with pytest.raises(ValueError, match=message):
+                entry(probs, [0], **{name: value})
+        if name == "input_len":
+            for entry in (ctc_forward, ctc_backward):
+                with pytest.raises(ValueError, match=message):
+                    entry(probs, extend_with_blanks([0], 2), value)
+
+    def test_batch_lengths_must_be_integers_and_name_the_sequence(self):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        batch = PaddedBatch(np.repeat(probs[None], 2, axis=0),
+                            np.array([[0], [1]]), np.array([4.0, 3.5]),
+                            np.array([1, 1]))
+        with pytest.raises(ValueError, match=r"^sequence 0: input_len must be "
+                           r"an integer, got np\.float64\(4\.0\)$"):
+            check_batch(batch, 3)
+        batch.input_lengths = np.array([4, 3])
+        batch.label_lengths = [1, True]
+        with pytest.raises(ValueError, match=r"^sequence 1: label_len must be "
+                           r"an integer, got True$"):
+            ctc_loss_batch(batch)
 
     def test_negative_entry_error_names_the_row(self):
         probs = np.array([[0.5, 0.5], [1.2, -0.2]])
@@ -441,8 +476,8 @@ class TestOneRecurrence:
         probs = softmax(logits)
         _, _, _, ll = two_loop_lattice(packing, log_posteriors(probs), labels,
                                        label_lengths)
-        assert np.array_equal(packed_losses(packing, probs, labels, label_lengths),
-                              -ll)
+        assert np.array_equal(
+            packed_losses(packing, log_posteriors(probs), labels, label_lengths), -ll)
         for b, L in enumerate(label_lengths):
             active = probs[packing.rows(b)]
             ext, alpha, beta, ll = two_loop_lattice(

@@ -2,6 +2,7 @@
 
 import builtins
 import copy
+import json
 import os
 import pickle
 import struct
@@ -173,6 +174,17 @@ class TestTrainOnBatch:
         assert params_equal(model.optimizer.m, moments)
         assert model.optimizer.step == 0
 
+    def test_lengths_that_are_not_integers_are_refused(self):
+        model = CtcModel.compile(SPEC, seed=2)
+        before = clone(model.params)
+        (batch,) = make_batches(small_dataset(3), 3)
+        batch.input_lengths = batch.input_lengths - 0.5
+        with pytest.raises(ValueError, match=r"^sequence 0: input_len must be "
+                           r"an integer, got np\.float64\(\d+\.5\)$"):
+            model.train_on_batch(batch)
+        assert params_equal(model.params, before)
+        assert model.optimizer.step == 0
+
     def test_step_changes_parameters(self):
         ds = small_dataset(4)
         model = CtcModel.compile(SPEC, learning_rate=1e-2, seed=3)
@@ -317,6 +329,22 @@ class TestFit:
         with pytest.raises(ValueError, match="validation dataset is empty"):
             model.fit(small_dataset(2), epochs=1, validation=Dataset(3, 2, []))
 
+    @pytest.mark.parametrize("validation, message", [
+        (generate_synthetic(2, num_labels=2, feature_dim=6, seed=1),
+         r"^sequence 0: features must be \(T, 3\), got \(\d+, 6\)$"),
+        (Dataset(3, 2, [(np.zeros((4, 3)), [0]), (np.zeros((4, 3)), [2])]),
+         r"^sequence 1: label indices must lie in \[0, 2\)"),
+    ])
+    def test_refused_validation_moves_no_parameter(self, validation, message):
+        model = CtcModel.compile(SPEC, seed=4)
+        before = clone(model.params)
+        with pytest.raises(ValueError, match=message):
+            model.fit(small_dataset(4), epochs=1, validation=validation)
+        with pytest.raises(ValueError, match=message):
+            model.get_loss(validation)
+        assert params_equal(model.params, before)
+        assert model.optimizer.step == 0
+
     def test_checkpoints_written(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=4)
         model.fit(small_dataset(4), epochs=2, batch_size=2,
@@ -369,6 +397,9 @@ class TestPredict:
         (np.zeros((0, 3)), None, r"input_len 0 outside \[1, 0\]"),
         (np.zeros((4, 3)), 5, r"input_len 5 outside \[1, 4\]"),
         (np.zeros((4, 3)), 0, r"input_len 0 outside \[1, 4\]"),
+        (np.zeros((4, 3)), 2.7, r"input_len must be an integer, got 2\.7$"),
+        (np.zeros((4, 3)), np.float64(3.0),
+         r"input_len must be an integer, got np\.float64\(3\.0\)$"),
     ])
     def test_input_errors_name_the_sequence(self, features, input_len, message):
         model = CtcModel.compile(SPEC, seed=6)
@@ -383,13 +414,15 @@ class TestPredict:
             with pytest.raises(ValueError, match=message):
                 model.predict(sequences, input_lengths=[3, input_len])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_bad_posteriors_name_the_first_sequence_in_input_order(
             self, monkeypatch, bad):
         """One screen per group: the error is that of the sequence alone.
 
         Sequences 0 and 2 get a bad row; the packing runs sequence 2
-        first, yet the error names sequence 0, as in input order.
+        first, yet the error names sequence 0, as in input order. The
+        posteriors are ``exp`` of the log-softmax, which cannot give a
+        negative entry; ``ctc_loss_batch`` tests that rule.
         """
         model = CtcModel.compile(SPEC, seed=6)
         features = [np.zeros((4, 3)), np.zeros((2, 3)), np.zeros((6, 3))]
@@ -398,15 +431,15 @@ class TestPredict:
         packing = model_module.Packing(lengths[index])
         rows = [packing.rows(int(np.flatnonzero(index == i)[0]))
                 for i in range(3)]
-        softmax_rows = net.softmax_rows
+        log_softmax_rows = net.log_softmax_rows
 
         def spoiled(z):
-            probs = softmax_rows(z)
-            probs[rows[0][3], 1] = bad
-            probs[rows[2][1], 0] = bad
-            return probs
+            log_probs = log_softmax_rows(z)
+            log_probs[rows[0][3], 1] = bad
+            log_probs[rows[2][1], 0] = bad
+            return log_probs
 
-        monkeypatch.setattr(net, "softmax_rows", spoiled)
+        monkeypatch.setattr(net, "log_softmax_rows", spoiled)
         message = ("^sequence 0: posterior row 3 has a NaN, infinite or "
                    "negative entry$")
         for greedy in (True, False):
@@ -434,6 +467,30 @@ class TestPredict:
             p.paths[0][0] == labels
             for p, (_, labels) in zip(preds, ds.sequences)
         )
+
+    def test_beam_options_alone_ask_for_beam_search(self):
+        feats = [f for f, _ in small_dataset(3).sequences]
+        model = CtcModel.compile(SPEC, seed=6)  # greedy by default
+        beam = model.predict(feats, greedy=False, beam_width=8, top_paths=2)
+        assert all(len(r.paths) == 2 for r in beam)
+        assert model.predict(feats, beam_width=8, top_paths=2) == beam
+        assert model.predict(feats, top_paths=2) == model.predict(
+            feats, greedy=False, beam_width=100, top_paths=2)
+        assert model.predict(feats, greedy=True, beam_width=8) == \
+            model.predict(feats)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"greedy": True, "beam_width": -3, "top_paths": "x"},
+         r"^beam_width must be an integer in \[1, 2\*\*63\), got -3$"),
+        ({"greedy": True, "top_paths": "x"},
+         r"^top_paths must be an integer, got 'x'$"),
+        ({"greedy": "no"}, r"^greedy must be true or false, got 'no'$"),
+        ({"top_paths": 101}, r"^top_paths 101 exceeds beam_width 100$"),
+    ])
+    def test_overrides_pass_the_decode_config_rules(self, overrides, message):
+        model = CtcModel.compile(SPEC, seed=6)
+        with pytest.raises(ValueError, match=message):
+            model.predict([np.zeros((4, 3))], **overrides)
 
     def test_decode_defaults_come_from_config(self):
         ds = small_dataset(3)
@@ -541,8 +598,8 @@ class TestForwardOnlyGroups:
 class TestBatchIndependence:
     """A sequence's outputs are the same bits alone and inside any batch.
 
-    Alone means ``forward``, ``ctc_loss`` and the decoders on that one
-    sequence; in a batch, the facade's packed groups. The budget is cut
+    Alone means ``forward``, the training loss of its logits
+    (``ctc_gradient``) and the decoders on that one sequence; in a batch, the facade's packed groups. The budget is cut
     to a few frames so that batches split into several groups.
     """
 
@@ -565,9 +622,9 @@ class TestBatchIndependence:
             beam = model.predict(features, input_lengths, greedy=False,
                                  beam_width=4, top_paths=2)
         for i, til in enumerate(input_lengths):
-            probs, _ = forward(spec, model.params, features[i])
+            probs, cache = forward(spec, model.params, features[i])
             assert np.array_equal(probas[i], probs)
-            assert losses[i] == ctc_loss(probs, labels[i])
+            assert losses[i] == ctc_gradient(cache.logits, labels[i])[0]
             probs, _ = forward(spec, model.params, features[i], input_len=til)
             assert greedy[i].paths == best_path_decode(probs, input_len=til).paths
             assert beam[i].paths == beam_search_decode(
@@ -622,6 +679,34 @@ class TestBranchSeparation:
         assert counter["reads"] > 0  # batching consumes labels for training
 
 
+class TestOneLoss:
+    """Every loss the facade reports is the training loss of the logits."""
+
+    @staticmethod
+    def far_apart_model():
+        # every frame's logits are (0, 0, 800): a softmax taken in
+        # probability space underflows both labels to 0
+        model = CtcModel.compile(SPEC, learning_rate=0.0, optimizer="sgd",
+                                 seed=5)
+        model.params["output.W"][...] = 0.0
+        model.params["output.b"][...] = [0.0, 0.0, 800.0]
+        return model
+
+    def test_far_apart_logits_give_the_training_loss(self):
+        model = self.far_apart_model()
+        ds = small_dataset(4)
+        trained = [model.train_on_batch(make_batches(Dataset(3, 2, [seq]), 1)[0])
+                   for seq in ds.sequences]
+        assert np.isfinite(trained).all() and min(trained) > 700
+        losses = model.get_loss(ds)
+        assert losses == trained
+        mean = float(np.mean(losses))
+        assert model.evaluate(ds, metrics=("loss",)).loss == mean
+        (record,) = model.fit(ds, epochs=1, batch_size=4, validation=ds)
+        assert record.val_loss == mean
+        assert record.train_loss == pytest.approx(mean, rel=1e-15)
+
+
 class TestGetters:
     def test_get_loss_singleton_and_order(self):
         model = CtcModel.compile(SPEC, seed=10)
@@ -630,8 +715,8 @@ class TestGetters:
         ds5 = small_dataset(5)
         losses = model.get_loss(ds5)
         for i, (features, labels) in enumerate(ds5.sequences):
-            probs, _ = forward(SPEC, model.params, features)
-            assert losses[i] == ctc_loss(probs, labels)
+            _, cache = forward(SPEC, model.params, features)
+            assert losses[i] == ctc_gradient(cache.logits, labels)[0]
 
     def test_loss_errors_name_the_sequence(self):
         model = CtcModel.compile(SPEC, seed=10)
@@ -736,6 +821,18 @@ class TestPersistence:
         fresh = CtcModel.compile(SPEC, learning_rate=1e-3, seed=12)
         assert params_equal(loaded.params, fresh.params)
         assert not params_equal(loaded.params, model.params)
+
+    def test_architecture_too_large_to_allocate_is_load_error(self, tmp_path):
+        # 142 PiB of parameters: more than any address space, so the
+        # allocation fails at once
+        save_model(CtcModel.compile(SPEC, seed=11), tmp_path / "model")
+        (tmp_path / "model" / "weights.ctcw").unlink()
+        (tmp_path / "model" / "architecture.json").write_text(json.dumps({
+            "feature_dim": 3, "num_labels": 2, "layers": [
+                {"kind": "rnn", "units": 100000000, "bidirectional": True}]}))
+        with pytest.raises(ModelLoadError,
+                           match=r"architecture\.json: Unable to allocate"):
+            load_model(tmp_path / "model")
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(ModelLoadError):

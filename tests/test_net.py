@@ -232,6 +232,10 @@ class TestForward:
             forward(TOY, params, np.ones((4, 2)))
         with pytest.raises(ValueError):
             forward(TOY, params, np.ones((4, 3)), input_len=5)
+        for input_len in (2.7, 3.0, True):
+            with pytest.raises(ValueError, match="^input_len must be an "
+                               "integer, got %s$" % input_len):
+                forward(TOY, params, np.ones((4, 3)), input_len=input_len)
 
 
 class TestForwardOnly:
@@ -251,6 +255,9 @@ class TestForwardOnly:
         # peaks at its first LSTM layer: the outputs beside the gates
         "one-bi-lstm": NetworkSpec(feature_dim=40, num_labels=28, layers=(
             LayerSpec("lstm", 64, True),)),
+        # peaks in the softmax: the logits, their log-softmax and its exp
+        "wide-output": NetworkSpec(feature_dim=2, num_labels=63, layers=(
+            LayerSpec("rnn", 2, False),)),
     }
 
     @pytest.mark.parametrize("name", sorted(SPECS))
@@ -287,8 +294,8 @@ class TestForwardOnly:
             try:
                 packing = Packing(lengths)
                 frames = rng.normal(0, 1, (n, spec.feature_dim))
-                probs = net.softmax_rows(net.forward_packed(
-                    spec, params, packing, frames, for_backward=False)[0])
+                probs = np.exp(net.log_softmax_rows(net.forward_packed(
+                    spec, params, packing, frames, for_backward=False)[0]))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
