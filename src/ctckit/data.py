@@ -16,6 +16,7 @@ from itertools import chain
 
 import numpy as np
 
+from .lattice import check_labels
 from .net import checked_int, checked_real
 
 LABEL_PAD = -1  # cannot collide with a class index; leaks fail loudly
@@ -193,9 +194,13 @@ def make_batches(dataset, batch_size, seed=None):
     ``seed`` may be an int / int sequence (shuffled with that seed), a
     Generator, or None for the original order. Per batch, the padded
     sizes are the within-batch maxima and every true length is kept.
-    ``batch_size`` must be an integer >= 1 (``net.checked_int``).
+    ``batch_size`` must be an integer >= 1 (``net.checked_int``), and
+    every label an integer (``lattice.check_labels``, naming the
+    sequence by its index in ``dataset``); labels are checked once, not
+    once per batch.
     """
     batch_size = checked_int("batch_size", batch_size)
+    check_labels([l for _, l in dataset.sequences])
     n = len(dataset)
     if seed is None:
         order = np.arange(n)

@@ -26,11 +26,14 @@ Four strategies, slowest to fastest:
 Scores are natural-log probabilities. Ties anywhere are broken toward
 the lexicographically smaller label sequence (and the lower class index
 in per-frame argmax) so results are deterministic. Every decoder of
-one sequence checks its input through ``lattice.posterior_frames``, the
-lattice's own shape and input_len rules, and raises ValueError naming
-the first active row that holds a NaN, an infinity or a negative entry.
-The packed decoders take a group screened once by
-``lattice.check_packed_posteriors``.
+one sequence checks its input through ``lattice.posterior_frames``: the
+lattice's own shape and input_len rules and its one posterior rule,
+``lattice.check_posteriors``, which raises ValueError naming the first
+active row that holds a NaN, an infinity or a negative entry or does
+not sum to 1. Every score is then a log-probability, at most 0, and
+prefix search's bound on the mass left to extensions, 1 - p(best),
+holds. The packed decoders take a group screened once by
+``check_posteriors``.
 """
 
 import heapq
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import collapse, log_posteriors, posterior_frames
-from .net import checked_int
+from .net import checked_int, checked_real
 from .packing import Packing
 
 DEFAULT_ENUMERATION_BUDGET = 2 ** 22
@@ -59,8 +62,10 @@ class BudgetExceeded(Exception):
 class DecodeResult:
     """Ranked decodes: (label sequence, log-probability) pairs.
 
-    Scores are non-increasing and each <= 0. ``approximate`` is set
-    when a prefix-search segment had to fall back to a beam.
+    Scores are non-increasing and each <= 0, as every decoder takes
+    only rows that sum to 1 (``lattice.check_posteriors``).
+    ``approximate`` is set when a prefix-search segment had to fall back
+    to a beam.
     """
 
     paths: list = field(default_factory=list)
@@ -87,11 +92,13 @@ def exact_decode(probs, input_len=None, top_paths=1,
     """Aggregate all K^input_len paths by collapsed sequence.
 
     Returns the ``top_paths`` sequences by total probability. Raises
-    BudgetExceeded when K^input_len > max_paths.
+    BudgetExceeded when K^input_len > max_paths, an integer >= 1
+    (``checked_int``).
     """
     active = posterior_frames(probs, input_len)
     T, K = active.shape
     top_paths = checked_int("top_paths", top_paths)
+    max_paths = checked_int("max_paths", max_paths)
     if T * math.log(K) > math.log(max_paths):
         raise BudgetExceeded(
             "%d^%d paths exceed the enumeration budget of %d" % (K, T, max_paths)
@@ -124,7 +131,7 @@ def best_path_packed(probs, packing):
     """``best_path_decode`` of every sequence of a packed group.
 
     ``probs`` is the group's (N, K) posteriors in ``packing``'s row
-    order, already screened (``lattice.check_packed_posteriors``). One
+    order, already screened (``lattice.check_posteriors``). One
     argmax and one max run over all N rows; each sequence then collapses
     its own ids and sums its own log maxima in time order. Returns one
     DecodeResult per sequence, in packing order.
@@ -188,7 +195,7 @@ def beam_search_packed(probs, packing, beam_width=100, top_paths=1):
     a blank and of those that end in its last label (Graves 2012, §7.5;
     Hannun et al. 2014). ``probs`` is the group's (N, K) posteriors in
     ``packing``'s row order, already screened
-    (``lattice.check_packed_posteriors``). Returns one DecodeResult per
+    (``lattice.check_posteriors``). Returns one DecodeResult per
     sequence, in packing order, each that of the sequence decoded alone.
 
     Step t advances the n_t sequences still running (the rows
@@ -467,28 +474,24 @@ def prefix_search_decode(probs, input_len=None, blank_threshold=0.999,
     and of the log blank mass of every boundary frame: the log
     probability of the paths that emit the returned labelling with a
     blank at each boundary frame.
-    A segment that exhausts ``node_budget`` falls back to a width-32
-    beam and marks the result approximate.
+    A segment that exhausts ``node_budget``, an integer >= 1
+    (``checked_int``), falls back to a width-32 beam and marks the
+    result approximate. ``blank_threshold`` must be a number
+    (``checked_real``) in (0.5, 1].
     """
     active = posterior_frames(probs, input_len)
-    if not 0.5 < blank_threshold <= 1.0:
+    node_budget = checked_int("node_budget", node_budget)
+    if not 0.5 < checked_real("blank_threshold", blank_threshold) <= 1.0:
         raise ValueError("blank_threshold must lie in (0.5, 1]")
-    T, K = active.shape
-    blank = K - 1
+    blank = active.shape[1] - 1
     logp = log_posteriors(active)
 
+    # segments are the runs of non-boundary frames: a run starts where
+    # the mask, padded with a boundary at both ends, falls and ends
+    # where it rises
     boundary = active[:, blank] > blank_threshold
-    segments = []
-    start = None
-    for t in range(T):
-        if boundary[t]:
-            if start is not None:
-                segments.append((start, t))
-                start = None
-        elif start is None:
-            start = t
-    if start is not None:
-        segments.append((start, T))
+    edges = np.flatnonzero(np.diff(np.concatenate(([True], boundary, [True]))))
+    segments = edges.reshape(-1, 2).tolist()
 
     sequence = []
     score = float(logp[boundary, blank].sum())

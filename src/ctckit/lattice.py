@@ -29,15 +29,21 @@ of its packed groups, the input training gives ``ctc_gradient_packed``.
 The single-sequence functions (``ctc_forward``, ``ctc_backward``,
 ``make_lattice``, ``ctc_loss``, ``ctc_gradient``) run a batch of one.
 
-Each input rule is written once: ``_screen`` (lengths, label range,
-feasibility) screens the batches of ``check_sequences`` and the batch
-of one of every single-sequence call; ``posterior_frames`` checks
-the input of a decoder called on one sequence, and
-``check_packed_posteriors`` the posteriors of a packed group.
+Each input rule is written once: ``_screen`` (integer lengths and
+labels, lengths, label range, feasibility) screens the batches of
+``check_sequences`` and the batch of one of every single-sequence call;
+``check_posteriors`` (finite entries >= 0, rows summing to 1) screens
+every posterior matrix a caller gives, one sequence's or a packed
+group's: those of the single-sequence functions, of a decoder called
+on one sequence (``posterior_frames``), of ``ctc_loss_batch`` and of
+the model facade's groups. The packed engine functions take input
+already screened.
 """
 
-from contextlib import contextmanager
+import numbers
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -114,12 +120,31 @@ def extend_with_blanks(labels, blank_index):
     return ext
 
 
+def _integers(values):
+    return isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+
+
+def _non_integer(name, rows):
+    """None, or (index, error) of the first of ``rows`` holding a value
+    that is not an integer (``checked_int``: a bool, a float or a
+    string is none)."""
+    for i, row in enumerate(rows):
+        for value in row:
+            try:
+                checked_int(name, value, -2 ** 63)
+            except ValueError as err:
+                return i, err
+    return None
+
+
 def _screen(labels, input_lengths, label_lengths, num_frames, num_classes):
     """None, or (index, error) of the first sequence breaking a rule.
 
-    ``labels`` is (B, L_max). A length that is not an integer
-    (``checked_int``; an integer array passes unlooped) comes first,
-    input lengths before label lengths. Then all sequences are checked
+    ``labels`` is (B, L_max). A value that is not an integer
+    (``checked_int``; an integer array passes unlooped) comes first:
+    an input length, then a label length, then one of the first
+    label_len labels, so that no value is cast to an integer before it
+    is known to be one. Then all sequences are checked
     at once, and the error is worded by the first rule broken, in this
     order: 1 <= input_len <= num_frames; 0 <= label_len <= L_max; the
     first label_len labels lie in [0, num_classes - 1), so neither the
@@ -129,12 +154,14 @@ def _screen(labels, input_lengths, label_lengths, num_frames, num_classes):
     """
     for name, lengths in (("input_len", input_lengths),
                           ("label_len", label_lengths)):
-        if not (isinstance(lengths, np.ndarray) and lengths.dtype.kind in "iu"):
-            for i, value in enumerate(lengths):
-                try:
-                    checked_int(name, value, -2 ** 63)
-                except ValueError as err:
-                    return i, err
+        failure = None if _integers(lengths) else _non_integer(name, zip(lengths))
+        if failure is not None:
+            return failure
+    if not _integers(labels):
+        failure = _non_integer("label", (
+            row[:max(int(n), 0)] for row, n in zip(labels, label_lengths)))
+        if failure is not None:
+            return failure
     labels = np.asarray(labels, dtype=np.int64)
     input_lengths = np.asarray(input_lengths, dtype=np.int64)
     label_lengths = np.asarray(label_lengths, dtype=np.int64)
@@ -193,14 +220,40 @@ def check_sequences(labels, input_lengths, label_lengths, num_frames,
             raise err
 
 
-def check_batch(batch, num_classes):
-    """``check_sequences`` on a padded batch.
+def check_labels(label_lists):
+    """Refuse a label that is not an integer, naming its sequence.
 
-    ``batch`` carries ``features`` (B, T_max, ...), ``labels`` (B, L_max)
-    and the two length arrays.
+    ``label_lists`` holds one label sequence per sequence; the rule is
+    ``checked_int``'s (a bool, a float or a string is no label). The
+    types of all labels are read in one pass, so integers pass with no
+    loop per label.
     """
-    check_sequences(batch.labels, batch.input_lengths, batch.label_lengths,
-                    batch.features.shape[1], num_classes)
+    types = set(map(type, chain.from_iterable(label_lists)))
+    if not all(issubclass(t, numbers.Integral) and t is not bool for t in types):
+        index, err = _non_integer("label", label_lists)
+        with sequence_named(index):
+            raise err
+
+
+def check_batch(batch, num_classes):
+    """``check_sequences`` on a padded batch, after its shapes.
+
+    ``batch`` carries ``features`` (B, T_max, ...), ``labels``
+    (B, L_max) and ``input_lengths`` and ``label_lengths`` (B,), arrays
+    or lists. Returns the four as arrays: features float64, the rest
+    int64.
+    """
+    arrays = (batch.features, batch.labels, batch.input_lengths,
+              batch.label_lengths)
+    shapes = [np.shape(a) for a in arrays]
+    if [len(s) for s in shapes] != [3, 2, 1, 1] or len({s[0] for s in shapes}) > 1:
+        raise ValueError(
+            "a padded batch needs features (B, T_max, ...), labels (B, L_max) "
+            "and input and label lengths (B,), got shapes %s"
+            % ", ".join(map(str, shapes)))
+    check_sequences(*arrays[1:], shapes[0][1], num_classes)
+    return (np.asarray(arrays[0], dtype=np.float64),
+            *(np.asarray(a, dtype=np.int64) for a in arrays[1:]))
 
 
 def _matrix(matrix):
@@ -211,23 +264,35 @@ def _matrix(matrix):
     return matrix
 
 
-def _check_rows(probs):
-    """Reject a posterior row holding a NaN, an infinity or a negative entry."""
-    bad = ~(np.isfinite(probs) & (probs >= 0.0)).all(axis=1)
-    if bad.any():
-        raise ValueError("posterior row %d has a NaN, infinite or negative entry"
-                         % int(np.argmax(bad)))
+def check_posteriors(probs, packing=None, index=None):
+    """Refuse posteriors unless every row is a distribution over the classes.
 
-
-def _check_posteriors(probs):
-    """``_check_rows``, then reject a row that does not sum to 1."""
-    _check_rows(probs)
-    row_sums = probs.sum(axis=1)
-    if np.abs(row_sums - 1.0).max() > 1e-6:
-        bad = int(np.abs(row_sums - 1.0).argmax())
-        raise ValueError(
-            "posterior row %d sums to %.9f, not 1 within 1e-6" % (bad, row_sums[bad])
-        )
+    Every entry must be finite and >= 0 and every row sum to 1 within
+    1e-6; the error names the first row in row order that breaks this.
+    ``probs`` is one sequence's (T, K) rows, or, with ``packing``, a
+    packed group's (N, K) rows in its row order, sequence b being the
+    caller's sequence ``index[b]``. One pass finds the bad rows of the
+    group; the error is that of the first failing sequence in the
+    caller's order, named as ``sequence_named`` names it.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf in a row already bad
+        entries_ok = (np.isfinite(probs) & (probs >= 0.0)).all(axis=1)
+        sums = probs.sum(axis=1)
+        bad = ~entries_ok | (np.abs(sums - 1.0) > 1e-6)
+    if not bad.any():
+        return
+    rows, named = np.arange(len(probs)), nullcontext()
+    if packing is not None:
+        failing = np.unique(packing.seq_of_row[bad])
+        b = failing[np.argmin(np.asarray(index)[failing])]
+        rows, named = packing.rows(b), sequence_named(int(index[b]))
+    t = int(np.argmax(bad[rows]))
+    with named:
+        if entries_ok[rows[t]]:
+            raise ValueError("posterior row %d sums to %.9f, not 1 within 1e-6"
+                             % (t, sums[rows[t]]))
+        raise ValueError("posterior row %d has a NaN, infinite or negative "
+                         "entry" % t)
 
 
 def log_posteriors(probs):
@@ -239,12 +304,12 @@ def log_posteriors(probs):
 def posterior_frames(probs, input_len=None):
     """The decoders' input: the first ``input_len`` rows of posteriors.
 
-    The (T, K) shape and input_len rules are the lattice's; each active
-    row must be free of NaN, infinite and negative entries. Rows past
-    ``input_len`` are padding and are not looked at.
+    The (T, K) shape and input_len rules are the lattice's, and the
+    active rows must pass ``check_posteriors``. Rows past ``input_len``
+    are padding and are not looked at.
     """
     active, _ = _sequence_args(probs, (), input_len, None)
-    _check_rows(active)
+    check_posteriors(active)
     return active
 
 
@@ -339,38 +404,22 @@ def ctc_gradient_packed(packing, logits, labels, label_lengths):
     return -ll, np.exp(log_probs) - posterior
 
 
-def check_packed_posteriors(packing, probs, index):
-    """``_check_posteriors`` on every sequence of a packed group at once.
-
-    ``probs`` is (N, K) in ``packing``'s row order, and sequence b is
-    the caller's sequence ``index[b]``. One pass over all N rows finds
-    the rows that break a rule; the error is that of the first such
-    sequence in the caller's order, alone, and names it.
-    """
-    bad = ~(np.isfinite(probs) & (probs >= 0.0)).all(axis=1)
-    with np.errstate(invalid="ignore"):  # inf - inf in a row already bad
-        bad |= np.abs(probs.sum(axis=1) - 1.0) > 1e-6
-    if bad.any():
-        failing = np.unique(packing.seq_of_row[bad])
-        b = failing[np.argmin(np.asarray(index)[failing])]
-        with sequence_named(int(index[b])):
-            _check_posteriors(probs[packing.rows(b)])
-
-
 def packed_losses(packing, log_probs, labels, label_lengths):
     """Per-sequence losses of a packed, length-sorted batch.
 
     ``log_probs`` is (N, K) in ``packing``'s row order and ``labels``
     (B, >= L_max) holds each sequence's labels, both already screened
-    (``check_packed_posteriors`` on ``exp(log_probs)``,
-    ``check_sequences``). One alpha pass: of logits' log-softmax each
-    loss is ``ctc_gradient_packed``'s, bit for bit. Returns the losses (B,).
+    (``check_posteriors`` on ``exp(log_probs)``, ``check_sequences``).
+    One alpha pass: of logits' log-softmax each loss is
+    ``ctc_gradient_packed``'s, bit for bit. Returns the losses (B,).
     """
     return -_trellis(packing, log_probs, labels, label_lengths, 1)[3]
 
 
 def _one_sequence(probs, labels, directions):
-    """``_trellis`` of one sequence's posteriors as a batch of one."""
+    """``_trellis`` of one sequence's posteriors as a batch of one,
+    after ``check_posteriors``."""
+    check_posteriors(probs)
     return _trellis(Packing([probs.shape[0]]), log_posteriors(probs),
                     labels[None, :], [labels.size], directions)
 
@@ -378,7 +427,7 @@ def _one_sequence(probs, labels, directions):
 def _sequence_args(matrix, labels, input_len, label_len):
     """Active rows and labels of one sequence, screened as a batch of one."""
     matrix = _matrix(matrix)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _label_array(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be one-dimensional")
     input_len = matrix.shape[0] if input_len is None else input_len
@@ -386,14 +435,22 @@ def _sequence_args(matrix, labels, input_len, label_len):
     failure = _screen(labels[None, :], [input_len], [label_len], *matrix.shape)
     if failure is not None:
         raise failure[1]
-    return matrix[:input_len], labels[:label_len]
+    return matrix[:input_len], labels[:label_len].astype(np.int64)
+
+
+def _label_array(labels):
+    """``labels`` as an array; a list's values keep their types (an
+    object array), so ``_screen`` sees a bool or a float as given."""
+    if isinstance(labels, np.ndarray):
+        return labels
+    return np.array(labels, dtype=object)
 
 
 def _extended_args(probs, ext, input_len):
     """``_sequence_args`` for a blank-extended label sequence ``ext``."""
     probs = _matrix(probs)
     blank = probs.shape[1] - 1
-    ext = np.asarray(ext, dtype=np.int64)
+    ext = _label_array(ext)
     if ext.ndim != 1 or ext.size % 2 == 0 or (ext[::2] != blank).any():
         raise ValueError(
             "ext must be [blank, y_1, blank, ..., y_L, blank] with blank %d, "
@@ -435,7 +492,6 @@ def ctc_loss(probs, labels, input_len=None, label_len=None):
     participate; anything beyond is padding and is ignored entirely.
     """
     active, labels = _sequence_args(probs, labels, input_len, label_len)
-    _check_posteriors(active)
     return -float(_one_sequence(active, labels, 1)[3][0])
 
 
@@ -446,10 +502,15 @@ def ctc_gradient(logits, labels, input_len=None, label_len=None):
     ``logits[:input_len]`` and returns (loss, grad) where
     grad[t][k] = softmax(logits)[t][k] - q[t][k], with q the lattice
     posterior of class k at frame t. Rows at t >= input_len are exactly
-    zero.
+    zero. An active row holding a NaN or an infinity raises ValueError
+    naming it.
     """
     logits = np.asarray(logits, dtype=np.float64)
     active, labels = _sequence_args(logits, labels, input_len, label_len)
+    bad = ~np.isfinite(active).all(axis=1)
+    if bad.any():
+        raise ValueError("logit row %d has a NaN or infinite entry"
+                         % int(np.argmax(bad)))
     losses, grad_active = ctc_gradient_packed(
         Packing([active.shape[0]]), active, labels[None, :], [labels.size]
     )
@@ -471,15 +532,12 @@ def ctc_loss_batch(batch):
     features = np.asarray(batch.features, dtype=np.float64)
     if features.ndim != 3 or features.shape[2] < 2:
         raise ValueError("posterior batch must be (B, T_max, K) with K >= 2")
-    check_batch(batch, features.shape[2])
-    lengths = np.asarray(batch.input_lengths, dtype=np.int64)
+    features, labels, lengths, label_lengths = check_batch(batch, features.shape[2])
     order = np.argsort(-lengths, kind="stable")
     packing = Packing(lengths[order])
     probs = packing.pack(features, order)
-    check_packed_posteriors(packing, probs, order)
+    check_posteriors(probs, packing, order)
     losses = np.empty(len(order))
-    losses[order] = packed_losses(
-        packing, log_posteriors(probs), np.asarray(batch.labels)[order],
-        np.asarray(batch.label_lengths, dtype=np.int64)[order],
-    )
+    losses[order] = packed_losses(packing, log_posteriors(probs), labels[order],
+                                  label_lengths[order])
     return losses.tolist()

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import net
-from .data import LABEL_PAD, Dataset, _replacing, make_batches
+from .data import LABEL_PAD, Dataset, PaddedBatch, _replacing, make_batches
 # beam_search_decode, best_path_decode, ctc_gradient and ctc_loss are
 # not called here; benchmark tracing swaps its span wrappers into this
 # namespace, so the names must stay importable from it
@@ -38,7 +38,8 @@ from .decode import (  # noqa: F401
 from .lattice import (  # noqa: F401
     InfeasibleAlignment,
     check_batch,
-    check_packed_posteriors,
+    check_labels,
+    check_posteriors,
     check_sequences,
     ctc_gradient,
     ctc_gradient_packed,
@@ -289,8 +290,9 @@ class CtcModel:
 
         Each sequence's features as a float64 (T, feature_dim) array and
         its input length; with ``labels``, their ``_label_matrix`` and
-        label lengths, else None. An error names the sequence by its
-        index.
+        label lengths, else None. Labels must be integers
+        (``check_labels``) before they are cast. An error names the
+        sequence by its index.
         """
         features_list = list(features_list)
         n = len(features_list)
@@ -306,6 +308,7 @@ class CtcModel:
                 )
             arrays.append(features)
         if labels is not None:
+            check_labels(labels)
             label_lengths = np.array([len(l) for l in labels], dtype=np.int64)
             labels = (_label_matrix(labels, label_lengths), label_lengths)
             check_sequences(labels[0], lengths, label_lengths,
@@ -330,8 +333,9 @@ class CtcModel:
         sequence in packing order, and outputs[i] is that of sequence i;
         without ``each`` outputs holds Nones. Every sequence is screened
         before the first group runs (``_screened``), and each group's
-        posteriors once (``check_packed_posteriors``); an error names
-        the sequence by its index.
+        posteriors once, by the rule every function that takes
+        posteriors applies (``check_posteriors`` with the group's
+        packing); an error names the sequence by its index.
         """
         arrays, lengths, labels = self._screened(features_list, input_lengths,
                                                  labels)
@@ -386,7 +390,7 @@ def _run_group(spec, params, arrays, lengths, labels, index, each):
         net.forward_packed(spec, params, packing, frames, for_backward=False)[0]
     )
     probs = np.exp(log_probs)
-    check_packed_posteriors(packing, probs, index)
+    check_posteriors(probs, packing, index)
     losses = None
     if labels is not None:
         matrix, label_lengths = labels
@@ -398,14 +402,18 @@ def _run_group(spec, params, arrays, lengths, labels, index, each):
 def batch_gradients(spec, params, batch):
     """Per-sequence losses and batch-mean gradients of a padded batch.
 
-    Every sequence is validated first; errors carry the sequence's index
-    in ``batch``. The batch then runs in the groups of
+    The batch's shapes (``check_batch``), its feature width against
+    ``spec`` and every sequence are validated first; errors carry the
+    sequence's index in ``batch``. The batch then runs in the groups of
     ``net.activation_groups``: per group one forward, one lattice pass
     and one backward over its packed frames. Returns (losses in batch order,
     the batch-mean gradients as a ``net.FlatTensors`` laid out by
     ``net.param_shapes(spec)``).
     """
-    check_batch(batch, spec.num_classes)
+    batch = PaddedBatch(*check_batch(batch, spec.num_classes))
+    if batch.features.shape[2] != spec.feature_dim:
+        raise ValueError("features must be (B, T_max, %d), got %r"
+                         % (spec.feature_dim, batch.features.shape))
     losses = np.empty(len(batch.input_lengths))
     total = None
     for index in net.activation_groups(spec, batch.input_lengths):

@@ -53,6 +53,15 @@ class TestExactDecode:
         with pytest.raises(ValueError, match="^top_paths must be an integer"):
             exact_decode(DIVERGENT, top_paths=top_paths)
 
+    @pytest.mark.parametrize("max_paths, message", [
+        ("x", "^max_paths must be an integer, got 'x'$"),
+        (2.5, "^max_paths must be an integer, got 2.5$"),
+        (0, r"^max_paths must be an integer in \[1, 2\*\*63\), got 0$"),
+    ])
+    def test_max_paths_must_be_a_positive_integer(self, max_paths, message):
+        with pytest.raises(ValueError, match=message):
+            exact_decode(DIVERGENT, max_paths=max_paths)
+
     def test_budget_guard(self):
         probs = np.full((30, 4), 0.25)
         with pytest.raises(BudgetExceeded):
@@ -201,6 +210,34 @@ class TestPrefixSearchDecode:
         with pytest.raises(ValueError):
             prefix_search_decode(DIVERGENT, blank_threshold=1.2)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"blank_threshold": "x"}, "^blank_threshold must be a finite number > 0, got 'x'$"),
+        ({"blank_threshold": np.nan}, "^blank_threshold must be a finite number"),
+        ({"node_budget": 2.5}, "^node_budget must be an integer, got 2.5$"),
+        ({"node_budget": "2"}, "^node_budget must be an integer, got '2'$"),
+        ({"node_budget": 0}, r"^node_budget must be an integer in \[1, "),
+    ])
+    def test_arguments_are_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            prefix_search_decode(DIVERGENT, **kwargs)
+
+    def test_unnormalized_rows_raise(self):
+        # rows of 0.9 once decoded to ([], -0.42), where exact_decode
+        # finds [0, 1]
+        with pytest.raises(ValueError, match="^posterior row 0 sums to 2.7"):
+            prefix_search_decode(np.full((4, 3), 0.9))
+        with pytest.raises(ValueError, match="^posterior row 0 sums to 0.9"):
+            prefix_search_decode(np.full((4, 3), 0.3), blank_threshold=1.0)
+
+    def test_boundaries_at_both_ends_and_side_by_side(self):
+        rng = np.random.default_rng(41)
+        probs = random_posterior(rng, 9, 3)
+        probs[[0, 3, 4, 8]] = [0.0, 0.0, 1.0]
+        parts = [exact_decode(probs[t0:t1]).paths[0] for t0, t1 in ((1, 3), (5, 8))]
+        got = prefix_search_decode(probs).paths[0]
+        assert got[0] == parts[0][0] + parts[1][0]
+        assert got[1] == pytest.approx(parts[0][1] + parts[1][1], abs=1e-9)
+
     def test_boundary_blank_mass_enters_score(self):
         rng = np.random.default_rng(40)
         probs = random_posterior(rng, 7, 3)
@@ -265,6 +302,15 @@ class TestRejectsBadPosteriors:
                            "got %s$" % input_len):
             decoder(probs, input_len=input_len)
 
+    @pytest.mark.parametrize("decoder", sorted(DECODERS))
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    def test_rows_must_sum_to_one(self, decoder, scale):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        probs[1:] *= scale
+        with pytest.raises(ValueError, match="^posterior row 1 sums to %.9f, "
+                           "not 1 within 1e-6$" % scale):
+            self.DECODERS[decoder](probs)
+
     def test_frames_past_input_len_are_not_checked(self):
         probs = np.full((4, 3), 1.0 / 3.0)
         probs[3] = np.nan
@@ -281,8 +327,9 @@ def random_beam_instance(rng, rounded):
     top_paths = int(rng.integers(1, width + 1))
     probs = random_posterior(rng, T, K)
     if rounded:
-        # coarse values make zero entries and exactly tied prefixes
-        probs = np.round(probs * 4) / 4
+        # coarse values make zero entries and exactly tied prefixes; a
+        # row of quarters drawn this way still sums to 1
+        probs = rng.multinomial(4, probs) / 4
     return probs, width, top_paths
 
 
@@ -307,8 +354,9 @@ class TestBeamMatchesScalarReference:
         top_paths = data.draw(st.integers(1, width))
         value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                           st.floats(0.0, 1.0))
-        probs = np.array(data.draw(st.lists(
-            st.lists(value, min_size=K, max_size=K), min_size=T, max_size=T)))
+        row = st.lists(value, min_size=K, max_size=K).filter(lambda r: sum(r) > 0)
+        probs = np.array(data.draw(st.lists(row, min_size=T, max_size=T)))
+        probs /= probs.sum(axis=1, keepdims=True)
         input_len = data.draw(st.integers(1, T))
         got = beam_search_decode(probs, input_len=input_len,
                                  beam_width=width, top_paths=top_paths).paths
@@ -488,7 +536,7 @@ class TestPackedBestPath:
         K = data.draw(st.integers(2, 6))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         posteriors = sorted(
-            (np.round(random_posterior(rng, data.draw(st.integers(1, 30)), K) * 4) / 4
+            (rng.multinomial(4, random_posterior(rng, data.draw(st.integers(1, 30)), K)) / 4
              for _ in range(data.draw(st.integers(1, 6)))),
             key=len, reverse=True)
         got = best_path_packed(*packed(posteriors))

@@ -238,6 +238,41 @@ class TestLoss:
             ctc_loss(UNIFORM_T2, [1])
 
 
+class TestOnePosteriorRule:
+    """Every single-sequence lattice entry point applies ``check_posteriors``."""
+
+    ENTRY_POINTS = {
+        "ctc_loss": lambda p: ctc_loss(p, [0]),
+        "make_lattice": lambda p: make_lattice(p, [0]),
+        "ctc_forward": lambda p: ctc_forward(p, extend_with_blanks([0], 2), 4),
+        "ctc_backward": lambda p: ctc_backward(p, extend_with_blanks([0], 2), 4),
+    }
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "posterior row 2 has a NaN, infinite or negative entry"),
+        (-0.25, "posterior row 2 has a NaN, infinite or negative entry"),
+        (0.9, "posterior row 2 sums to 0.900000000, not 1 within 1e-6"),
+        (1.1, "posterior row 2 sums to 1.100000000, not 1 within 1e-6"),
+    ])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_names_the_first_bad_row(self, entry, bad, message):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        if bad in (0.9, 1.1):
+            probs[2:] *= bad
+        else:
+            probs[2, 1] = probs[3, 0] = bad
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            self.ENTRY_POINTS[entry](probs)
+
+    def test_first_bad_row_in_row_order(self):
+        # a row that sums wrong comes before a later row with a NaN
+        probs = np.full((4, 3), 1.0 / 3.0)
+        probs[1] *= 0.9
+        probs[2, 0] = np.nan
+        with pytest.raises(ValueError, match="^posterior row 1 sums to 0.9"):
+            make_lattice(probs, [0])
+
+
 class TestGradient:
     def test_single_frame_closed_form(self):
         # one frame reduces to softmax cross-entropy: grad = y - onehot
@@ -279,6 +314,20 @@ class TestGradient:
         logits = rng.normal(0, 1, (6, 3))
         _, grad = ctc_gradient(logits, [0, 1], input_len=4)
         assert not grad[4:].any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_names_the_row(self, bad):
+        logits = np.zeros((4, 3))
+        logits[1, 2] = logits[3, 0] = bad
+        with pytest.raises(ValueError, match="^logit row 1 has a NaN or "
+                           "infinite entry$"):
+            ctc_gradient(logits, [0])
+        logits[1, 2] = 0.0
+        with pytest.raises(ValueError, match="^logit row 3 "):
+            ctc_gradient(logits, [0])
+        loss, grad = ctc_gradient(logits, [0], input_len=3)
+        assert loss == ctc_gradient(logits[:3], [0])[0]
+        assert not grad[3:].any()
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(43)
@@ -394,6 +443,66 @@ class TestOneInputScreen:
         probs = np.array([[0.5, 0.5], [1.2, -0.2]])
         with pytest.raises(ValueError, match="row 1"):
             ctc_loss(probs, [0])
+
+    @pytest.mark.parametrize("label", [0.7, 1.0, "1", True, np.float64(0.0),
+                                       np.bool_(False)])
+    @pytest.mark.parametrize("entry", ["ctc_loss", "ctc_gradient", "make_lattice",
+                                       "ctc_forward", "ctc_backward"])
+    def test_live_labels_must_be_integers(self, entry, label):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        message = "^%s$" % re.escape("label must be an integer, got %r" % (label,))
+        with pytest.raises(ValueError, match=message):
+            if entry in ("ctc_forward", "ctc_backward"):
+                globals()[entry](probs, [2, 0, 2, label, 2], 4)
+            else:
+                self.ENTRY_POINTS[entry](probs, [0, label])
+
+    def test_labels_past_label_len_are_not_checked(self):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        assert ctc_loss(probs, [0, 0.5, True], label_len=1) == ctc_loss(probs, [0])
+        assert ctc_loss(probs, np.array([0, 1]), label_len=1) == \
+            ctc_loss(probs, [np.int32(0)])
+
+    def test_batch_labels_must_be_integers_and_name_the_sequence(self):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        batch = PaddedBatch(np.repeat(probs[None], 2, axis=0),
+                            np.array([[0, -1], [0, -1]]), np.array([4, 4]),
+                            np.array([1, 1]))
+        assert ctc_loss_batch(batch) == [ctc_loss(probs, [0])] * 2
+        batch.labels = [[0, 0.5], [1.5, 0]]  # 0.5 is padding, 1.5 is not
+        with pytest.raises(ValueError, match=r"^sequence 1: label must be an "
+                           r"integer, got 1\.5$"):
+            ctc_loss_batch(batch)
+        batch.labels = np.array([[0.0, -1.0], [0.0, -1.0]])
+        with pytest.raises(ValueError, match=r"^sequence 0: label must be an "
+                           r"integer, got np\.float64\(0\.0\)$"):
+            check_batch(batch, 3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("features", np.full((2, 4), 1.0 / 3.0)),
+        ("labels", np.array([0, 0])),
+        ("input_lengths", np.array([[4], [4]])),
+        ("input_lengths", np.array([4, 4, 4])),
+        ("input_lengths", np.array([4])),
+        ("label_lengths", np.array([1])),
+    ])
+    def test_batch_shapes_are_checked_first(self, field, value):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        batch = PaddedBatch(np.repeat(probs[None], 2, axis=0),
+                            np.array([[0], [0]]), np.array([4, 4]),
+                            np.array([1, 1]))
+        setattr(batch, field, value)
+        with pytest.raises(ValueError, match="^a padded batch needs features "
+                           r"\(B, T_max, \.\.\.\), labels \(B, L_max\) and "
+                           r"input and label lengths \(B,\), got shapes "):
+            check_batch(batch, 3)
+
+    def test_batch_lengths_may_be_lists(self):
+        probs = np.full((4, 3), 1.0 / 3.0)
+        batch = PaddedBatch(np.repeat(probs[None], 2, axis=0),
+                            [[0, -1], [0, 1]], [4, 3], [1, 2])
+        assert ctc_loss_batch(batch) == [ctc_loss(probs, [0]),
+                                         ctc_loss(probs[:3], [0, 1])]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

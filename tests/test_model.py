@@ -2,9 +2,11 @@
 
 import builtins
 import copy
+import itertools
 import json
 import os
 import pickle
+import re
 import struct
 
 import numpy as np
@@ -15,8 +17,22 @@ from hypothesis import strategies as st
 from ctckit import model as model_module
 from ctckit import net
 from ctckit.data import Dataset, PaddedBatch, generate_synthetic, make_batches
-from ctckit.decode import beam_search_decode, best_path_decode
-from ctckit.lattice import InfeasibleAlignment, ctc_gradient, ctc_loss
+from ctckit.decode import (
+    beam_search_decode,
+    best_path_decode,
+    exact_decode,
+    prefix_search_decode,
+)
+from ctckit.lattice import (
+    InfeasibleAlignment,
+    ctc_backward,
+    ctc_forward,
+    ctc_gradient,
+    ctc_loss,
+    ctc_loss_batch,
+    extend_with_blanks,
+    make_lattice,
+)
 from ctckit.model import (
     CtcModel,
     DecodeConfig,
@@ -185,6 +201,44 @@ class TestTrainOnBatch:
         assert params_equal(model.params, before)
         assert model.optimizer.step == 0
 
+    def test_float_labels_are_refused(self):
+        model = CtcModel.compile(SPEC, seed=2)
+        before = clone(model.params)
+        (batch,) = make_batches(small_dataset(3), 3)
+        batch.labels = batch.labels.astype(np.float64)
+        with pytest.raises(ValueError, match=r"^sequence 0: label must be an "
+                           r"integer, got np\.float64\(\d\.0\)$"):
+            model.train_on_batch(batch)
+        assert params_equal(model.params, before)
+
+    def test_feature_width_is_the_spec_s(self):
+        model = CtcModel.compile(SPEC, seed=2)
+        (batch,) = make_batches(generate_synthetic(2, 2, 7, seed=1), 2)
+        with pytest.raises(ValueError, match=r"^features must be \(B, T_max, "
+                           r"3\), got \(2, \d+, 7\)$"):
+            model.train_on_batch(batch)
+
+    @pytest.mark.parametrize("input_lengths", [[2, 2, 2], [2]])
+    def test_lengths_must_match_the_batch(self, input_lengths):
+        model = CtcModel.compile(SPEC, seed=2)
+        before = clone(model.params)
+        (batch,) = make_batches(small_dataset(2), 2)
+        batch.input_lengths = np.array(input_lengths)
+        with pytest.raises(ValueError, match=r"^a padded batch needs .* got "
+                           r"shapes \(2, \d+, 3\), \(2, \d+\), \(%d,\), "
+                           r"\(2,\)$" % len(input_lengths)):
+            model.train_on_batch(batch)
+        assert params_equal(model.params, before)
+
+    def test_lengths_may_be_lists(self):
+        (batch,) = make_batches(small_dataset(3), 3)
+        listed = PaddedBatch(batch.features, batch.labels.tolist(),
+                             batch.input_lengths.tolist(),
+                             batch.label_lengths.tolist())
+        losses = [CtcModel.compile(SPEC, seed=2).train_on_batch(b)
+                  for b in (batch, listed)]
+        assert losses[0] == losses[1]
+
     def test_step_changes_parameters(self):
         ds = small_dataset(4)
         model = CtcModel.compile(SPEC, learning_rate=1e-2, seed=3)
@@ -334,6 +388,10 @@ class TestFit:
          r"^sequence 0: features must be \(T, 3\), got \(\d+, 6\)$"),
         (Dataset(3, 2, [(np.zeros((4, 3)), [0]), (np.zeros((4, 3)), [2])]),
          r"^sequence 1: label indices must lie in \[0, 2\)"),
+        (Dataset(3, 2, [(np.zeros((4, 3)), [0]), (np.zeros((4, 3)), [1.9])]),
+         r"^sequence 1: label must be an integer, got 1\.9$"),
+        (Dataset(3, 2, [(np.zeros((4, 3)), [np.True_]), (np.zeros((4, 3)), [1])]),
+         r"^sequence 0: label must be an integer, got np\.True_$"),
     ])
     def test_refused_validation_moves_no_parameter(self, validation, message):
         model = CtcModel.compile(SPEC, seed=4)
@@ -342,6 +400,21 @@ class TestFit:
             model.fit(small_dataset(4), epochs=1, validation=validation)
         with pytest.raises(ValueError, match=message):
             model.get_loss(validation)
+        assert params_equal(model.params, before)
+        assert model.optimizer.step == 0
+
+    @pytest.mark.parametrize("label", [0.5, 1.0, "1", True])
+    def test_labels_that_are_not_integers_are_refused(self, label):
+        model = CtcModel.compile(SPEC, seed=4)
+        before = clone(model.params)
+        ds = small_dataset(4)
+        ds.sequences[2] = (ds.sequences[2][0], [0, label])
+        message = "^sequence 2: label must be an integer, got %s$" % re.escape(
+            repr(label))
+        with pytest.raises(ValueError, match=message):
+            model.fit(ds, epochs=1, batch_size=2)
+        with pytest.raises(ValueError, match=message):
+            make_batches(ds, 2)
         assert params_equal(model.params, before)
         assert model.optimizer.step == 0
 
@@ -745,6 +818,74 @@ class TestGetters:
         feats = [np.zeros((4, 3)), np.zeros((2, 3))]
         matrices = model.get_probas(feats)
         assert [m.shape[0] for m in matrices] == [4, 2]
+
+
+class TestOnePosteriorScreen:
+    """Every function that takes posteriors refuses the same bad matrix in
+    the same words, with ``sequence i:`` before them where a batch holds
+    it. The facade's posteriors are the ``exp`` of ``net.log_softmax_rows``,
+    spoiled here to give the bad matrix; they cannot hold a negative
+    entry, so the facade is not given one."""
+
+    ALONE = {
+        "ctc_loss": lambda p: ctc_loss(p, [0]),
+        "make_lattice": lambda p: make_lattice(p, [0]),
+        "ctc_forward": lambda p: ctc_forward(p, extend_with_blanks([0], 2), 4),
+        "ctc_backward": lambda p: ctc_backward(p, extend_with_blanks([0], 2), 4),
+        "exact_decode": exact_decode,
+        "best_path_decode": best_path_decode,
+        "beam_search_decode": lambda p: beam_search_decode(p, beam_width=4),
+        "prefix_search_decode": prefix_search_decode,
+    }
+    # sequence 0 has uniform posteriors and sequence 1 the bad matrix
+    FACADE = {
+        "predict_greedy": lambda model, data: model.predict(
+            [f for f, _ in data.sequences]),
+        "predict_beam": lambda model, data: model.predict(
+            [f for f, _ in data.sequences], greedy=False, beam_width=4),
+        "get_loss": lambda model, data: model.get_loss(data),
+        "get_probas": lambda model, data: model.get_probas(data),
+        "evaluate": lambda model, data: model.evaluate(data),
+    }
+    CASES = (list(itertools.product(sorted(ALONE) + ["ctc_loss_batch"],
+                                    [np.nan, np.inf, -0.25, 0.9, 1.1]))
+             + list(itertools.product(sorted(FACADE), [np.nan, np.inf, 0.9, 1.1])))
+
+    @pytest.mark.parametrize("entry, kind", CASES)
+    def test_same_words_from_every_entry_point(self, monkeypatch, entry, kind):
+        bad = np.full((4, 3), 1.0 / 3.0)
+        if kind in (0.9, 1.1):
+            bad[2:] *= kind
+            message = "posterior row 2 sums to %.9f, not 1 within 1e-6" % kind
+        else:
+            bad[2, 1] = bad[3, 0] = kind
+            message = "posterior row 2 has a NaN, infinite or negative entry"
+        if entry in self.ALONE:
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                self.ALONE[entry](bad)
+            return
+        message = "^sequence 1: %s$" % re.escape(message)
+        if entry == "ctc_loss_batch":
+            batch = PaddedBatch(np.stack([np.full((4, 3), 1.0 / 3.0), bad]),
+                                np.array([[0], [0]]), np.array([4, 4]),
+                                np.array([1, 1]))
+            with pytest.raises(ValueError, match=message):
+                ctc_loss_batch(batch)
+            return
+        rows = model_module.Packing([4, 4]).rows(1)
+        log_softmax_rows = net.log_softmax_rows
+
+        def spoiled(z):
+            log_probs = log_softmax_rows(z)
+            with np.errstate(invalid="ignore"):
+                log_probs[rows] = np.log(bad)
+            return log_probs
+
+        monkeypatch.setattr(net, "log_softmax_rows", spoiled)
+        model = CtcModel.compile(SPEC, seed=6)
+        data = Dataset(3, 2, [(np.zeros((4, 3)), [0])] * 2)
+        with pytest.raises(ValueError, match=message):
+            self.FACADE[entry](model, data)
 
 
 class TestPersistence:
