@@ -188,42 +188,45 @@ def write_dataset(dataset, path):
             ) + "\n")
 
 
+def _order(n, seed):
+    """``make_batches``'s order of ``n`` sequences for ``seed``."""
+    return np.arange(n) if seed is None \
+        else np.random.default_rng(seed).permutation(n)
+
+
+def _label_matrix(label_lists):
+    """Label lists as one (B, L_max) int64 array padded with LABEL_PAD,
+    and their lengths (B,); every label is screened (``check_labels``)."""
+    values = check_labels(label_lists)
+    lengths = np.array([len(l) for l in label_lists], dtype=np.int64)
+    matrix = np.full((lengths.size, lengths.max(initial=0)), LABEL_PAD,
+                     dtype=np.int64)
+    matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = values
+    return matrix, lengths
+
+
 def make_batches(dataset, batch_size, seed=None):
     """Split into padded batches after a deterministic shuffle.
 
     ``seed`` may be an int / int sequence (shuffled with that seed), a
-    Generator, or None for the original order. Per batch, the padded
-    sizes are the within-batch maxima and every true length is kept.
-    ``batch_size`` must be an integer >= 1 (``net.checked_int``), and
-    every label an integer (``lattice.check_labels``, naming the
-    sequence by its index in ``dataset``); labels are checked once, not
-    once per batch.
+    Generator, or None for the original order (``_order``, the order
+    ``CtcModel.fit`` slices its unpadded batches from). Per batch, the
+    padded sizes are the within-batch maxima and every true length is
+    kept. ``batch_size`` must be an integer >= 1 (``net.checked_int``);
+    the labels are screened and laid out once (``_label_matrix``).
     """
     batch_size = checked_int("batch_size", batch_size)
-    check_labels([l for _, l in dataset.sequences])
-    n = len(dataset)
-    if seed is None:
-        order = np.arange(n)
-    else:
-        rng = seed if isinstance(seed, np.random.Generator) \
-            else np.random.default_rng(seed)
-        order = rng.permutation(n)
+    labels, label_lengths = _label_matrix([l for _, l in dataset.sequences])
+    lengths = np.array([f.shape[0] for f, _ in dataset.sequences], dtype=np.int64)
+    order = _order(len(dataset), seed)
     batches = []
-    for start in range(0, n, batch_size):
+    for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
-        seqs = [dataset.sequences[i] for i in idx]
-        t_max = max(f.shape[0] for f, _ in seqs)
-        l_max = max(len(l) for _, l in seqs)
-        features = np.zeros((len(seqs), t_max, dataset.feature_dim))
-        labels = np.full((len(seqs), l_max), LABEL_PAD, dtype=np.int64)
-        input_lengths = np.zeros(len(seqs), dtype=np.int64)
-        label_lengths = np.zeros(len(seqs), dtype=np.int64)
-        for i, (f, l) in enumerate(seqs):
-            features[i, : f.shape[0]] = f
-            labels[i, : len(l)] = l
-            input_lengths[i] = f.shape[0]
-            label_lengths[i] = len(l)
-        batches.append(PaddedBatch(features, labels, input_lengths, label_lengths))
+        features = np.zeros((len(idx), lengths[idx].max(), dataset.feature_dim))
+        for row, i in zip(features, idx):
+            row[:lengths[i]] = dataset.sequences[i][0]
+        batches.append(PaddedBatch(features, labels[idx, :label_lengths[idx].max()],
+                                   lengths[idx], label_lengths[idx]))
     return batches
 
 

@@ -41,7 +41,7 @@ already screened.
 """
 
 import numbers
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from itertools import chain
 
@@ -144,29 +144,30 @@ def _screen(labels, input_lengths, label_lengths, num_frames, num_classes):
     (``checked_int``; an integer array passes unlooped) comes first:
     an input length, then a label length, then one of the first
     label_len labels, so that no value is cast to an integer before it
-    is known to be one. Then all sequences are checked
-    at once, and the error is worded by the first rule broken, in this
-    order: 1 <= input_len <= num_frames; 0 <= label_len <= L_max; the
-    first label_len labels lie in [0, num_classes - 1), so neither the
-    blank nor the padding leaks in; L labels with R adjacent repeats get
-    at least L + R frames, since a repeat needs a blank between
-    (InfeasibleAlignment).
+    is known to be one; labels past label_len are never cast. Then all
+    sequences are checked at once, and the error is worded by the first
+    rule broken, in this order: 1 <= input_len <= num_frames;
+    0 <= label_len <= L_max; the first label_len labels lie in
+    [0, num_classes - 1), so neither the blank nor the padding leaks in;
+    L labels with R adjacent repeats get at least L + R frames, since a
+    repeat needs a blank between (InfeasibleAlignment).
     """
     for name, lengths in (("input_len", input_lengths),
                           ("label_len", label_lengths)):
         failure = None if _integers(lengths) else _non_integer(name, zip(lengths))
         if failure is not None:
             return failure
+    input_lengths = np.asarray(input_lengths, dtype=np.int64)
+    label_lengths = np.asarray(label_lengths, dtype=np.int64)
+    max_len = np.shape(labels)[1]
+    live = np.arange(max_len) < label_lengths[:, None]
     if not _integers(labels):
         failure = _non_integer("label", (
             row[:max(int(n), 0)] for row, n in zip(labels, label_lengths)))
         if failure is not None:
             return failure
-    labels = np.asarray(labels, dtype=np.int64)
-    input_lengths = np.asarray(input_lengths, dtype=np.int64)
-    label_lengths = np.asarray(label_lengths, dtype=np.int64)
-    max_len = labels.shape[1]
-    live = np.arange(max_len) < label_lengths[:, None]
+        labels = np.where(live, np.array(labels, dtype=object), 0)
+    labels = labels.astype(np.int64, copy=False)
     repeats = (live[:, 1:] & (labels[:, 1:] == labels[:, :-1])).sum(axis=1)
     bad_input = (input_lengths < 1) | (input_lengths > num_frames)
     bad_len = (label_lengths < 0) | (label_lengths > max_len)
@@ -221,18 +222,19 @@ def check_sequences(labels, input_lengths, label_lengths, num_frames,
 
 
 def check_labels(label_lists):
-    """Refuse a label that is not an integer, naming its sequence.
-
-    ``label_lists`` holds one label sequence per sequence; the rule is
-    ``checked_int``'s (a bool, a float or a string is no label). The
-    types of all labels are read in one pass, so integers pass with no
-    loop per label.
-    """
-    types = set(map(type, chain.from_iterable(label_lists)))
-    if not all(issubclass(t, numbers.Integral) and t is not bool for t in types):
-        index, err = _non_integer("label", label_lists)
-        with sequence_named(index):
-            raise err
+    """Every label of ``label_lists``, one list per sequence, as one int64
+    array; a label that ``checked_int`` refuses (a bool, a float, a
+    string or an integer outside int64) raises, naming its sequence.
+    The types are read in one pass and the values cast in one call, so
+    integers pass with no loop per label."""
+    labels = list(chain.from_iterable(label_lists))
+    if all(issubclass(t, numbers.Integral) and t is not bool
+           for t in set(map(type, labels))):
+        with suppress(OverflowError):  # an integer outside int64
+            return np.array(labels, dtype=np.int64)
+    index, err = _non_integer("label", label_lists)
+    with sequence_named(index):
+        raise err
 
 
 def check_batch(batch, num_classes):
@@ -388,7 +390,7 @@ def ctc_gradient_packed(packing, logits, labels, label_lengths):
 
     ``logits`` is (N, K) in ``packing``'s row order and ``labels``
     (B, >= L_max) holds each sequence's labels in its first
-    ``label_lengths[b]`` entries, already validated (``check_batch``).
+    ``label_lengths[b]`` entries, already screened (``check_sequences``).
     log_softmax is taken once; alpha and beta advance all sequences a
     step at a time, in one recurrence. Returns (losses (B,), grad (N, K))
     with grad = softmax(logits) - lattice posterior.
@@ -535,7 +537,8 @@ def ctc_loss_batch(batch):
     features, labels, lengths, label_lengths = check_batch(batch, features.shape[2])
     order = np.argsort(-lengths, kind="stable")
     packing = Packing(lengths[order])
-    probs = packing.pack(features, order)
+    probs = packing.pack(features.reshape(-1, features.shape[2]),
+                         order * features.shape[1])
     check_posteriors(probs, packing, order)
     losses = np.empty(len(order))
     losses[order] = packed_losses(packing, log_posteriors(probs), labels[order],

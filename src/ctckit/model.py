@@ -1,7 +1,8 @@
 """Three-branch model facade: train, predict, evaluate.
 
 Training consumes the four-input padded batch (features, labels, input
-lengths, label lengths); prediction consumes only features and input
+lengths, label lengths), or a dataset that ``fit`` steps through in
+unpadded slices; prediction consumes only features and input
 lengths; evaluation consumes all four and reports loss / label error
 rate / sequence error rate. The loss is always the CTC negative
 log-likelihood (batch mean for training); only the optimizer is
@@ -24,10 +25,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import net
-from .data import LABEL_PAD, Dataset, PaddedBatch, _replacing, make_batches
-# beam_search_decode, best_path_decode, ctc_gradient and ctc_loss are
-# not called here; benchmark tracing swaps its span wrappers into this
-# namespace, so the names must stay importable from it
+# beam_search_decode, best_path_decode, ctc_gradient, ctc_loss and
+# make_batches are not called here; benchmark tracing swaps its span
+# wrappers into this namespace, so the names must stay importable from it
+from .data import Dataset, _label_matrix, _order, _replacing, make_batches  # noqa: F401
 from .decode import (  # noqa: F401
     beam_search_decode,
     beam_search_packed,
@@ -36,9 +37,7 @@ from .decode import (  # noqa: F401
     check_beam,
 )
 from .lattice import (  # noqa: F401
-    InfeasibleAlignment,
     check_batch,
-    check_labels,
     check_posteriors,
     check_sequences,
     ctc_gradient,
@@ -132,14 +131,19 @@ class CtcModel:
     def train_on_batch(self, batch, clip_norm=None):
         """One optimizer step on a padded batch; returns the pre-step mean loss.
 
-        The whole batch is evaluated before any parameter moves, so an
+        The four-input entry to training (``batch_gradients``). The
+        whole batch is evaluated before any parameter moves, so an
         infeasible sequence or a non-finite gradient leaves parameters
         and optimizer state untouched. ``clip_norm``, if given, must be
         a finite number > 0; it is checked before the batch is.
         """
         if clip_norm is not None:
             net.checked_real("clip_norm", clip_norm)
-        losses, grads = batch_gradients(self.spec, self.params, batch)
+        return self._step(*batch_gradients(self.spec, self.params, batch),
+                          clip_norm)
+
+    def _step(self, losses, grads, clip_norm):
+        """Step by ``grads``, clipped unless None; the mean of ``losses``."""
         if clip_norm is not None:
             grads = net.clip_by_global_norm(grads, clip_norm)
         net.optimizer_step(self.optimizer, self.params, grads)
@@ -150,45 +154,49 @@ class CtcModel:
         """Epoch loop over deterministically shuffled batches.
 
         Returns one EpochRecord per epoch run (mean training loss,
-        optional validation loss, wall-clock seconds). ``validation`` is
-        screened as ``get_loss`` screens it before the first step, so a
-        set that it refuses moves no parameter. When
-        ``checkpoint_dir`` is set, weights are written after each epoch
-        as weights.epochN.ctcw (``write_weights``, so a failed write
-        leaves an older checkpoint of that name intact). ``epochs`` must
-        be an integer >= 0 (``net.checked_int``); ``clip_norm`` is
-        checked as ``train_on_batch`` checks it.
+        optional validation loss, wall-clock seconds). ``epochs`` (>= 0),
+        ``batch_size`` (``net.checked_int``) and ``clip_norm`` are checked
+        and both sets screened once (``_screened``) before the first
+        step, so a set it refuses moves no parameter; the error names the
+        sequence by its index in the set. Epoch e steps as
+        ``train_on_batch`` on ``make_batches(dataset, batch_size,
+        seed=[shuffle_seed, e])``, bit for bit, on unpadded index slices
+        of that shuffle. With ``checkpoint_dir``, weights are written
+        after each epoch as weights.epochN.ctcw (``write_weights``).
         """
         epochs = net.checked_int("epochs", epochs, 0)
+        batch_size = net.checked_int("batch_size", batch_size)
+        if clip_norm is not None:
+            net.checked_real("clip_norm", clip_norm)
         if not len(dataset):
             raise ValueError("training dataset is empty")
+        rows, starts, lengths, (labels, label_lengths) = \
+            self._screened_set(dataset)
         if validation is not None:
             if not len(validation):
                 raise ValueError("validation dataset is empty")
-            self._screened([f for f, _ in validation.sequences],
-                           labels=[l for _, l in validation.sequences])
+            validation = self._screened_set(validation)
         history = []
         for epoch in range(epochs):
             start = time.perf_counter()
-            batches = make_batches(dataset, batch_size, seed=[shuffle_seed, epoch])
+            order = _order(len(dataset), [shuffle_seed, epoch])
             loss_sum = 0.0
-            for bi, batch in enumerate(batches):
+            for bi, first in enumerate(range(0, len(order), batch_size)):
+                index = order[first:first + batch_size]
                 try:
-                    batch_loss = self.train_on_batch(batch, clip_norm=clip_norm)
-                except InfeasibleAlignment as err:
-                    raise InfeasibleAlignment(
-                        "epoch %d, batch %d: %s" % (epoch, bi, err),
-                        sequence_index=err.sequence_index,
-                    ) from err
+                    batch_loss = self._step(*_gradients(
+                        self.spec, self.params, rows, starts[index],
+                        lengths[index], labels[index], label_lengths[index],
+                    ), clip_norm)
                 except net.NonFiniteGradient as err:
                     raise net.NonFiniteGradient(
                         "epoch %d, batch %d: %s" % (epoch, bi, err)
                     ) from err
-                loss_sum += batch_loss * len(batch)
+                loss_sum += batch_loss * len(index)
             train_loss = loss_sum / len(dataset)
             val_loss = None
             if validation is not None:
-                val_loss = float(np.mean(self.get_loss(validation)))
+                val_loss = float(np.mean(self._run(*validation)[0]))
             if checkpoint_dir is not None:
                 write_weights(
                     "%s/weights.epoch%d.ctcw" % (checkpoint_dir, epoch + 1),
@@ -221,7 +229,7 @@ class CtcModel:
             ("top_paths", top_paths)) if value is not None}
         config = replace(self.decode_config, **overrides)
         return self._run(
-            features_list, input_lengths,
+            *self._screened(features_list, input_lengths),
             each=lambda probs, packing: _decode(config, probs, packing),
         )[1]
 
@@ -235,7 +243,8 @@ class CtcModel:
         in the report. ler is per sequence, loss and ser are aggregated.
         The network runs once over each packed group of sequences; its
         posteriors give both the losses and the decodes and are dropped
-        before the next group runs.
+        before the next group runs. The labels are screened as
+        ``get_loss`` screens them whichever metrics are requested.
         """
         if not len(dataset):
             raise ValueError("evaluation dataset is empty")
@@ -246,11 +255,11 @@ class CtcModel:
                     "unknown metric %r (expected subset of %r)"
                     % (m, list(VALID_METRICS))
                 )
+        rows, starts, lengths, labels = self._screened_set(dataset)
         truths = [list(l) for _, l in dataset.sequences]
         decode = "ler" in requested or "ser" in requested
         losses, preds = self._run(
-            [f for f, _ in dataset.sequences],
-            labels=truths if "loss" in requested else None,
+            rows, starts, lengths, labels if "loss" in requested else None,
             each=(lambda probs, packing: [
                 r.paths[0][0]
                 for r in _decode(self.decode_config, probs, packing)
@@ -272,84 +281,89 @@ class CtcModel:
         Each is the loss ``train_on_batch`` takes of the sequence's
         logits, bit for bit.
         """
-        return self._run([f for f, _ in dataset.sequences],
-                         labels=[l for _, l in dataset.sequences])[0]
+        return self._run(*self._screened_set(dataset))[0]
 
     def get_probas(self, dataset_or_features):
         """Per-sequence posterior matrices trimmed to each true length."""
-        if isinstance(dataset_or_features, Dataset):
-            feature_arrays = [f for f, _ in dataset_or_features.sequences]
-        else:
-            feature_arrays = list(dataset_or_features)
-        return self._run(feature_arrays, each=lambda probs, packing: [
-            probs[packing.rows(b)] for b in range(packing.lengths.size)
-        ])[1]
+        features = dataset_or_features
+        if isinstance(features, Dataset):
+            features = [f for f, _ in features.sequences]
+        return self._run(
+            *self._screened(features), each=lambda probs, packing: [
+                probs[packing.rows(b)] for b in range(packing.lengths.size)
+            ],
+        )[1]
 
     def _screened(self, features_list, input_lengths=None, labels=None):
-        """``_run``'s inputs checked: (arrays, lengths, labels).
+        """The one screen of sequences: (rows, starts, lengths, labels).
 
-        Each sequence's features as a float64 (T, feature_dim) array and
-        its input length; with ``labels``, their ``_label_matrix`` and
-        label lengths, else None. Labels must be integers
-        (``check_labels``) before they are cast. An error names the
-        sequence by its index.
+        The first input_len float64 feature rows of each sequence
+        (``net.sequence_frames``) one after another in ``rows``,
+        sequence i from row ``starts[i]``, so ``Packing.pack(rows,
+        starts[index])`` gathers any group; the input lengths; with
+        ``labels``, their ``_label_matrix`` and label lengths, screened
+        by ``check_sequences``, else None. An error names the sequence
+        by its index.
         """
         features_list = list(features_list)
         n = len(features_list)
         if input_lengths is not None and len(input_lengths) != n:
             raise ValueError("%d input_lengths given for %d sequences"
                              % (len(input_lengths), n))
-        arrays, lengths = [], np.zeros(n, dtype=np.int64)
+        active, lengths = [], np.zeros(n, dtype=np.int64)
         for i, features in enumerate(features_list):
             with sequence_named(i):
                 features, lengths[i] = net.sequence_frames(
                     self.spec, features,
                     None if input_lengths is None else input_lengths[i],
                 )
-            arrays.append(features)
+            active.append(features[:lengths[i]])
+        rows = np.concatenate([np.empty((0, self.spec.feature_dim)), *active])
         if labels is not None:
-            check_labels(labels)
-            label_lengths = np.array([len(l) for l in labels], dtype=np.int64)
-            labels = (_label_matrix(labels, label_lengths), label_lengths)
-            check_sequences(labels[0], lengths, label_lengths,
+            matrix, label_lengths = labels = _label_matrix(labels)
+            check_sequences(matrix, lengths, label_lengths,
                             lengths.max(initial=1), self.spec.num_classes)
-        return arrays, lengths, labels
+        return rows, np.cumsum(lengths) - lengths, lengths, labels
 
-    def _run(self, features_list, input_lengths=None, labels=None, each=None):
-        """Run the network over sequences, one packed group at a time.
+    def _screened_set(self, dataset):
+        """``_screened`` of a dataset's features and labels."""
+        return self._screened([f for f, _ in dataset.sequences],
+                              labels=[l for _, l in dataset.sequences])
 
-        Each group of ``net.activation_groups(..., for_backward=False)``
-        is one ``net.forward_packed`` that keeps no activations for
-        backward, so the groups are sized by the peak of a forward-only
-        pass (for two bi-LSTM layers of 64 units and sequences of 280
-        frames, 760 frames a group against 323 in training). Returns
-        (losses, outputs) in input order. With ``labels`` (one label
-        list per sequence), losses[i] is the CTC loss of sequence i,
-        from one ``packed_losses`` pass per group over
-        ``net.log_softmax_rows`` of its logits: the loss training takes
-        of them. Otherwise losses is None. ``each(probs, packing)`` maps
-        a group's posteriors (N, K), the ``exp`` of that log-softmax, of
-        the first input_len frames of each sequence, to one output per
-        sequence in packing order, and outputs[i] is that of sequence i;
-        without ``each`` outputs holds Nones. Every sequence is screened
-        before the first group runs (``_screened``), and each group's
-        posteriors once, by the rule every function that takes
-        posteriors applies (``check_posteriors`` with the group's
-        packing); an error names the sequence by its index.
+    def _run(self, rows, starts, lengths, labels=None, each=None):
+        """Run the network over screened sequences, one packed group at a time.
+
+        The arguments are ``_screened``'s. Each group of
+        ``net.activation_groups(..., for_backward=False)`` is one
+        ``net.forward_packed`` that keeps no activations for backward
+        (for two bi-LSTM layers of 64 units and 280 frames, 760 frames
+        a group against 323 in training); a group's posteriors are freed
+        before the next runs. Returns (losses, outputs) in input order:
+        with ``labels`` losses[i] is sequence i's ``packed_losses`` of
+        the group's ``net.log_softmax_rows``, the loss training takes,
+        else None; outputs[i] is sequence i's of ``each(probs,
+        packing)``, which maps a group's posteriors, the ``exp`` of that
+        log-softmax, to one output per sequence in packing order, else
+        None. Each group's posteriors are screened once
+        (``check_posteriors``).
         """
-        arrays, lengths, labels = self._screened(features_list, input_lengths,
-                                                 labels)
-        losses = None if labels is None else np.empty(len(arrays))
-        outputs = [None] * len(arrays)
-        groups = net.activation_groups(self.spec, lengths, for_backward=False)
-        for index in groups:
-            group_losses, group_outputs = _run_group(
-                self.spec, self.params, arrays, lengths, labels, index, each
-            )
-            if losses is not None:
-                losses[index] = group_losses
-            for i, output in zip(index.tolist(), group_outputs):
-                outputs[i] = output
+        losses = None if labels is None else np.empty(len(lengths))
+        outputs = [None] * len(lengths)
+        for index in net.activation_groups(self.spec, lengths, for_backward=False):
+            packing = Packing(lengths[index])
+            log_probs = net.log_softmax_rows(net.forward_packed(
+                self.spec, self.params, packing,
+                packing.pack(rows, starts[index]), for_backward=False,
+            )[0])
+            probs = np.exp(log_probs)
+            check_posteriors(probs, packing, index)
+            if labels is not None:
+                losses[index] = packed_losses(packing, log_probs, labels[0][index],
+                                              labels[1][index])
+            if each is not None:
+                for i, output in zip(index.tolist(), each(probs, packing)):
+                    outputs[i] = output
+            del packing, log_probs, probs
         return None if losses is None else losses.tolist(), outputs
 
     # ------------------------------------------------------------------
@@ -363,15 +377,6 @@ class CtcModel:
         return load_model(directory, weights=weights)
 
 
-def _label_matrix(labels, label_lengths):
-    """Label lists as one (B, L_max) array, padded with LABEL_PAD."""
-    matrix = np.full((len(labels), int(label_lengths.max(initial=0))),
-                     LABEL_PAD, dtype=np.int64)
-    for row, l in zip(matrix, labels):
-        row[:len(l)] = l
-    return matrix
-
-
 def _decode(config, probs, packing):
     """Decode a packed group by ``config``, one result per sequence in packing order."""
     if config.greedy:
@@ -379,64 +384,50 @@ def _decode(config, probs, packing):
     return beam_search_packed(probs, packing, config.beam_width, config.top_paths)
 
 
-def _run_group(spec, params, arrays, lengths, labels, index, each):
-    # a function of its own, so each group's activations and posteriors
-    # are freed before the next group's forward runs
-    packing = Packing(lengths[index])
-    frames = np.empty((packing.num_frames, spec.feature_dim))
-    for b, i in enumerate(index.tolist()):
-        frames[packing.rows(b)] = arrays[i][:lengths[i]]
-    log_probs = net.log_softmax_rows(
-        net.forward_packed(spec, params, packing, frames, for_backward=False)[0]
-    )
-    probs = np.exp(log_probs)
-    check_posteriors(probs, packing, index)
-    losses = None
-    if labels is not None:
-        matrix, label_lengths = labels
-        losses = packed_losses(packing, log_probs, matrix[index], label_lengths[index])
-    outputs = [None] * len(index) if each is None else each(probs, packing)
-    return losses, outputs
-
-
 def batch_gradients(spec, params, batch):
     """Per-sequence losses and batch-mean gradients of a padded batch.
 
     The batch's shapes (``check_batch``), its feature width against
     ``spec`` and every sequence are validated first; errors carry the
-    sequence's index in ``batch``. The batch then runs in the groups of
-    ``net.activation_groups``: per group one forward, one lattice pass
-    and one backward over its packed frames. Returns (losses in batch order,
-    the batch-mean gradients as a ``net.FlatTensors`` laid out by
-    ``net.param_shapes(spec)``).
+    sequence's index in ``batch``. Sequence i's rows start at row
+    i * T_max of the features, so ``_gradients`` gathers no padding.
     """
-    batch = PaddedBatch(*check_batch(batch, spec.num_classes))
-    if batch.features.shape[2] != spec.feature_dim:
+    features, labels, lengths, label_lengths = check_batch(batch, spec.num_classes)
+    B, T_max, F = features.shape
+    if F != spec.feature_dim:
         raise ValueError("features must be (B, T_max, %d), got %r"
-                         % (spec.feature_dim, batch.features.shape))
-    losses = np.empty(len(batch.input_lengths))
+                         % (spec.feature_dim, features.shape))
+    return _gradients(spec, params, features.reshape(B * T_max, F),
+                      np.arange(B) * T_max, lengths, labels, label_lengths)
+
+
+def _gradients(spec, params, rows, starts, lengths, labels, label_lengths):
+    """Per-sequence losses and mean gradients of screened sequences.
+
+    Frame t of sequence i is ``rows[starts[i] + t]`` (``Packing.pack``).
+    Per group of ``net.activation_groups``, one forward, one lattice
+    pass and one backward over its packed frames, freed before the next
+    group's forward. Returns (losses in input order, the mean gradients
+    as a ``net.FlatTensors`` laid out by ``net.param_shapes(spec)``).
+    """
+    losses = np.empty(len(lengths))
     total = None
-    for index in net.activation_groups(spec, batch.input_lengths):
-        losses[index], grads = _group_gradients(spec, params, batch, index)
+    for index in net.activation_groups(spec, lengths):
+        packing = Packing(lengths[index])
+        logits, cache = net.forward_packed(
+            spec, params, packing, packing.pack(rows, starts[index])
+        )
+        losses[index], grad_logits = ctc_gradient_packed(
+            packing, logits, labels[index], label_lengths[index]
+        )
+        grads = net.backward_packed(spec, params, cache, grad_logits)
+        del packing, logits, cache, grad_logits
         if total is None:
             total = grads
         else:
             total.flat += grads.flat
     total.flat /= len(losses)
     return losses, total
-
-
-def _group_gradients(spec, params, batch, index):
-    # a function of its own, so each group's activations are freed
-    # before the next group's forward runs
-    packing = Packing(batch.input_lengths[index])
-    logits, cache = net.forward_packed(
-        spec, params, packing, packing.pack(batch.features, index)
-    )
-    losses, grad_logits = ctc_gradient_packed(
-        packing, logits, batch.labels[index], batch.label_lengths[index]
-    )
-    return losses, net.backward_packed(spec, params, cache, grad_logits)
 
 
 def _write_json(path, value):

@@ -56,12 +56,14 @@ class Packing:
             + self.seq_of_row
         )
 
-    def pack(self, padded, index):
-        """Gather the valid frames of ``padded`` (B', T_max, ...) into rows.
+    def pack(self, rows, starts):
+        """Gather frame t of sequence b from ``rows[starts[b] + t]``, in one index.
 
-        Sequence b of the packing is ``padded[index[b]]``.
+        ``rows`` holds sequences one after another, or is a padded
+        (B', T_max, ...) batch reshaped to (B' * T_max, ...), with
+        ``starts = index * T_max``; its padding is never read.
         """
-        return padded[np.asarray(index)[self.seq_of_row], self.time_of_row]
+        return rows[np.asarray(starts)[self.seq_of_row] + self.time_of_row]
 
     def rows(self, b):
         """Packed rows of sequence b, in time order."""

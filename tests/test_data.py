@@ -221,6 +221,15 @@ class TestMakeBatches:
         with pytest.raises(ValueError, match="^batch_size must be an integer"):
             make_batches(tiny_dataset(), size)
 
+    @pytest.mark.parametrize("label", [2 ** 63, 2 ** 70, -2 ** 63 - 1,
+                                       np.uint64(2 ** 64 - 1)])
+    def test_labels_outside_int64_name_the_sequence(self, label):
+        ds = Dataset(3, 2, [(np.zeros((4, 3)), [0]),
+                            (np.zeros((4, 3)), [1, label])])
+        with pytest.raises(ValueError, match="^sequence 1: label must be an "
+                           "integer in .*, got %d$" % label):
+            make_batches(ds, 1)
+
 
 class TestGenerateSynthetic:
     def test_noiseless_frames_decode_pointwise(self):

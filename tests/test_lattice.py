@@ -460,6 +460,8 @@ class TestOneInputScreen:
     def test_labels_past_label_len_are_not_checked(self):
         probs = np.full((4, 3), 1.0 / 3.0)
         assert ctc_loss(probs, [0, 0.5, True], label_len=1) == ctc_loss(probs, [0])
+        assert ctc_loss(probs, [0, "x", 2 ** 70, None], label_len=1) == \
+            ctc_loss(probs, [0])
         assert ctc_loss(probs, np.array([0, 1]), label_len=1) == \
             ctc_loss(probs, [np.int32(0)])
 

@@ -418,6 +418,56 @@ class TestFit:
         assert params_equal(model.params, before)
         assert model.optimizer.step == 0
 
+    @pytest.mark.parametrize("budget_frames", [None, 5])
+    def test_steps_are_train_on_batch_over_make_batches(self, monkeypatch,
+                                                        budget_frames):
+        """fit, clip and validation included, is a loop of train_on_batch."""
+        if budget_frames is not None:  # several groups a batch
+            monkeypatch.setattr(net, "ACTIVATION_BYTES",
+                                budget_frames * net.stored_bytes_per_frame(SPEC))
+        ds, val = small_dataset(10), small_dataset(3, seed=9)
+        fitted = CtcModel.compile(SPEC, learning_rate=1e-2, seed=5)
+        history = fitted.fit(ds, epochs=3, batch_size=4, shuffle_seed=11,
+                             validation=val, clip_norm=0.5)
+        looped = CtcModel.compile(SPEC, learning_rate=1e-2, seed=5)
+        clipped = []
+        clip = net.clip_by_global_norm
+        monkeypatch.setattr(net, "clip_by_global_norm", lambda grads, norm: (
+            clipped.append(net.global_grad_norm(grads) > norm) or clip(grads, norm)))
+        for epoch, record in enumerate(history):
+            loss_sum = 0.0
+            for batch in make_batches(ds, 4, seed=[11, epoch]):
+                loss_sum += looped.train_on_batch(batch, clip_norm=0.5) * len(batch)
+            assert record.train_loss == loss_sum / len(ds)
+            assert record.val_loss == float(np.mean(looped.get_loss(val)))
+        assert any(clipped)
+        assert looped.optimizer.step == fitted.optimizer.step == 9
+        assert params_equal(fitted.params, looped.params)
+        assert params_equal(fitted.optimizer.m, looped.optimizer.m)
+        assert params_equal(fitted.optimizer.v, looped.optimizer.v)
+
+    @pytest.mark.parametrize("sequence, message", [
+        ((np.zeros((2, 3)), [1, 1]), r"need at least 3 frames for 2 labels"),
+        ((np.zeros((4, 3)), [0, 1.5]), r"label must be an integer, got 1\.5"),
+        ((np.zeros((4, 6)), [0]), r"features must be \(T, 3\), got \(4, 6\)"),
+        ((np.zeros((4, 3)), [0, 2]), r"label indices must lie in \[0, 2\)"),
+    ])
+    def test_refused_training_set_moves_no_parameter(self, sequence, message):
+        """The whole set is screened before the first step; the error names
+        the sequence once, by its index in the set."""
+        model = CtcModel.compile(SPEC, seed=4)
+        before = clone(model.params)
+        ds = small_dataset(8)
+        ds.sequences[5] = sequence
+        with pytest.raises((ValueError, InfeasibleAlignment),
+                           match="^sequence 5: " + message) as excinfo:
+            model.fit(ds, epochs=2, batch_size=3)
+        assert str(excinfo.value).count("sequence") == 1
+        if excinfo.type is InfeasibleAlignment:
+            assert excinfo.value.sequence_index == 5
+        assert params_equal(model.params, before)
+        assert model.optimizer.step == 0
+
     def test_checkpoints_written(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=4)
         model.fit(small_dataset(4), epochs=2, batch_size=2,
@@ -430,6 +480,8 @@ class TestPredict:
     def test_empty_input(self):
         model = CtcModel.compile(SPEC, seed=6)
         assert model.predict([]) == []
+        assert model.get_probas([]) == []
+        assert model.get_loss(Dataset(3, 2, [])) == []
 
     def test_greedy_matches_decoder_on_own_posteriors(self):
         ds = small_dataset(5)
@@ -614,6 +666,28 @@ class TestEvaluate:
         model = CtcModel.compile(SPEC, seed=7)
         with pytest.raises(ValueError, match="evaluation dataset is empty"):
             model.evaluate(Dataset(3, 2, []), metrics=metrics)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([1.9], r"label must be an integer, got 1\.9"),
+        ([7], r"label indices must lie in \[0, 2\); got \[7\]"),
+        ([2 ** 70], r"label must be an integer in .*, got %d" % 2 ** 70),
+    ])
+    @pytest.mark.parametrize("metrics", [("ler",), ("ser",), ("ler", "ser"),
+                                         ("loss",)])
+    def test_labels_are_screened_whatever_the_metrics(self, monkeypatch, labels,
+                                                      message, metrics):
+        model = CtcModel.compile(SPEC, seed=6)
+        ds = Dataset(3, 2, [(np.zeros((4, 3)), [0]), (np.zeros((4, 3)), labels)])
+        forwards = []
+        forward_packed = net.forward_packed
+        monkeypatch.setattr(net, "forward_packed", lambda *args, **kwargs: (
+            forwards.append(1) or forward_packed(*args, **kwargs)))
+        message = "^sequence 1: " + message
+        with pytest.raises(ValueError, match=message):
+            model.evaluate(ds, metrics=metrics)
+        with pytest.raises(ValueError, match=message):
+            model.get_loss(ds)
+        assert not forwards
 
     def test_loss_equals_mean_get_loss(self):
         model = CtcModel.compile(SPEC, seed=7)
