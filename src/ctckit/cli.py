@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager, suppress
+from functools import lru_cache
 
 from .data import (
     DatasetFormatError,
@@ -89,6 +90,14 @@ def build_parser():
     p.add_argument("--out", required=True, help="dataset output (JSONL)")
 
     return parser
+
+
+@lru_cache(maxsize=1)
+def _parser():
+    """``build_parser()``, built once a process. A parse keeps nothing in
+    the parser: each returns a new namespace, and every default is an
+    immutable scalar."""
+    return build_parser()
 
 
 def _check_fits(spec, dataset, source):
@@ -259,9 +268,8 @@ def _diagnose(kind, err):
 
 def cli_main(argv):
     """Run one subcommand; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as err:
         _diagnose("usage", err)
         return 1

@@ -138,9 +138,13 @@ def _non_integer(name, rows):
 
 
 def _screen(labels, input_lengths, label_lengths, num_frames, num_classes):
-    """None, or (index, error) of the first sequence breaking a rule.
+    """(failure, labels): failure is None, or (index, error) of the first
+    sequence breaking a rule; labels is the (B, L_max) int64 matrix once
+    every rule holds, else None.
 
-    ``labels`` is (B, L_max). A value that is not an integer
+    ``labels`` is (B, L_max). The int64 matrix holds the first label_len
+    labels of each row; the entries past them are those of an integer
+    ``labels``, and 0 otherwise. A value that is not an integer
     (``checked_int``; an integer array passes unlooped) comes first:
     an input length, then a label length, then one of the first
     label_len labels, so that no value is cast to an integer before it
@@ -156,7 +160,7 @@ def _screen(labels, input_lengths, label_lengths, num_frames, num_classes):
                           ("label_len", label_lengths)):
         failure = None if _integers(lengths) else _non_integer(name, zip(lengths))
         if failure is not None:
-            return failure
+            return failure, None
     input_lengths = np.asarray(input_lengths, dtype=np.int64)
     label_lengths = np.asarray(label_lengths, dtype=np.int64)
     max_len = np.shape(labels)[1]
@@ -165,7 +169,7 @@ def _screen(labels, input_lengths, label_lengths, num_frames, num_classes):
         failure = _non_integer("label", (
             row[:max(int(n), 0)] for row, n in zip(labels, label_lengths)))
         if failure is not None:
-            return failure
+            return failure, None
         labels = np.where(live, np.array(labels, dtype=object), 0)
     labels = labels.astype(np.int64, copy=False)
     repeats = (live[:, 1:] & (labels[:, 1:] == labels[:, :-1])).sum(axis=1)
@@ -174,20 +178,22 @@ def _screen(labels, input_lengths, label_lengths, num_frames, num_classes):
     bad_label = (live & ((labels < 0) | (labels >= num_classes - 1))).any(axis=1)
     bad = bad_input | bad_len | bad_label | (input_lengths < label_lengths + repeats)
     if not bad.any():
-        return None
+        return None, labels
     i = int(np.argmax(bad))
     input_len, label_len = int(input_lengths[i]), int(label_lengths[i])
     if bad_input[i]:
-        return i, ValueError("input_len %d outside [1, %d]" % (input_len, num_frames))
-    if bad_len[i]:
-        return i, ValueError("label_len %d outside [0, %d]" % (label_len, max_len))
-    if bad_label[i]:
-        return i, ValueError("label indices must lie in [0, %d); got %r" % (
+        err = ValueError("input_len %d outside [1, %d]" % (input_len, num_frames))
+    elif bad_len[i]:
+        err = ValueError("label_len %d outside [0, %d]" % (label_len, max_len))
+    elif bad_label[i]:
+        err = ValueError("label indices must lie in [0, %d); got %r" % (
             num_classes - 1, labels[i, :label_len].tolist()))
-    return i, InfeasibleAlignment(
-        "need at least %d frames for %d labels with %d adjacent repeats, "
-        "got input_len=%d" % (label_len + repeats[i], label_len, repeats[i], input_len)
-    )
+    else:
+        err = InfeasibleAlignment(
+            "need at least %d frames for %d labels with %d adjacent repeats, "
+            "got input_len=%d"
+            % (label_len + repeats[i], label_len, repeats[i], input_len))
+    return (i, err), None
 
 
 @contextmanager
@@ -211,14 +217,16 @@ def check_sequences(labels, input_lengths, label_lengths, num_frames,
 
     ``labels`` is (B, L_max), padded past each label_len. The first
     sequence that breaks a rule of ``_screen`` is named in the error by
-    its index in the batch.
+    its index in the batch. Returns ``_screen``'s int64 label matrix, in
+    which no label past label_len was cast.
     """
-    failure = _screen(labels, input_lengths, label_lengths, num_frames,
-                      num_classes)
+    failure, labels = _screen(labels, input_lengths, label_lengths,
+                              num_frames, num_classes)
     if failure is not None:
         index, err = failure
         with sequence_named(index):
             raise err
+    return labels
 
 
 def check_labels(label_lists):
@@ -243,7 +251,8 @@ def check_batch(batch, num_classes):
     ``batch`` carries ``features`` (B, T_max, ...), ``labels``
     (B, L_max) and ``input_lengths`` and ``label_lengths`` (B,), arrays
     or lists. Returns the four as arrays: features float64, the rest
-    int64.
+    int64, the labels as ``check_sequences`` returns them, so a label
+    past label_len is never cast.
     """
     arrays = (batch.features, batch.labels, batch.input_lengths,
               batch.label_lengths)
@@ -253,9 +262,9 @@ def check_batch(batch, num_classes):
             "a padded batch needs features (B, T_max, ...), labels (B, L_max) "
             "and input and label lengths (B,), got shapes %s"
             % ", ".join(map(str, shapes)))
-    check_sequences(*arrays[1:], shapes[0][1], num_classes)
-    return (np.asarray(arrays[0], dtype=np.float64),
-            *(np.asarray(a, dtype=np.int64) for a in arrays[1:]))
+    labels = check_sequences(*arrays[1:], shapes[0][1], num_classes)
+    return (np.asarray(arrays[0], dtype=np.float64), labels,
+            *(np.asarray(a, dtype=np.int64) for a in arrays[2:]))
 
 
 def _matrix(matrix):
@@ -434,7 +443,7 @@ def _sequence_args(matrix, labels, input_len, label_len):
         raise ValueError("labels must be one-dimensional")
     input_len = matrix.shape[0] if input_len is None else input_len
     label_len = labels.size if label_len is None else label_len
-    failure = _screen(labels[None, :], [input_len], [label_len], *matrix.shape)
+    failure, _ = _screen(labels[None, :], [input_len], [label_len], *matrix.shape)
     if failure is not None:
         raise failure[1]
     return matrix[:input_len], labels[:label_len].astype(np.int64)

@@ -17,9 +17,13 @@ from the stored seed.
 
 import json
 import math
+import multiprocessing
 import os
+import pickle
+import signal
 import struct
 import time
+from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -149,6 +153,10 @@ class CtcModel:
         net.optimizer_step(self.optimizer, self.params, grads)
         return float(np.mean(losses))
 
+    # A fork stops OpenBLAS's threads, and in either process the next
+    # thread count above one starts a thread that spins for about 0.1 s,
+    # taking the CPU a worker needs: so all of fit runs on one thread.
+    @net._one_blas_thread
     def fit(self, dataset, epochs, batch_size=32, shuffle_seed=0,
             validation=None, clip_norm=None, checkpoint_dir=None):
         """Epoch loop over deterministically shuffled batches.
@@ -161,8 +169,15 @@ class CtcModel:
         sequence by its index in the set. Epoch e steps as
         ``train_on_batch`` on ``make_batches(dataset, batch_size,
         seed=[shuffle_seed, e])``, bit for bit, on unpadded index slices
-        of that shuffle. With ``checkpoint_dir``, weights are written
-        after each epoch as weights.epochN.ctcw (``write_weights``).
+        of that shuffle. A batch of several activation groups shares them
+        out to worker processes forked from this one (``_GroupWorkers``),
+        one per usable CPU beyond the first and at most one per group
+        beyond the first; each step's sum is still taken in group order,
+        so the bits are those of one process. The workers are joined
+        before ``fit`` returns or raises, and OpenBLAS runs on one thread
+        until then (``net._one_blas_thread``). With ``checkpoint_dir``,
+        weights are written after each epoch as weights.epochN.ctcw
+        (``write_weights``).
         """
         epochs = net.checked_int("epochs", epochs, 0)
         batch_size = net.checked_int("batch_size", batch_size)
@@ -172,41 +187,42 @@ class CtcModel:
             raise ValueError("training dataset is empty")
         rows, starts, lengths, (labels, label_lengths) = \
             self._screened_set(dataset)
+        screened = rows, starts, lengths, labels, label_lengths
         if validation is not None:
             if not len(validation):
                 raise ValueError("validation dataset is empty")
             validation = self._screened_set(validation)
         history = []
-        for epoch in range(epochs):
-            start = time.perf_counter()
-            order = _order(len(dataset), [shuffle_seed, epoch])
-            loss_sum = 0.0
-            for bi, first in enumerate(range(0, len(order), batch_size)):
-                index = order[first:first + batch_size]
-                try:
-                    batch_loss = self._step(*_gradients(
-                        self.spec, self.params, rows, starts[index],
-                        lengths[index], labels[index], label_lengths[index],
-                    ), clip_norm)
-                except net.NonFiniteGradient as err:
-                    raise net.NonFiniteGradient(
-                        "epoch %d, batch %d: %s" % (epoch, bi, err)
-                    ) from err
-                loss_sum += batch_loss * len(index)
-            train_loss = loss_sum / len(dataset)
-            val_loss = None
-            if validation is not None:
-                val_loss = float(np.mean(self._run(*validation)[0]))
-            if checkpoint_dir is not None:
-                write_weights(
-                    "%s/weights.epoch%d.ctcw" % (checkpoint_dir, epoch + 1),
-                    self.params,
-                )
-            history.append(EpochRecord(
-                train_loss=train_loss,
-                val_loss=val_loss,
-                seconds=time.perf_counter() - start,
-            ))
+        with _GroupWorkers(self.spec, screened) as workers:
+            for epoch in range(epochs):
+                start = time.perf_counter()
+                order = _order(len(dataset), [shuffle_seed, epoch])
+                loss_sum = 0.0
+                for bi, first in enumerate(range(0, len(order), batch_size)):
+                    index = order[first:first + batch_size]
+                    try:
+                        batch_loss = self._step(*_gradients(
+                            self.spec, self.params, screened, index, workers,
+                        ), clip_norm)
+                    except net.NonFiniteGradient as err:
+                        raise net.NonFiniteGradient(
+                            "epoch %d, batch %d: %s" % (epoch, bi, err)
+                        ) from err
+                    loss_sum += batch_loss * len(index)
+                train_loss = loss_sum / len(dataset)
+                val_loss = None
+                if validation is not None:
+                    val_loss = float(np.mean(self._run(*validation)[0]))
+                if checkpoint_dir is not None:
+                    write_weights(
+                        "%s/weights.epoch%d.ctcw" % (checkpoint_dir, epoch + 1),
+                        self.params,
+                    )
+                history.append(EpochRecord(
+                    train_loss=train_loss,
+                    val_loss=val_loss,
+                    seconds=time.perf_counter() - start,
+                ))
         return history
 
     # ------------------------------------------------------------------
@@ -389,45 +405,204 @@ def batch_gradients(spec, params, batch):
 
     The batch's shapes (``check_batch``), its feature width against
     ``spec`` and every sequence are validated first; errors carry the
-    sequence's index in ``batch``. Sequence i's rows start at row
-    i * T_max of the features, so ``_gradients`` gathers no padding.
+    sequence's index in ``batch``, and a batch of no sequence raises
+    ValueError. Sequence i's rows start at row i * T_max of the
+    features, so ``_gradients`` gathers no padding.
     """
     features, labels, lengths, label_lengths = check_batch(batch, spec.num_classes)
     B, T_max, F = features.shape
     if F != spec.feature_dim:
         raise ValueError("features must be (B, T_max, %d), got %r"
                          % (spec.feature_dim, features.shape))
-    return _gradients(spec, params, features.reshape(B * T_max, F),
-                      np.arange(B) * T_max, lengths, labels, label_lengths)
+    if not B:
+        raise ValueError("the batch holds no sequence")
+    screened = (features.reshape(B * T_max, F), np.arange(B) * T_max,
+                lengths, labels, label_lengths)
+    return _gradients(spec, params, screened, np.arange(B))
 
 
-def _gradients(spec, params, rows, starts, lengths, labels, label_lengths):
-    """Per-sequence losses and mean gradients of screened sequences.
+def _gradients(spec, params, screened, index, workers=None):
+    """Per-sequence losses and mean gradients of the screened sequences ``index``.
 
-    Frame t of sequence i is ``rows[starts[i] + t]`` (``Packing.pack``).
-    Per group of ``net.activation_groups``, one forward, one lattice
-    pass and one backward over its packed frames, freed before the next
-    group's forward. Returns (losses in input order, the mean gradients
-    as a ``net.FlatTensors`` laid out by ``net.param_shapes(spec)``).
+    ``screened`` is (rows, starts, lengths, labels, label_lengths), and
+    frame t of sequence i is ``rows[starts[i] + t]`` (``Packing.pack``).
+    Each group of ``net.activation_groups`` is one ``_group_gradients``,
+    whose activations are freed before the next group's forward; with
+    ``workers`` and a spare CPU, a batch of several groups runs them
+    across processes instead (``_GroupWorkers.gradients``). Either way
+    the groups' gradients are summed in group order. Returns (losses in
+    the order of ``index``, the mean gradients as a ``net.FlatTensors``
+    laid out by ``net.param_shapes(spec)``).
     """
-    losses = np.empty(len(lengths))
+    groups = net.activation_groups(spec, screened[2][index])
+    members = [index[group] for group in groups]
+    if workers is not None and workers.spare and len(groups) > 1:
+        results = workers.gradients(params, members)
+    else:
+        results = (_group_gradients(spec, params, screened, m) for m in members)
+    losses = np.empty(len(index))
     total = None
-    for index in net.activation_groups(spec, lengths):
-        packing = Packing(lengths[index])
-        logits, cache = net.forward_packed(
-            spec, params, packing, packing.pack(rows, starts[index])
-        )
-        losses[index], grad_logits = ctc_gradient_packed(
-            packing, logits, labels[index], label_lengths[index]
-        )
-        grads = net.backward_packed(spec, params, cache, grad_logits)
-        del packing, logits, cache, grad_logits
+    for group, (group_losses, grads) in zip(groups, results):
+        losses[group] = group_losses
         if total is None:
             total = grads
         else:
             total.flat += grads.flat
     total.flat /= len(losses)
     return losses, total
+
+
+def _group_gradients(spec, params, screened, index):
+    """Losses and summed gradients of one activation group, ``index`` into
+    ``screened`` (see ``_gradients``): one forward, one lattice pass and
+    one backward over its packed frames."""
+    rows, starts, lengths, labels, label_lengths = screened
+    packing = Packing(lengths[index])
+    logits, cache = net.forward_packed(
+        spec, params, packing, packing.pack(rows, starts[index])
+    )
+    losses, grad_logits = ctc_gradient_packed(
+        packing, logits, labels[index], label_lengths[index]
+    )
+    return losses, net.backward_packed(spec, params, cache, grad_logits)
+
+
+def _spare_cpus():
+    """Usable CPUs beyond the first (``os.sched_getaffinity``), or 0 where
+    this process cannot fork workers: no ``fork`` start method, no
+    affinity call, or a daemonic process, which multiprocessing allows
+    no children."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")
+            or multiprocessing.current_process().daemon):
+        return 0
+    return len(os.sched_getaffinity(0)) - 1
+
+
+class _GroupWorkers:
+    """Worker processes forked from ``fit`` that compute activation groups.
+
+    The workers are forked when a batch first needs them, after
+    ``fit`` has screened its set, so each inherits ``screened`` and
+    ``spec`` and none is ever sent. Per batch a worker gets the
+    parameter buffer and the index arrays of its groups, and sends back
+    each group's losses and ``grads.flat``; the buffers go as raw bytes
+    (``send_bytes``) and are received into preallocated arrays
+    (``recv_bytes_into``). A worker exits when the parent's end of its
+    pipe closes (``__exit__``), also when the parent dies.
+    """
+
+    def __init__(self, spec, screened):
+        self.spec, self.screened = spec, screened
+        self.spare = _spare_cpus()
+        self.shapes = net.param_shapes(spec)
+        self.processes, self.conns = [], []
+        self.losses = np.empty(len(screened[2]))
+        self.grads = net.FlatTensors(self.shapes).flat
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for conn in self.conns:
+            conn.close()
+        for process in self.processes:
+            process.join()
+            process.close()
+
+    def gradients(self, params, members):
+        """Each group's (losses, grads), in group order, as
+        ``_group_gradients`` gives them; ``members`` holds each group's
+        index into ``screened``.
+
+        The groups go, the most frames first, each to the process with
+        the fewest frames so far, this one first on a tie, over this
+        process and ``min(spare, len(members) - 1)`` workers, fewer if a
+        fork failed. This process computes its share while the workers
+        compute theirs. A worker's exception is raised here with its
+        type and message.
+        """
+        while len(self.processes) < min(self.spare, len(members) - 1):
+            self._fork()
+        count = min(len(self.processes), len(members) - 1)
+        loads = [int(self.screened[2][m].sum()) for m in members]
+        shares, totals = [[] for _ in range(count + 1)], [0] * (count + 1)
+        for g in sorted(range(len(members)), key=lambda g: -loads[g]):
+            least = totals.index(min(totals))
+            shares[least].append(g)
+            totals[least] += loads[g]
+        owner = {}
+        for conn, share in zip(self.conns, shares[1:]):
+            share.sort()
+            conn.send_bytes(params.flat)
+            conn.send([members[g] for g in share])
+            owner.update(dict.fromkeys(share, conn))
+        own = {g: _group_gradients(self.spec, params, self.screened, members[g])
+               for g in shares[0]}
+        for g in range(len(members)):
+            if g in own:
+                yield own.pop(g)
+                continue
+            conn = owner[g]
+            size = conn.recv_bytes_into(self.losses)
+            if not size:  # the worker failed: its exception follows
+                raise pickle.loads(conn.recv_bytes())
+            # the first group's gradients become the sum: a buffer of their own
+            grads = np.empty_like(self.grads) if g == 0 else self.grads
+            conn.recv_bytes_into(grads)
+            yield (self.losses[:size // self.losses.itemsize],
+                   net.FlatTensors(self.shapes, grads))
+
+    def _fork(self):
+        context = multiprocessing.get_context("fork")
+        ours, theirs = context.Pipe()
+        process = context.Process(target=self._serve, args=(theirs, ours),
+                                  daemon=True)
+        try:
+            process.start()
+        except OSError:  # no process or memory to spare: fork no more
+            ours.close()
+            self.spare = len(self.processes)
+            return
+        finally:
+            theirs.close()
+        self.processes.append(process)
+        self.conns.append(ours)
+
+    def _serve(self, conn, parent_end):
+        """A worker's loop, until the parent's end of ``conn`` closes."""
+        # only the parent may hold a parent end, so that a worker sees
+        # the end of file when the parent closes its ends or dies
+        for end in (*self.conns, parent_end):
+            end.close()
+        # an interrupt stops the parent, which then closes the pipes
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        params = net.FlatTensors(self.shapes)
+        with suppress(EOFError, OSError):
+            while True:
+                conn.recv_bytes_into(params.flat)
+                members = conn.recv()
+                try:
+                    results = [_group_gradients(self.spec, params, self.screened, m)
+                               for m in members]
+                except Exception as err:
+                    conn.send_bytes(b"")
+                    conn.send_bytes(_exception_bytes(err))
+                    return
+                for losses, grads in results:
+                    conn.send_bytes(losses)
+                    conn.send_bytes(grads.flat)
+
+
+def _exception_bytes(err):
+    """``err`` pickled, or a RuntimeError naming its type and message if
+    it does not survive a pickle round trip."""
+    try:
+        data = pickle.dumps(err)
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(RuntimeError("%s: %s" % (type(err).__name__, err)))
+    return data
 
 
 def _write_json(path, value):

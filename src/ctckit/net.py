@@ -65,9 +65,11 @@ LSTM_GATES = ("i", "f", "o", "g")
 
 # What a group's forward may keep (``stored_bytes_per_frame``), for
 # training and inference. Training two bi-LSTM layers of 64 units on
-# batches of eight sequences of 60-280 frames, one group a batch took
-# peak RSS from 58 to 85 MB for 8 % more speed, against 62 MB with this
-# budget. A forward-only pass keeps one layer alive: for that net 5472
+# batches of eight sequences of 60-280 frames in one process, one group
+# a batch (not four) ran 41-44 % more frames a second and took peak RSS
+# from 55 to 75-76 MB; with a second CPU, ``fit`` runs this budget's
+# groups in two processes faster still (README, The batched engine).
+# A forward-only pass keeps one layer alive: for that net 5472
 # bytes a frame at its peak, against the 12872 that training keeps.
 # The peaks of a training step lie above it: traced full groups of that
 # net reach 1.02x it in forward, 1.17x in the lattice (20 labels) and

@@ -114,6 +114,25 @@ class TestExitCodes:
         assert cli_main(["transmogrify"]) == 1
         assert capsys.readouterr().err.startswith("error[usage]:")
 
+    def test_parses_in_a_row_share_no_state(self, monkeypatch, capsys):
+        """The parser is built once a process; each parse starts afresh."""
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "gen-data",
+                            lambda args: seen.append(vars(args)) or 0)
+        gen = ["gen-data", "--feature-dim", "2", "--out", "d.jsonl"]
+        assert cli_main(gen + ["--num", "3", "--labels", "2", "--sigma", "0.5",
+                               "--seed", "7"]) == 0
+        assert cli_main(gen + ["--num", "x", "--labels", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error[usage]:")
+        assert cli_main(gen + ["--num", "4", "--labels", "3"]) == 0
+        assert seen == [
+            {"command": "gen-data", "num": 3, "labels": 2, "feature_dim": 2,
+             "sigma": 0.5, "seed": 7, "out": "d.jsonl"},
+            {"command": "gen-data", "num": 4, "labels": 3, "feature_dim": 2,
+             "sigma": 0.1, "seed": 0, "out": "d.jsonl"},
+        ]
+        assert cli._parser() is cli._parser()
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert cli_main(["train", "--epochs", "1"]) == 1
         assert capsys.readouterr().err.startswith("error[usage]:")

@@ -465,6 +465,13 @@ class TestOneInputScreen:
         assert ctc_loss(probs, np.array([0, 1]), label_len=1) == \
             ctc_loss(probs, [np.int32(0)])
 
+    @pytest.mark.parametrize("padding", ["x", 2 ** 70])
+    def test_batch_labels_past_label_len_are_not_cast(self, padding):
+        probs = np.full((1, 4, 3), 1.0 / 3.0)
+        batch = PaddedBatch(probs, [[0, padding]], [4], [1])
+        assert ctc_loss_batch(batch) == [ctc_loss(probs[0], [0])]
+        assert check_batch(batch, 3)[1][0, 0] == 0
+
     def test_batch_labels_must_be_integers_and_name_the_sequence(self):
         probs = np.full((4, 3), 1.0 / 3.0)
         batch = PaddedBatch(np.repeat(probs[None], 2, axis=0),

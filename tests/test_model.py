@@ -4,6 +4,7 @@ import builtins
 import copy
 import itertools
 import json
+import multiprocessing
 import os
 import pickle
 import re
@@ -51,6 +52,17 @@ from oracles import random_feasible_labels
 SPEC = NetworkSpec(
     feature_dim=3, num_labels=2, layers=(LayerSpec("rnn", 4, True),)
 )
+
+
+# whether fit may fork a worker for a batch of several activation groups
+SPARE_CPU = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def several_groups(monkeypatch, frames=5):
+    """Shrink the activation budget of SPEC to ``frames`` frames, so that
+    a batch of small_dataset runs in several groups."""
+    monkeypatch.setattr(net, "ACTIVATION_BYTES",
+                        frames * net.stored_bytes_per_frame(SPEC))
 
 
 def clone(params):
@@ -239,6 +251,26 @@ class TestTrainOnBatch:
                   for b in (batch, listed)]
         assert losses[0] == losses[1]
 
+    @pytest.mark.parametrize("padding", ["x", 2 ** 70])
+    def test_labels_past_label_len_are_not_cast(self, padding):
+        (batch,) = make_batches(small_dataset(1), 1)
+        padded = PaddedBatch(batch.features, [[batch.labels[0, 0], padding]],
+                             batch.input_lengths, [1])
+        batch.labels, batch.label_lengths = batch.labels[:, :1], np.array([1])
+        models = [CtcModel.compile(SPEC, seed=2) for _ in range(2)]
+        assert models[0].train_on_batch(padded) == models[1].train_on_batch(batch)
+        assert params_equal(models[0].params, models[1].params)
+
+    def test_empty_batch_is_refused(self):
+        model = CtcModel.compile(SPEC, seed=2)
+        before = clone(model.params)
+        batch = PaddedBatch(np.zeros((0, 4, 3)), np.zeros((0, 2), dtype=np.int64),
+                            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="^the batch holds no sequence$"):
+            model.train_on_batch(batch)
+        assert params_equal(model.params, before)
+        assert model.optimizer.step == 0
+
     def test_step_changes_parameters(self):
         ds = small_dataset(4)
         model = CtcModel.compile(SPEC, learning_rate=1e-2, seed=3)
@@ -421,14 +453,22 @@ class TestFit:
     @pytest.mark.parametrize("budget_frames", [None, 5])
     def test_steps_are_train_on_batch_over_make_batches(self, monkeypatch,
                                                         budget_frames):
-        """fit, clip and validation included, is a loop of train_on_batch."""
+        """fit, clip and validation included, is a loop of train_on_batch.
+
+        With several groups a batch and a spare CPU, fit shares the
+        groups out to a forked worker, so this checks the worker's bits."""
         if budget_frames is not None:  # several groups a batch
-            monkeypatch.setattr(net, "ACTIVATION_BYTES",
-                                budget_frames * net.stored_bytes_per_frame(SPEC))
+            several_groups(monkeypatch, budget_frames)
+        forks = []
+        fork = model_module._GroupWorkers._fork
+        monkeypatch.setattr(model_module._GroupWorkers, "_fork",
+                            lambda workers: forks.append(1) or fork(workers))
         ds, val = small_dataset(10), small_dataset(3, seed=9)
         fitted = CtcModel.compile(SPEC, learning_rate=1e-2, seed=5)
         history = fitted.fit(ds, epochs=3, batch_size=4, shuffle_seed=11,
                              validation=val, clip_norm=0.5)
+        assert bool(forks) == (budget_frames is not None and SPARE_CPU)
+        assert multiprocessing.active_children() == []
         looped = CtcModel.compile(SPEC, learning_rate=1e-2, seed=5)
         clipped = []
         clip = net.clip_by_global_norm
@@ -467,6 +507,49 @@ class TestFit:
             assert excinfo.value.sequence_index == 5
         assert params_equal(model.params, before)
         assert model.optimizer.step == 0
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_group_exception_reaches_the_caller(self, monkeypatch, where):
+        """Raised in a worker or in fit's own process, a group's exception
+        keeps its type and message, moves no parameter and leaves no
+        process behind."""
+        if where == "worker" and not SPARE_CPU:
+            pytest.skip("fit forks no worker on one usable CPU")
+        several_groups(monkeypatch)
+        parent, backward = os.getpid(), net.backward_packed
+
+        def failing(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise FloatingPointError("overflow in the %s" % where)
+            return backward(*args)
+
+        monkeypatch.setattr(net, "backward_packed", failing)
+        model = CtcModel.compile(SPEC, seed=5)
+        before = clone(model.params)
+        with pytest.raises(FloatingPointError, match="^overflow in the %s$" % where):
+            model.fit(small_dataset(10), epochs=2, batch_size=4)
+        assert params_equal(model.params, before)
+        assert model.optimizer.step == 0
+        assert multiprocessing.active_children() == []
+
+    def test_a_failed_fork_leaves_fit_to_one_process(self, monkeypatch):
+        several_groups(monkeypatch)
+        ds = small_dataset(10)
+        serial = CtcModel.compile(SPEC, seed=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "_spare_cpus", lambda: 0)
+            expected = serial.fit(ds, epochs=2, batch_size=4)
+
+        def no_fork(process):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process,
+                            "start", no_fork)
+        model = CtcModel.compile(SPEC, seed=5)
+        history = model.fit(ds, epochs=2, batch_size=4)
+        assert [h.train_loss for h in history] == [h.train_loss for h in expected]
+        assert params_equal(model.params, serial.params)
+        assert multiprocessing.active_children() == []
 
     def test_checkpoints_written(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=4)
