@@ -17,10 +17,8 @@ from the stored seed.
 
 import json
 import math
-import multiprocessing
 import os
 import pickle
-import signal
 import struct
 import time
 from contextlib import suppress
@@ -169,12 +167,12 @@ class CtcModel:
         sequence by its index in the set. Epoch e steps as
         ``train_on_batch`` on ``make_batches(dataset, batch_size,
         seed=[shuffle_seed, e])``, bit for bit, on unpadded index slices
-        of that shuffle. A batch of several activation groups shares them
-        out to worker processes forked from this one (``_GroupWorkers``),
-        one per usable CPU beyond the first and at most one per group
-        beyond the first; each step's sum is still taken in group order,
-        so the bits are those of one process. The workers are joined
-        before ``fit`` returns or raises, and OpenBLAS runs on one thread
+        of that shuffle. Where this process has two CPUs by affinity and
+        by cgroup quota, a batch of several activation groups shares them
+        with one worker process forked from this one (``_GroupWorker``);
+        each step's sum is still taken in group order, so the bits are
+        those of one process. The worker is joined before ``fit``
+        returns or raises, and OpenBLAS runs on one thread
         until then (``net._one_blas_thread``). With ``checkpoint_dir``,
         weights are written after each epoch as weights.epochN.ctcw
         (``write_weights``).
@@ -193,7 +191,7 @@ class CtcModel:
                 raise ValueError("validation dataset is empty")
             validation = self._screened_set(validation)
         history = []
-        with _GroupWorkers(self.spec, screened) as workers:
+        with _GroupWorker(self.spec, screened) as worker:
             for epoch in range(epochs):
                 start = time.perf_counter()
                 order = _order(len(dataset), [shuffle_seed, epoch])
@@ -202,7 +200,7 @@ class CtcModel:
                     index = order[first:first + batch_size]
                     try:
                         batch_loss = self._step(*_gradients(
-                            self.spec, self.params, screened, index, workers,
+                            self.spec, self.params, screened, index, worker,
                         ), clip_norm)
                     except net.NonFiniteGradient as err:
                         raise net.NonFiniteGradient(
@@ -421,23 +419,23 @@ def batch_gradients(spec, params, batch):
     return _gradients(spec, params, screened, np.arange(B))
 
 
-def _gradients(spec, params, screened, index, workers=None):
+def _gradients(spec, params, screened, index, worker=None):
     """Per-sequence losses and mean gradients of the screened sequences ``index``.
 
     ``screened`` is (rows, starts, lengths, labels, label_lengths), and
     frame t of sequence i is ``rows[starts[i] + t]`` (``Packing.pack``).
     Each group of ``net.activation_groups`` is one ``_group_gradients``,
     whose activations are freed before the next group's forward; with
-    ``workers`` and a spare CPU, a batch of several groups runs them
-    across processes instead (``_GroupWorkers.gradients``). Either way
+    a ``worker`` that runs, a batch of several groups shares them
+    between two processes instead (``_GroupWorker.gradients``). Either way
     the groups' gradients are summed in group order. Returns (losses in
     the order of ``index``, the mean gradients as a ``net.FlatTensors``
     laid out by ``net.param_shapes(spec)``).
     """
     groups = net.activation_groups(spec, screened[2][index])
     members = [index[group] for group in groups]
-    if workers is not None and workers.spare and len(groups) > 1:
-        results = workers.gradients(params, members)
+    if worker is not None and len(groups) > 1 and worker.running():
+        results = worker.gradients(params, members)
     else:
         results = (_group_gradients(spec, params, screened, m) for m in members)
     losses = np.empty(len(index))
@@ -467,36 +465,65 @@ def _group_gradients(spec, params, screened, index):
     return losses, net.backward_packed(spec, params, cache, grad_logits)
 
 
-def _spare_cpus():
-    """Usable CPUs beyond the first (``os.sched_getaffinity``), or 0 where
-    this process cannot fork workers: no ``fork`` start method, no
-    affinity call, or a daemonic process, which multiprocessing allows
-    no children."""
+# Where a container sees its cgroup's CPU quota: version 2's cpu.max
+# ("quota period", quota "max" if none), else version 1's quota and
+# period files (quota -1 if none). A limit on a cgroup above the
+# container's own is not read.
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
+def _cpu_quota():
+    """This process's cgroup CPU quota in CPUs, or None where none is
+    set or none can be read (``_CPU_QUOTA_FILES``)."""
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            words = []
+            for path in paths:
+                with open(path) as fh:
+                    words += fh.read().split()
+            quota, period = words
+            return None if quota in ("max", "-1") else int(quota) / int(period)
+        except (OSError, ValueError):
+            continue
+    return None
+
+
+def _can_fork():
+    """Whether ``fit`` may fork a worker: two usable CPUs by
+    ``os.sched_getaffinity`` and by the cgroup quota (``_cpu_quota``),
+    the ``fork`` start method, and a process that is not daemonic,
+    since multiprocessing allows a daemon no children."""
+    import multiprocessing
     if ("fork" not in multiprocessing.get_all_start_methods()
             or not hasattr(os, "sched_getaffinity")
-            or multiprocessing.current_process().daemon):
-        return 0
-    return len(os.sched_getaffinity(0)) - 1
+            or multiprocessing.current_process().daemon
+            or len(os.sched_getaffinity(0)) < 2):
+        return False
+    quota = _cpu_quota()
+    return quota is None or quota >= 2
 
 
-class _GroupWorkers:
-    """Worker processes forked from ``fit`` that compute activation groups.
+class _GroupWorker:
+    """One worker process, forked from ``fit``, that computes activation groups.
 
-    The workers are forked when a batch first needs them, after
-    ``fit`` has screened its set, so each inherits ``screened`` and
-    ``spec`` and none is ever sent. Per batch a worker gets the
-    parameter buffer and the index arrays of its groups, and sends back
-    each group's losses and ``grads.flat``; the buffers go as raw bytes
-    (``send_bytes``) and are received into preallocated arrays
-    (``recv_bytes_into``). A worker exits when the parent's end of its
-    pipe closes (``__exit__``), also when the parent dies.
+    It is forked at the first batch of several groups, after ``fit``
+    has screened its set, so it inherits ``screened`` and ``spec`` and
+    neither is ever sent. Per batch it gets the parameter buffer and the
+    index arrays of its groups, and sends back each group's losses and
+    ``grads.flat``; the buffers go as raw bytes (``send_bytes``) and are
+    received into preallocated arrays (``recv_bytes_into``). It exits
+    when the parent's end of its pipe closes (``__exit__``), also when
+    the parent dies.
     """
 
     def __init__(self, spec, screened):
         self.spec, self.screened = spec, screened
-        self.spare = _spare_cpus()
+        self.tried = False
+        self.process = self.conn = None
         self.shapes = net.param_shapes(spec)
-        self.processes, self.conns = [], []
         self.losses = np.empty(len(screened[2]))
         self.grads = net.FlatTensors(self.shapes).flat
 
@@ -504,11 +531,19 @@ class _GroupWorkers:
         return self
 
     def __exit__(self, *exc):
-        for conn in self.conns:
-            conn.close()
-        for process in self.processes:
-            process.join()
-            process.close()
+        if self.process is not None:
+            self.conn.close()
+            self.process.join()
+            self.process.close()
+
+    def running(self):
+        """Whether the worker runs. The first call forks it where
+        ``_can_fork`` allows; a fork that fails leaves ``fit`` serial."""
+        if not self.tried:
+            self.tried = True
+            if _can_fork():
+                self._fork()
+        return self.process is not None
 
     def gradients(self, params, members):
         """Each group's (losses, grads), in group order, as
@@ -516,82 +551,87 @@ class _GroupWorkers:
         index into ``screened``.
 
         The groups go, the most frames first, each to the process with
-        the fewest frames so far, this one first on a tie, over this
-        process and ``min(spare, len(members) - 1)`` workers, fewer if a
-        fork failed. This process computes its share while the workers
-        compute theirs. A worker's exception is raised here with its
-        type and message.
+        fewer frames so far, this one on a tie. This process computes
+        its share, in group order, while the worker computes its own.
+        The exception of the first group that fails is raised, as the
+        serial loop raises it; a worker's keeps its type and message.
         """
-        while len(self.processes) < min(self.spare, len(members) - 1):
-            self._fork()
-        count = min(len(self.processes), len(members) - 1)
         loads = [int(self.screened[2][m].sum()) for m in members]
-        shares, totals = [[] for _ in range(count + 1)], [0] * (count + 1)
+        shares, totals = ([], []), [0, 0]
         for g in sorted(range(len(members)), key=lambda g: -loads[g]):
-            least = totals.index(min(totals))
-            shares[least].append(g)
-            totals[least] += loads[g]
-        owner = {}
-        for conn, share in zip(self.conns, shares[1:]):
-            share.sort()
-            conn.send_bytes(params.flat)
-            conn.send([members[g] for g in share])
-            owner.update(dict.fromkeys(share, conn))
-        own = {g: _group_gradients(self.spec, params, self.screened, members[g])
-               for g in shares[0]}
+            side = int(totals[1] < totals[0])
+            shares[side].append(g)
+            totals[side] += loads[g]
+        self.conn.send_bytes(params.flat)
+        self.conn.send([members[g] for g in sorted(shares[1])])
+        own = {}
+        for g in sorted(shares[0]):
+            try:
+                own[g] = _group_gradients(self.spec, params, self.screened, members[g])
+            except Exception as err:  # raised when the loop below reaches g
+                own[g] = err
+                break
         for g in range(len(members)):
             if g in own:
+                if isinstance(own[g], Exception):
+                    raise own[g]
                 yield own.pop(g)
                 continue
-            conn = owner[g]
-            size = conn.recv_bytes_into(self.losses)
-            if not size:  # the worker failed: its exception follows
-                raise pickle.loads(conn.recv_bytes())
+            size = self.conn.recv_bytes_into(self.losses)
+            if not size:  # the worker failed on this group: its exception follows
+                raise pickle.loads(self.conn.recv_bytes())
             # the first group's gradients become the sum: a buffer of their own
             grads = np.empty_like(self.grads) if g == 0 else self.grads
-            conn.recv_bytes_into(grads)
+            self.conn.recv_bytes_into(grads)
             yield (self.losses[:size // self.losses.itemsize],
                    net.FlatTensors(self.shapes, grads))
 
     def _fork(self):
+        import multiprocessing
         context = multiprocessing.get_context("fork")
         ours, theirs = context.Pipe()
         process = context.Process(target=self._serve, args=(theirs, ours),
                                   daemon=True)
         try:
             process.start()
-        except OSError:  # no process or memory to spare: fork no more
+        except OSError:  # no process or memory to spare
             ours.close()
-            self.spare = len(self.processes)
             return
         finally:
             theirs.close()
-        self.processes.append(process)
-        self.conns.append(ours)
+        self.process, self.conn = process, ours
 
     def _serve(self, conn, parent_end):
-        """A worker's loop, until the parent's end of ``conn`` closes."""
-        # only the parent may hold a parent end, so that a worker sees
-        # the end of file when the parent closes its ends or dies
-        for end in (*self.conns, parent_end):
-            end.close()
-        # an interrupt stops the parent, which then closes the pipes
+        """The worker's loop, until the parent's end of ``conn`` closes.
+
+        It computes its groups in order up to the first that fails, sends
+        the results of those before it, then an empty message and the
+        exception, and exits."""
+        import signal
+        # only the parent may hold its end, so that the worker sees the
+        # end of file when the parent closes it or dies
+        parent_end.close()
+        # an interrupt stops the parent, which then closes the pipe
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         params = net.FlatTensors(self.shapes)
         with suppress(EOFError, OSError):
             while True:
                 conn.recv_bytes_into(params.flat)
-                members = conn.recv()
-                try:
-                    results = [_group_gradients(self.spec, params, self.screened, m)
-                               for m in members]
-                except Exception as err:
-                    conn.send_bytes(b"")
-                    conn.send_bytes(_exception_bytes(err))
-                    return
+                results, failure = [], None
+                for m in conn.recv():
+                    try:
+                        results.append(_group_gradients(self.spec, params,
+                                                        self.screened, m))
+                    except Exception as err:
+                        failure = err
+                        break
                 for losses, grads in results:
                     conn.send_bytes(losses)
                     conn.send_bytes(grads.flat)
+                if failure is not None:
+                    conn.send_bytes(b"")
+                    conn.send_bytes(_exception_bytes(failure))
+                    return
 
 
 def _exception_bytes(err):

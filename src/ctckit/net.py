@@ -65,10 +65,12 @@ LSTM_GATES = ("i", "f", "o", "g")
 
 # What a group's forward may keep (``stored_bytes_per_frame``), for
 # training and inference. Training two bi-LSTM layers of 64 units on
-# batches of eight sequences of 60-280 frames in one process, one group
-# a batch (not four) ran 41-44 % more frames a second and took peak RSS
-# from 55 to 75-76 MB; with a second CPU, ``fit`` runs this budget's
-# groups in two processes faster still (README, The batched engine).
+# batches of eight sequences of 60-280 frames, four groups a batch, in
+# one process ran 17.0k frames a second at a peak PSS of 50 MB; one
+# group a batch 23.4-24.3k at 70-72 MB. ``fit``'s worker process holds
+# groups of this budget too: with it, the four groups ran 27.5k frames
+# a second at 69-70 MB summed over both processes, the worker's share
+# about 19 MB (README, The batched engine).
 # A forward-only pass keeps one layer alive: for that net 5472
 # bytes a frame at its peak, against the 12872 that training keeps.
 # The peaks of a training step lie above it: traced full groups of that

@@ -9,6 +9,8 @@ import os
 import pickle
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,7 +57,7 @@ SPEC = NetworkSpec(
 
 
 # whether fit may fork a worker for a batch of several activation groups
-SPARE_CPU = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+SPARE_CPU = model_module._can_fork()
 
 
 def several_groups(monkeypatch, frames=5):
@@ -460,9 +462,9 @@ class TestFit:
         if budget_frames is not None:  # several groups a batch
             several_groups(monkeypatch, budget_frames)
         forks = []
-        fork = model_module._GroupWorkers._fork
-        monkeypatch.setattr(model_module._GroupWorkers, "_fork",
-                            lambda workers: forks.append(1) or fork(workers))
+        fork = model_module._GroupWorker._fork
+        monkeypatch.setattr(model_module._GroupWorker, "_fork",
+                            lambda worker: forks.append(1) or fork(worker))
         ds, val = small_dataset(10), small_dataset(3, seed=9)
         fitted = CtcModel.compile(SPEC, learning_rate=1e-2, seed=5)
         history = fitted.fit(ds, epochs=3, batch_size=4, shuffle_seed=11,
@@ -532,12 +534,80 @@ class TestFit:
         assert model.optimizer.step == 0
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("where, first", [("both", 0), ("fit", 1)])
+    def test_first_failing_group_is_raised(self, monkeypatch, where, first):
+        """Group 0 goes to the worker and group 1, of more frames, to
+        fit's own process, which computes it before it reads group 0.
+        The error raised is still the first failing group's: group 0's
+        where both processes fail, group 1's where only fit's does."""
+        if not SPARE_CPU:
+            pytest.skip("fit forks no worker on one usable CPU")
+        model = CtcModel.compile(SPEC, seed=5)
+        rows, starts, lengths, (labels, label_lengths) = \
+            model._screened_set(small_dataset(10))
+        i, j, k = np.argsort(-lengths, kind="stable")[:3]
+        assert lengths[j] + lengths[k] > lengths[i]
+        members = [np.array([i]), np.array([j, k])]
+
+        def failing(spec, params, screened, index):
+            raise FloatingPointError("overflow in sequences %s" % index.tolist())
+
+        worker = model_module._GroupWorker(
+            SPEC, (rows, starts, lengths, labels, label_lengths))
+        with worker:
+            if where == "both":  # the fork inherits the patch
+                monkeypatch.setattr(model_module, "_group_gradients", failing)
+            assert worker.running()
+            monkeypatch.setattr(model_module, "_group_gradients", failing)
+            with pytest.raises(FloatingPointError, match=r"^overflow in sequences %s$"
+                               % re.escape(str(members[first].tolist()))):
+                list(worker.gradients(model.params, members))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("files, quota", [
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu.max": "150000 100000\n"}, 1.5),
+        ({"cfs_quota_us": "-1\n", "cfs_period_us": "100000\n"}, None),
+        ({"cfs_quota_us": "200000\n", "cfs_period_us": "100000\n"}, 2.0),
+        ({"cpu.max": "garbled\n"}, None),
+        ({}, None),
+    ])
+    def test_cpu_quota_is_read_from_either_cgroup_version(self, monkeypatch,
+                                                          tmp_path, files, quota):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(model_module, "_CPU_QUOTA_FILES", (
+            (str(tmp_path / "cpu.max"),),
+            (str(tmp_path / "cfs_quota_us"), str(tmp_path / "cfs_period_us")),
+        ))
+        assert model_module._cpu_quota() == quota
+
+    def test_a_quota_under_two_cpus_forks_no_worker(self, monkeypatch):
+        several_groups(monkeypatch)
+        monkeypatch.setattr(model_module, "_cpu_quota", lambda: 1.5)
+        forks = []
+        monkeypatch.setattr(model_module._GroupWorker, "_fork",
+                            lambda worker: forks.append(1))
+        CtcModel.compile(SPEC, seed=5).fit(small_dataset(10), epochs=1, batch_size=4)
+        assert forks == []
+
+    def test_importing_ctckit_loads_no_multiprocessing(self):
+        """Only a fit that forks a worker imports multiprocessing."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, ctckit; "
+             "print(sorted({'multiprocessing', 'signal'} & set(sys.modules)))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        assert proc.stdout == "[]\n"
+
     def test_a_failed_fork_leaves_fit_to_one_process(self, monkeypatch):
         several_groups(monkeypatch)
         ds = small_dataset(10)
         serial = CtcModel.compile(SPEC, seed=5)
         with monkeypatch.context() as patch:
-            patch.setattr(model_module, "_spare_cpus", lambda: 0)
+            patch.setattr(model_module, "_can_fork", lambda: False)
             expected = serial.fit(ds, epochs=2, batch_size=4)
 
         def no_fork(process):
