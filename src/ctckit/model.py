@@ -20,6 +20,7 @@ import math
 import os
 import pickle
 import struct
+import threading
 import time
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
@@ -167,13 +168,14 @@ class CtcModel:
         sequence by its index in the set. Epoch e steps as
         ``train_on_batch`` on ``make_batches(dataset, batch_size,
         seed=[shuffle_seed, e])``, bit for bit, on unpadded index slices
-        of that shuffle. Where this process has two CPUs by affinity and
-        by cgroup quota, a batch of several activation groups shares them
-        with one worker process forked from this one (``_GroupWorker``);
-        each step's sum is still taken in group order, so the bits are
-        those of one process. The worker is joined before ``fit``
-        returns or raises, and OpenBLAS runs on one thread
-        until then (``net._one_blas_thread``). With ``checkpoint_dir``,
+        of that shuffle. Where this process runs one Python thread and
+        has two CPUs by affinity and cgroup quota (``_can_fork``), a
+        batch of several activation groups shares them with one worker
+        process forked from this one (``_GroupWorker``); each step's sum
+        is still taken in group order, so the bits and the error raised
+        are those of one process. The worker is joined before ``fit``
+        returns or raises, and OpenBLAS runs on one thread until then
+        (``net._one_blas_thread``). With ``checkpoint_dir``,
         weights are written after each epoch as weights.epochN.ctcw
         (``write_weights``).
         """
@@ -183,9 +185,7 @@ class CtcModel:
             net.checked_real("clip_norm", clip_norm)
         if not len(dataset):
             raise ValueError("training dataset is empty")
-        rows, starts, lengths, (labels, label_lengths) = \
-            self._screened_set(dataset)
-        screened = rows, starts, lengths, labels, label_lengths
+        screened = self._screened_set(dataset)
         if validation is not None:
             if not len(validation):
                 raise ValueError("validation dataset is empty")
@@ -269,11 +269,11 @@ class CtcModel:
                     "unknown metric %r (expected subset of %r)"
                     % (m, list(VALID_METRICS))
                 )
-        rows, starts, lengths, labels = self._screened_set(dataset)
+        screened = self._screened_set(dataset)
         truths = [list(l) for _, l in dataset.sequences]
         decode = "ler" in requested or "ser" in requested
         losses, preds = self._run(
-            rows, starts, lengths, labels if "loss" in requested else None,
+            *screened[:5 if "loss" in requested else 3],
             each=(lambda probs, packing: [
                 r.paths[0][0]
                 for r in _decode(self.decode_config, probs, packing)
@@ -309,15 +309,16 @@ class CtcModel:
         )[1]
 
     def _screened(self, features_list, input_lengths=None, labels=None):
-        """The one screen of sequences: (rows, starts, lengths, labels).
+        """The one screen of sequences: (rows, starts, lengths, labels,
+        label_lengths).
 
         The first input_len float64 feature rows of each sequence
         (``net.sequence_frames``) one after another in ``rows``,
         sequence i from row ``starts[i]``, so ``Packing.pack(rows,
         starts[index])`` gathers any group; the input lengths; with
         ``labels``, their ``_label_matrix`` and label lengths, screened
-        by ``check_sequences``, else None. An error names the sequence
-        by its index.
+        by ``check_sequences``, else None and None. An error names the
+        sequence by its index.
         """
         features_list = list(features_list)
         n = len(features_list)
@@ -333,18 +334,20 @@ class CtcModel:
                 )
             active.append(features[:lengths[i]])
         rows = np.concatenate([np.empty((0, self.spec.feature_dim)), *active])
+        label_lengths = None
         if labels is not None:
-            matrix, label_lengths = labels = _label_matrix(labels)
-            check_sequences(matrix, lengths, label_lengths,
+            labels, label_lengths = _label_matrix(labels)
+            check_sequences(labels, lengths, label_lengths,
                             lengths.max(initial=1), self.spec.num_classes)
-        return rows, np.cumsum(lengths) - lengths, lengths, labels
+        return rows, np.cumsum(lengths) - lengths, lengths, labels, label_lengths
 
     def _screened_set(self, dataset):
         """``_screened`` of a dataset's features and labels."""
         return self._screened([f for f, _ in dataset.sequences],
                               labels=[l for _, l in dataset.sequences])
 
-    def _run(self, rows, starts, lengths, labels=None, each=None):
+    def _run(self, rows, starts, lengths, labels=None, label_lengths=None,
+             each=None):
         """Run the network over screened sequences, one packed group at a time.
 
         The arguments are ``_screened``'s. Each group of
@@ -372,8 +375,8 @@ class CtcModel:
             probs = np.exp(log_probs)
             check_posteriors(probs, packing, index)
             if labels is not None:
-                losses[index] = packed_losses(packing, log_probs, labels[0][index],
-                                              labels[1][index])
+                losses[index] = packed_losses(packing, log_probs, labels[index],
+                                              label_lengths[index])
             if each is not None:
                 for i, output in zip(index.tolist(), each(probs, packing)):
                     outputs[i] = output
@@ -465,40 +468,55 @@ def _group_gradients(spec, params, screened, index):
     return losses, net.backward_packed(spec, params, cache, grad_logits)
 
 
-# Where a container sees its cgroup's CPU quota: version 2's cpu.max
-# ("quota period", quota "max" if none), else version 1's quota and
-# period files (quota -1 if none). A limit on a cgroup above the
-# container's own is not read.
+# The cgroup CPU quota: version 2's cpu.max ("quota period", quota "max"
+# if none), or version 1's quota and period files (quota -1 if none) in
+# the hierarchy of the cpu controller. Each is read in this process's own
+# cgroup, whose path /proc/self/cgroup gives (version 2's line lists no
+# controller), and in every cgroup above it up to the mount root.
+_PROC_CGROUP = "/proc/self/cgroup"
 _CPU_QUOTA_FILES = (
-    ("/sys/fs/cgroup/cpu.max",),
-    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+    ("", "/sys/fs/cgroup", ("cpu.max",)),
+    ("cpu", "/sys/fs/cgroup/cpu", ("cpu.cfs_quota_us", "cpu.cfs_period_us")),
 )
 
 
 def _cpu_quota():
-    """This process's cgroup CPU quota in CPUs, or None where none is
-    set or none can be read (``_CPU_QUOTA_FILES``)."""
-    for paths in _CPU_QUOTA_FILES:
-        try:
-            words = []
-            for path in paths:
-                with open(path) as fh:
-                    words += fh.read().split()
-            quota, period = words
-            return None if quota in ("max", "-1") else int(quota) / int(period)
-        except (OSError, ValueError):
-            continue
-    return None
+    """This process's cgroup CPU quota in CPUs: the smallest set on its
+    cgroup or an ancestor, or None where none is set or none can be read
+    (``_CPU_QUOTA_FILES``)."""
+    try:
+        with open(_PROC_CGROUP) as fh:
+            lines = [line.split(":", 2) for line in fh.read().splitlines()]
+    except OSError:
+        lines = []
+    quotas = []
+    for controller, root, names in _CPU_QUOTA_FILES:
+        path = next((fields[2] for fields in lines if len(fields) == 3
+                     and controller in fields[1].split(",")), "/")
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            with suppress(OSError, ValueError, ZeroDivisionError):
+                words = []
+                for name in names:
+                    with open(os.path.join(root, *parts[:depth], name)) as fh:
+                        words += fh.read().split()
+                quota, period = words
+                if quota not in ("max", "-1"):
+                    quotas.append(int(quota) / int(period))
+    return min(quotas, default=None)
 
 
 def _can_fork():
     """Whether ``fit`` may fork a worker: two usable CPUs by
     ``os.sched_getaffinity`` and by the cgroup quota (``_cpu_quota``),
-    the ``fork`` start method, and a process that is not daemonic,
-    since multiprocessing allows a daemon no children."""
+    the ``fork`` start method, one Python thread, since a fork copies
+    only the caller and a lock another thread holds would stay held in
+    the worker, and a process that is not daemonic, since
+    multiprocessing allows a daemon no children."""
     import multiprocessing
     if ("fork" not in multiprocessing.get_all_start_methods()
             or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1
             or multiprocessing.current_process().daemon
             or len(os.sched_getaffinity(0)) < 2):
         return False
@@ -511,21 +529,17 @@ class _GroupWorker:
 
     It is forked at the first batch of several groups, after ``fit``
     has screened its set, so it inherits ``screened`` and ``spec`` and
-    neither is ever sent. Per batch it gets the parameter buffer and the
-    index arrays of its groups, and sends back each group's losses and
-    ``grads.flat``; the buffers go as raw bytes (``send_bytes``) and are
-    received into preallocated arrays (``recv_bytes_into``). It exits
-    when the parent's end of its pipe closes (``__exit__``), also when
-    the parent dies.
+    neither is ever sent. Per batch it gets one message, the parameters
+    and the index arrays of its groups, and sends back one message per
+    group, its (losses, grads), or the exception that stopped it. It
+    exits when the parent's end of its pipe closes (``__exit__``), also
+    when the parent dies.
     """
 
     def __init__(self, spec, screened):
         self.spec, self.screened = spec, screened
         self.tried = False
         self.process = self.conn = None
-        self.shapes = net.param_shapes(spec)
-        self.losses = np.empty(len(screened[2]))
-        self.grads = net.FlatTensors(self.shapes).flat
 
     def __enter__(self):
         return self
@@ -562,29 +576,15 @@ class _GroupWorker:
             side = int(totals[1] < totals[0])
             shares[side].append(g)
             totals[side] += loads[g]
-        self.conn.send_bytes(params.flat)
-        self.conn.send([members[g] for g in sorted(shares[1])])
-        own = {}
-        for g in sorted(shares[0]):
-            try:
-                own[g] = _group_gradients(self.spec, params, self.screened, members[g])
-            except Exception as err:  # raised when the loop below reaches g
-                own[g] = err
-                break
+        mine = sorted(shares[0])
+        self.conn.send((params, [members[g] for g in sorted(shares[1])]))
+        own = dict(zip(mine, _group_results(self.spec, params, self.screened,
+                                            [members[g] for g in mine])))
         for g in range(len(members)):
-            if g in own:
-                if isinstance(own[g], Exception):
-                    raise own[g]
-                yield own.pop(g)
-                continue
-            size = self.conn.recv_bytes_into(self.losses)
-            if not size:  # the worker failed on this group: its exception follows
-                raise pickle.loads(self.conn.recv_bytes())
-            # the first group's gradients become the sum: a buffer of their own
-            grads = np.empty_like(self.grads) if g == 0 else self.grads
-            self.conn.recv_bytes_into(grads)
-            yield (self.losses[:size // self.losses.itemsize],
-                   net.FlatTensors(self.shapes, grads))
+            result = own.pop(g) if g in own else self.conn.recv()
+            if isinstance(result, Exception):
+                raise result
+            yield result
 
     def _fork(self):
         import multiprocessing
@@ -604,45 +604,44 @@ class _GroupWorker:
     def _serve(self, conn, parent_end):
         """The worker's loop, until the parent's end of ``conn`` closes.
 
-        It computes its groups in order up to the first that fails, sends
-        the results of those before it, then an empty message and the
-        exception, and exits."""
+        Per batch it computes all of its groups (``_group_results``)
+        before it sends any: a result does not fit in the pipe's kernel
+        buffer, so sending each as it came would wait for the parent to
+        finish its own share, and the processes would stop overlapping.
+        An exception that does not survive a pickle round trip goes as a
+        RuntimeError naming its type and message.
+        """
         import signal
         # only the parent may hold its end, so that the worker sees the
         # end of file when the parent closes it or dies
         parent_end.close()
         # an interrupt stops the parent, which then closes the pipe
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        params = net.FlatTensors(self.shapes)
         with suppress(EOFError, OSError):
             while True:
-                conn.recv_bytes_into(params.flat)
-                results, failure = [], None
-                for m in conn.recv():
-                    try:
-                        results.append(_group_gradients(self.spec, params,
-                                                        self.screened, m))
-                    except Exception as err:
-                        failure = err
-                        break
-                for losses, grads in results:
-                    conn.send_bytes(losses)
-                    conn.send_bytes(grads.flat)
-                if failure is not None:
-                    conn.send_bytes(b"")
-                    conn.send_bytes(_exception_bytes(failure))
-                    return
+                params, members = conn.recv()
+                for result in _group_results(self.spec, params,
+                                             self.screened, members):
+                    if isinstance(result, Exception):
+                        try:  # the parent must be able to unpickle it
+                            pickle.loads(pickle.dumps(result))
+                        except Exception:
+                            result = RuntimeError("%s: %s" % (
+                                type(result).__name__, result))
+                    conn.send(result)
 
 
-def _exception_bytes(err):
-    """``err`` pickled, or a RuntimeError naming its type and message if
-    it does not survive a pickle round trip."""
-    try:
-        data = pickle.dumps(err)
-        pickle.loads(data)
-    except Exception:
-        data = pickle.dumps(RuntimeError("%s: %s" % (type(err).__name__, err)))
-    return data
+def _group_results(spec, params, screened, members):
+    """``_group_gradients`` of each group of ``members`` in order, up to
+    the first that raises, whose exception is then the last result."""
+    results = []
+    for index in members:
+        try:
+            results.append(_group_gradients(spec, params, screened, index))
+        except Exception as err:  # raised by the reader of the results
+            results.append(err)
+            break
+    return results
 
 
 def _write_json(path, value):

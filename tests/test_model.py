@@ -8,9 +8,14 @@ import multiprocessing
 import os
 import pickle
 import re
+import select
+import signal
 import struct
 import subprocess
 import sys
+import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -543,7 +548,7 @@ class TestFit:
         if not SPARE_CPU:
             pytest.skip("fit forks no worker on one usable CPU")
         model = CtcModel.compile(SPEC, seed=5)
-        rows, starts, lengths, (labels, label_lengths) = \
+        rows, starts, lengths, labels, label_lengths = \
             model._screened_set(small_dataset(10))
         i, j, k = np.argsort(-lengths, kind="stable")[:3]
         assert lengths[j] + lengths[k] > lengths[i]
@@ -565,20 +570,39 @@ class TestFit:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("files, quota", [
-        ({"cpu.max": "max 100000\n"}, None),
-        ({"cpu.max": "150000 100000\n"}, 1.5),
-        ({"cfs_quota_us": "-1\n", "cfs_period_us": "100000\n"}, None),
-        ({"cfs_quota_us": "200000\n", "cfs_period_us": "100000\n"}, 2.0),
-        ({"cpu.max": "garbled\n"}, None),
+        ({"unified/cpu.max": "max 100000\n"}, None),
+        ({"unified/cpu.max": "150000 100000\n"}, 1.5),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"},
+         2.0),
+        ({"unified/cpu.max": "garbled\n"}, None),
         ({}, None),
+        # the process's own cgroup is /a/b in both versions
+        ({"unified/a/b/cpu.max": "50000 100000\n", "unified/cpu.max": "max 100000\n"},
+         0.5),
+        ({"cpu/a/b/cpu.cfs_quota_us": "250000\n",
+          "cpu/a/b/cpu.cfs_period_us": "100000\n"}, 2.5),
+        ({"unified/a/cpu.max": "300000 100000\n", "unified/a/b/cpu.max": "max 100000\n"},
+         3.0),
+        ({"unified/a/cpu.max": "300000 100000\n",
+          "unified/a/b/cpu.max": "400000 100000\n"}, 3.0),
+        ({"unified/a/b/cpu.max": "max 100000\n", "unified/a/cpu.max": "max 100000\n",
+          "unified/cpu.max": "max 100000\n"}, None),
+        ({"unified/a/c/cpu.max": "50000 100000\n"}, None),
     ])
     def test_cpu_quota_is_read_from_either_cgroup_version(self, monkeypatch,
                                                           tmp_path, files, quota):
+        """The smallest quota set on the process's own cgroup, named by
+        /proc/self/cgroup, or on one above it up to the mount root."""
         for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / name).write_text(text)
+        (tmp_path / "cgroup").write_text(
+            "3:cpu,cpuacct:/a/b\n2:name=systemd:/\n1:memory:/x\n0::/a/b\n")
+        monkeypatch.setattr(model_module, "_PROC_CGROUP", str(tmp_path / "cgroup"))
         monkeypatch.setattr(model_module, "_CPU_QUOTA_FILES", (
-            (str(tmp_path / "cpu.max"),),
-            (str(tmp_path / "cfs_quota_us"), str(tmp_path / "cfs_period_us")),
+            ("", str(tmp_path / "unified"), ("cpu.max",)),
+            ("cpu", str(tmp_path / "cpu"), ("cpu.cfs_quota_us", "cpu.cfs_period_us")),
         ))
         assert model_module._cpu_quota() == quota
 
@@ -620,6 +644,107 @@ class TestFit:
         assert [h.train_loss for h in history] == [h.train_loss for h in expected]
         assert params_equal(model.params, serial.params)
         assert multiprocessing.active_children() == []
+
+    def test_a_second_thread_forks_no_worker(self, monkeypatch):
+        """A fork copies only the calling thread, so a lock another thread
+        holds would stay held in the worker: fit then runs in one process."""
+        several_groups(monkeypatch)
+        ds = small_dataset(10)
+        serial = CtcModel.compile(SPEC, seed=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "_can_fork", lambda: False)
+            expected = serial.fit(ds, epochs=2, batch_size=4)
+        forks = []
+        monkeypatch.setattr(model_module._GroupWorker, "_fork",
+                            lambda worker: forks.append(1))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            model = CtcModel.compile(SPEC, seed=5)
+            history = model.fit(ds, epochs=2, batch_size=4)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert [h.train_loss for h in history] == [h.train_loss for h in expected]
+        assert params_equal(model.params, serial.params)
+
+    def test_unpicklable_worker_exception_is_a_runtime_error(self, monkeypatch):
+        """An exception raised in the worker that does not survive a pickle
+        reaches the caller as a RuntimeError naming its class and message."""
+        if not SPARE_CPU:
+            pytest.skip("fit forks no worker on one usable CPU")
+
+        class Unpicklable(Exception):
+            pass
+
+        several_groups(monkeypatch)
+        parent, backward = os.getpid(), net.backward_packed
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise Unpicklable("overflow in the worker")
+            return backward(*args)
+
+        monkeypatch.setattr(net, "backward_packed", failing)
+        model = CtcModel.compile(SPEC, seed=5)
+        before = clone(model.params)
+        with pytest.raises(RuntimeError,
+                           match="^Unpicklable: overflow in the worker$"):
+            model.fit(small_dataset(10), epochs=2, batch_size=4)
+        assert params_equal(model.params, before)
+        assert model.optimizer.step == 0
+        assert multiprocessing.active_children() == []
+
+    def test_killing_fit_s_process_ends_its_worker(self):
+        """A worker whose parent dies sees the end of its pipe and exits."""
+        if not SPARE_CPU:
+            pytest.skip("fit forks no worker on one usable CPU")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        script = textwrap.dedent("""
+            from ctckit import model, net
+            from ctckit.data import generate_synthetic
+            spec = net.NetworkSpec(feature_dim=3, num_labels=2,
+                                   layers=(net.LayerSpec("rnn", 4, True),))
+            net.ACTIVATION_BYTES = 5 * net.stored_bytes_per_frame(spec)
+            fork = model._GroupWorker._fork
+
+            def announcing(worker):
+                fork(worker)
+                print(worker.process.pid, flush=True)
+
+            model._GroupWorker._fork = announcing
+            ds = generate_synthetic(10, num_labels=2, feature_dim=3,
+                                    noise_sigma=0.05, seed=0)
+            model.CtcModel.compile(spec, seed=5).fit(ds, epochs=10**9,
+                                                     batch_size=4)
+        """)
+        with subprocess.Popen([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              stdout=subprocess.PIPE, text=True) as proc:
+            try:
+                ready, _, _ = select.select([proc.stdout], [], [], 60)
+                line = proc.stdout.readline() if ready else ""
+            finally:
+                proc.kill()  # SIGKILL; leaving the block waits for it
+        assert line.strip().isdigit(), "no worker pid: %r" % line
+        worker = int(line)
+
+        def running():  # a zombie has exited
+            try:
+                with open("/proc/%d/stat" % worker) as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while running():
+            if time.monotonic() > deadline:
+                os.kill(worker, signal.SIGKILL)
+                pytest.fail("worker %d outlived its parent by 10 s" % worker)
+            time.sleep(0.05)
 
     def test_checkpoints_written(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=4)
