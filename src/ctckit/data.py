@@ -19,7 +19,7 @@ import numpy as np
 from .lattice import check_labels
 from .net import checked_int, checked_real
 
-LABEL_PAD = -1  # cannot collide with a class index; leaks fail loudly
+LABEL_PAD = -1  # not a class index; no code path reads the padding
 
 
 class DatasetFormatError(Exception):

@@ -71,14 +71,6 @@ class DecodeResult:
     paths: list = field(default_factory=list)
     approximate: bool = False
 
-    @property
-    def best(self):
-        return self.paths[0][0]
-
-    @property
-    def best_score(self):
-        return self.paths[0][1]
-
 
 def _ranked(items, top_paths):
     # items: iterable of (sequence tuple, probability). Lexicographic

@@ -538,12 +538,14 @@ def ctc_loss_batch(batch):
     ``label_lengths`` attributes. The batch runs through the lattice at
     once, sorted by length; element i is independent of the other batch
     members and of the padding width. Per-sequence errors are raised
-    with the offending index attached.
+    with the offending index attached. A batch of no sequence gives [].
     """
     features = np.asarray(batch.features, dtype=np.float64)
     if features.ndim != 3 or features.shape[2] < 2:
         raise ValueError("posterior batch must be (B, T_max, K) with K >= 2")
     features, labels, lengths, label_lengths = check_batch(batch, features.shape[2])
+    if not len(lengths):
+        return []
     order = np.argsort(-lengths, kind="stable")
     packing = Packing(lengths[order])
     probs = packing.pack(features.reshape(-1, features.shape[2]),

@@ -568,7 +568,8 @@ class _GroupWorker:
         fewer frames so far, this one on a tie. This process computes
         its share, in group order, while the worker computes its own.
         The exception of the first group that fails is raised, as the
-        serial loop raises it; a worker's keeps its type and message.
+        serial loop raises it; a worker's keeps its type and message. A
+        worker found dead, at the send or the receipt, raises ``_death``.
         """
         loads = [int(self.screened[2][m].sum()) for m in members]
         shares, totals = ([], []), [0, 0]
@@ -577,14 +578,28 @@ class _GroupWorker:
             shares[side].append(g)
             totals[side] += loads[g]
         mine = sorted(shares[0])
-        self.conn.send((params, [members[g] for g in sorted(shares[1])]))
+        try:
+            self.conn.send((params, [members[g] for g in sorted(shares[1])]))
+        except BrokenPipeError:
+            raise self._death() from None
         own = dict(zip(mine, _group_results(self.spec, params, self.screened,
                                             [members[g] for g in mine])))
         for g in range(len(members)):
-            result = own.pop(g) if g in own else self.conn.recv()
+            try:
+                result = own.pop(g) if g in own else self.conn.recv()
+            except EOFError:
+                raise self._death() from None
             if isinstance(result, Exception):
                 raise result
             yield result
+
+    def _death(self):
+        """Join the dead worker: a RuntimeError naming how it ended."""
+        self.process.join()
+        code = self.process.exitcode
+        return RuntimeError("fit's worker process %s" % (
+            "was killed by signal %d" % -code if code < 0
+            else "exited with code %d" % code))
 
     def _fork(self):
         import multiprocessing
@@ -701,8 +716,7 @@ def load_model(directory, weights=None):
     if weights_path is not None:
         params = read_weights(weights_path)
         try:
-            params = net.as_flat(net.fuse_gate_tensors(params),
-                                 net.param_shapes(spec))
+            params = net.as_flat(params, net.param_shapes(spec))
         except ValueError as err:
             raise ModelLoadError("%s: %s" % (weights_path, err)) from err
 

@@ -8,8 +8,6 @@ with a named view per tensor, in ``param_shapes`` order (see
 ``ctckit.flat``). Each recurrent direction is three tensors, ``Wx``,
 ``Wh`` and ``b``; an LSTM keeps its four gates side by side in their
 columns, in LSTM_GATES order, so one product serves all four.
-``fuse_gate_tensors`` reads the older twelve-tensor LSTM layout into
-this one.
 
 One batched engine does all the work (``forward_packed`` and
 ``backward_packed``). It runs a length-sorted batch in the packed
@@ -217,26 +215,6 @@ def param_shapes(spec):
     shapes["output.W"] = (in_dim, spec.num_classes)
     shapes["output.b"] = (spec.num_classes,)
     return MappingProxyType(shapes)
-
-
-def fuse_gate_tensors(params):
-    """Concatenate per-gate LSTM tensors into the (Wx, Wh, b) layout.
-
-    Weight files written before the fused layout hold twelve tensors per
-    LSTM direction (``Wx_i``, ``Wh_i``, ``b_i``, ..., ``b_o``). Each
-    complete set of four is concatenated in LSTM_GATES order; every other
-    tensor keeps its name, so ``as_flat`` reports what is left over.
-    """
-    fused = dict(params)
-    for name in params:
-        if name.rpartition(".")[2] in ("Wx_i", "Wh_i", "b_i") \
-                and name[:-2] not in params:
-            parts = [name[:-1] + gate for gate in LSTM_GATES]
-            if all(part in params for part in parts):
-                fused[name[:-2]] = np.concatenate(
-                    [fused.pop(part) for part in parts], axis=-1
-                )
-    return fused
 
 
 def init_params(spec, seed):

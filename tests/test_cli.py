@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from ctckit import cli
+from ctckit import cli, net
 from ctckit import data as data_module
 from ctckit.cli import cli_main
 from ctckit.data import Dataset, make_batches, read_dataset
@@ -168,13 +168,41 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not os.path.exists(tmp_path / "model")
 
-    def test_unknown_metric_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("metrics, message", [
+        ("cer", "error[usage]:"),
+        (",", "error[usage]: --metrics must name at least one of loss,ler,ser\n"),
+    ])
+    def test_unknown_metric_is_usage_error(self, tmp_path, capsys, metrics,
+                                           message):
         data, model_dir, _ = run_pipeline(tmp_path, "u")
         capsys.readouterr()
         code = cli_main(["evaluate", "--model", model_dir, "--data", data,
-                         "--metrics", "cer", "--out", str(tmp_path / "x")])
+                         "--metrics", metrics, "--out", str(tmp_path / "x")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error[usage]:")
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "x").exists()
+
+    def test_non_finite_gradient_is_numeric_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        data = str(tmp_path / "d.jsonl")
+        assert cli_main(["gen-data", "--num", "4", "--labels", "3",
+                         "--feature-dim", "3", "--out", data]) == 0
+        backward = net.backward_packed
+
+        def poisoned(*args):
+            grads = backward(*args)
+            grads["output.b"][0] = np.inf
+            return grads
+
+        monkeypatch.setattr(net, "backward_packed", poisoned)
+        code = cli_main(["train", "--config", write_arch(tmp_path),
+                         "--data", data, "--epochs", "1",
+                         "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error[numeric]: epoch 0, batch 0: non-finite gradient in tensor "
+            "output.b\n")
+        assert not (tmp_path / "m").exists()
 
     def test_top_paths_beyond_beam_width_is_usage_error(self, tmp_path, capsys):
         data, model_dir, _ = run_pipeline(tmp_path, "w")

@@ -94,6 +94,17 @@ class TestReadWrite:
         with pytest.raises(DatasetFormatError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("record", [
+        '{"labels": [0]}', '{"features": [[0.0]]}', '[[[0.0]], [0]]',
+    ])
+    def test_record_without_features_or_labels_names_the_line(self, tmp_path,
+                                                              record):
+        path = tmp_path / "record.jsonl"
+        path.write_text('{"feature_dim": 1, "num_labels": 2}\n' + record + "\n")
+        with pytest.raises(DatasetFormatError, match="^line 2: record must "
+                           "carry features and labels$"):
+            read_dataset(path)
+
     def test_empty_features_rejected(self, tmp_path):
         path = tmp_path / "nof.jsonl"
         path.write_text(

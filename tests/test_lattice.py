@@ -396,6 +396,28 @@ class TestLossBatch:
                            r"has a NaN, infinite or negative entry$"):
             ctc_loss_batch(batch)
 
+    def test_an_empty_batch_has_no_losses(self):
+        """As get_loss of an empty dataset; the shape checks still run."""
+        batch = PaddedBatch(np.zeros((0, 3, 3)), np.zeros((0, 0), np.int64),
+                            np.zeros(0, np.int64), np.zeros(0, np.int64))
+        assert ctc_loss_batch(batch) == []
+        batch.labels = np.zeros(0, np.int64)
+        with pytest.raises(ValueError, match="^a padded batch needs features "):
+            ctc_loss_batch(batch)
+
+    @pytest.mark.parametrize("features", [
+        np.full((2, 4), 0.5),      # no batch axis
+        np.ones((2, 4, 1)),        # K < 2
+        np.zeros((0, 3, 1)),       # K < 2 on an empty batch
+    ])
+    def test_features_must_be_a_batch_of_k_at_least_two(self, features):
+        B = len(features)
+        batch = PaddedBatch(features, np.zeros((B, 1), np.int64),
+                            np.full(B, 4), np.zeros(B, np.int64))
+        with pytest.raises(ValueError, match=re.escape(
+                "posterior batch must be (B, T_max, K) with K >= 2")):
+            ctc_loss_batch(batch)
+
 
 class TestOneInputScreen:
     """check_batch and the single-sequence entry points share one rule set."""
@@ -410,6 +432,19 @@ class TestOneInputScreen:
         message = "label_len %d outside [0, 2]" % label_len
         with pytest.raises(ValueError, match=re.escape(message)):
             self.ENTRY_POINTS[entry](probs, [0, 1], label_len=label_len)
+
+    @pytest.mark.parametrize("probs, labels, message", [
+        (np.full(4, 0.5), [0], "expected a (T, K) matrix with K >= 2"),
+        (np.ones((4, 1)), [], "expected a (T, K) matrix with K >= 2"),
+        (np.full((4, 3), 1.0 / 3.0), [[0], [1]], "labels must be one-dimensional"),
+        (np.full((4, 3), 1.0 / 3.0), np.zeros((1, 1), np.int64),
+         "labels must be one-dimensional"),
+    ])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_malformed_matrix_or_labels_rejected(self, entry, probs, labels,
+                                                 message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            self.ENTRY_POINTS[entry](probs, labels)
 
     @pytest.mark.parametrize("name, value", [
         ("input_len", 2.5), ("input_len", 2.0), ("input_len", "2"),

@@ -698,6 +698,62 @@ class TestFit:
         assert model.optimizer.step == 0
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("die, how", [
+        (lambda: os._exit(7), "exited with code 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         "was killed by signal %d" % signal.SIGKILL),
+    ], ids=["exit-code", "signal"])
+    def test_a_worker_that_dies_is_named(self, monkeypatch, die, how):
+        """A worker that dies mid-batch is joined, and fit raises a
+        RuntimeError naming its exit code or signal, not an EOFError."""
+        if not SPARE_CPU:
+            pytest.skip("fit forks no worker on one usable CPU")
+        several_groups(monkeypatch)
+        parent, group_gradients = os.getpid(), model_module._group_gradients
+
+        def dying(*args):
+            if os.getpid() != parent:
+                die()
+            return group_gradients(*args)
+
+        monkeypatch.setattr(model_module, "_group_gradients", dying)
+        model = CtcModel.compile(SPEC, seed=5)
+        before = clone(model.params)
+        with pytest.raises(RuntimeError,
+                           match="^fit's worker process %s$" % how):
+            model.fit(small_dataset(10), epochs=2, batch_size=4)
+        assert params_equal(model.params, before)
+        assert model.optimizer.step == 0
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_dead_before_a_batch_is_named(self, monkeypatch):
+        """The send of the next batch to a dead worker raises the same
+        RuntimeError, not a BrokenPipeError."""
+        if not SPARE_CPU:
+            pytest.skip("fit forks no worker on one usable CPU")
+        several_groups(monkeypatch)
+        workers, fork = [], model_module._GroupWorker._fork
+        monkeypatch.setattr(model_module._GroupWorker, "_fork",
+                            lambda worker: workers.append(worker) or fork(worker))
+        step = CtcModel._step
+
+        def killing(model, *args):
+            loss = step(model, *args)
+            if model.optimizer.step == 1:
+                process = workers[0].process
+                os.kill(process.pid, signal.SIGKILL)
+                process.join(timeout=10)
+                assert process.exitcode == -signal.SIGKILL
+            return loss
+
+        monkeypatch.setattr(CtcModel, "_step", killing)
+        model = CtcModel.compile(SPEC, seed=5)
+        with pytest.raises(RuntimeError, match="^fit's worker process was "
+                           "killed by signal %d$" % signal.SIGKILL):
+            model.fit(small_dataset(10), epochs=2, batch_size=4)
+        assert model.optimizer.step == 1
+        assert multiprocessing.active_children() == []
+
     def test_killing_fit_s_process_ends_its_worker(self):
         """A worker whose parent dies sees the end of its pipe and exits."""
         if not SPARE_CPU:
@@ -745,6 +801,23 @@ class TestFit:
                 os.kill(worker, signal.SIGKILL)
                 pytest.fail("worker %d outlived its parent by 10 s" % worker)
             time.sleep(0.05)
+
+    def test_non_finite_gradient_names_its_epoch_and_batch(self, monkeypatch):
+        calls, backward = [], net.backward_packed
+
+        def poisoned(*args):
+            grads = backward(*args)
+            calls.append(1)
+            if len(calls) == 5:  # epoch 1, batch 1: three batches an epoch
+                grads["output.b"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(net, "backward_packed", poisoned)
+        model = CtcModel.compile(SPEC, seed=5)
+        with pytest.raises(net.NonFiniteGradient, match=r"^epoch 1, batch 1: "
+                           r"non-finite gradient in tensor output\.b$"):
+            model.fit(small_dataset(10), epochs=2, batch_size=4)
+        assert model.optimizer.step == 4
 
     def test_checkpoints_written(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=4)
@@ -1327,6 +1400,27 @@ class TestPersistence:
                            match=r"architecture\.json: Unable to allocate"):
             load_model(tmp_path / "model")
 
+    def test_weights_named_by_the_caller_are_loaded(self, tmp_path):
+        """weights= loads fit's checkpoints, by a name relative to the
+        model directory or by an absolute path."""
+        directory = tmp_path / "model"
+        model = CtcModel.compile(SPEC, learning_rate=1e-2, seed=4)
+        save_model(model, directory)
+        model.fit(small_dataset(4), epochs=2, batch_size=2,
+                  checkpoint_dir=str(directory))
+        epoch1 = read_weights(directory / "weights.epoch1.ctcw")
+        assert not params_equal(epoch1, model.params)
+        loaded = load_model(directory, weights="weights.epoch1.ctcw")
+        assert params_equal(loaded.params, epoch1)
+        elsewhere = tmp_path / "elsewhere.ctcw"
+        write_weights(elsewhere, model.params)
+        loaded = load_model(directory, weights=str(elsewhere))
+        assert params_equal(loaded.params, model.params)
+        missing = os.path.join(directory, "weights.epoch3.ctcw")
+        with pytest.raises(ModelLoadError,
+                           match="^%s: missing$" % re.escape(missing)):
+            load_model(directory, weights="weights.epoch3.ctcw")
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(ModelLoadError):
             load_model(tmp_path / "nope")
@@ -1354,6 +1448,20 @@ class TestPersistence:
         with pytest.raises(ModelLoadError, match="UTF-8"):
             read_weights(path)
 
+    # the header and the record of a (u16, "a", u8, u32, two values) take
+    # 36 bytes: a cut there or one byte on splits b's name length
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: blob[:36], "truncated tensor record"),
+        (lambda blob: blob[:37], "truncated tensor record"),
+        (lambda blob: blob + bytes(3), "3 trailing bytes"),
+    ], ids=["no-name-length", "half-a-name-length", "trailing-bytes"])
+    def test_cut_or_extended_file_is_load_error(self, tmp_path, edit, message):
+        path = tmp_path / "w.ctcw"
+        write_weights(path, {"a": np.zeros(2), "b": np.zeros(1)})
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ModelLoadError, match=r"w\.ctcw: %s$" % message):
+            read_weights(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_tensor_is_load_error(self, tmp_path, bad):
         path = tmp_path / "w.ctcw"
@@ -1371,31 +1479,39 @@ class TestPersistence:
         with pytest.raises(ModelLoadError, match="tensor output.b is stored twice"):
             read_weights(path)
 
-    def test_per_gate_lstm_weights_load_fused(self, tmp_path):
+    def test_per_gate_lstm_weights_are_refused(self, tmp_path):
         spec = NetworkSpec(feature_dim=3, num_labels=2, layers=(
             LayerSpec("lstm", 4, True), LayerSpec("rnn", 3, False),
         ))
-        model = CtcModel.compile(spec, learning_rate=1e-2, seed=14)
-        ds = small_dataset(6)
-        model.fit(ds, epochs=1, batch_size=3)
+        model = CtcModel.compile(spec, seed=14)
         save_model(model, tmp_path / "model")
-        # the twelve-tensor layout: Wx_i, Wh_i, b_i, ..., b_o per direction
-        legacy = {}
+        # the older twelve-tensor layout: Wx_i, Wh_i, b_i, ..., b_o per
+        # direction, which no code writes
+        per_gate = {}
         for name, value in model.params.items():
             if name.startswith("layer0."):
                 for k, gate in enumerate("ifog"):  # column blocks i, f, o, g
-                    legacy[name + "_" + gate] = value[..., 4 * k:4 * (k + 1)]
+                    per_gate[name + "_" + gate] = value[..., 4 * k:4 * (k + 1)]
             else:
-                legacy[name] = value
-        assert len(legacy) == 2 * 12 + 3 + 2
-        write_weights(tmp_path / "model" / "weights.ctcw", legacy)
-        loaded = load_model(tmp_path / "model")
-        assert params_equal(loaded.params, model.params)
-        feats = [f for f, _ in ds.sequences]
-        for greedy in (True, False):
-            before = model.predict(feats, greedy=greedy, beam_width=4, top_paths=2)
-            after = loaded.predict(feats, greedy=greedy, beam_width=4, top_paths=2)
-            assert [r.paths for r in before] == [r.paths for r in after]
+                per_gate[name] = value
+        assert len(per_gate) == 2 * 12 + 3 + 2
+        path = tmp_path / "model" / "weights.ctcw"
+        write_weights(path, per_gate)
+        with pytest.raises(ModelLoadError) as err:
+            load_model(tmp_path / "model")
+        message = str(err.value)
+        assert message.startswith(str(path) + ": tensor set mismatch")
+        missing, unexpected = message.split("unexpected")
+        assert "'layer0.fwd.Wx'" in missing and "'layer0.bwd.b'" in missing
+        assert "'layer0.fwd.Wx_i'" in unexpected
+        assert "'layer0.bwd.b_o'" in unexpected
+        # fused as the README says: each tensor's blocks along the last axis
+        fused = {name: np.concatenate([per_gate[name + "_" + gate]
+                                       for gate in "ifog"], axis=-1)
+                 if name.startswith("layer0.") else per_gate[name]
+                 for name in model.params}
+        write_weights(path, fused)
+        assert params_equal(load_model(tmp_path / "model").params, model.params)
 
     @pytest.mark.parametrize("gates, keep_fused", [
         ("ifo", False),   # no candidate block

@@ -1,5 +1,6 @@
 """Network forward/backward against finite differences, init and optimizers."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -430,6 +431,14 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(TOY, params, cache, bad)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (4,)])
+    def test_grad_logits_of_the_wrong_shape_rejected(self, shape):
+        params = init_params(TOY, seed=9)
+        _, cache = forward(TOY, params, np.ones((4, 3)))
+        with pytest.raises(ValueError, match=r"^grad_logits must be \(4, 3\), "
+                           r"got %s$" % re.escape(repr(shape))):
+            backward(TOY, params, cache, np.zeros(shape))
+
     def test_cache_spec_mismatch_rejected(self):
         params = init_params(TOY, seed=10)
         _, cache = forward(TOY, params, np.ones((4, 3)))
@@ -514,6 +523,23 @@ class TestOptimizers:
             optimizer_step(state, params, {"w": np.zeros(2)})
         with pytest.raises(ValueError):
             optimizer_step(state, params, {"x": np.zeros(1)})
+
+    def test_params_must_be_flat(self):
+        params = {"w": np.array([1.0])}
+        state = init_optimizer("sgd", 0.1, as_flat(params))
+        with pytest.raises(TypeError, match=r"^params must be a FlatTensors"):
+            optimizer_step(state, params, {"w": np.zeros(1)})
+        np.testing.assert_array_equal(params["w"], [1.0])
+
+    def test_moments_in_another_layout_rejected(self):
+        state = init_optimizer("adam", 0.1, as_flat({"w": np.zeros(2)}))
+        for params in (as_flat({"w": np.ones(3)}), as_flat({"x": np.ones(2)})):
+            with pytest.raises(ValueError, match="^optimizer moments are not "
+                               "laid out as the parameters$"):
+                optimizer_step(state, params, {name: np.zeros(params[name].shape)
+                                               for name in params})
+            assert not (params.flat - 1).any()
+        assert state.step == 0
 
     def test_clip_by_global_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
