@@ -48,6 +48,7 @@ from .model import (
     DecodeConfig,
     EpochRecord,
     ModelLoadError,
+    WorkerError,
     load_model,
     save_model,
 )

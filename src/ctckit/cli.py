@@ -1,7 +1,8 @@
 """Command-line surface: train, predict, evaluate, loss, probas, gen-data.
 
 Exit codes: 0 success, 1 usage error, 2 data error (files, formats,
-infeasible sequences), 3 numeric error. Errors print one
+infeasible sequences), 3 numeric error, 4 a failed worker process of
+``train``. Errors print one
 machine-parsable line to stderr in the form ``error[<kind>]: message``.
 
 All commands are deterministic given their --seed: generated datasets,
@@ -23,7 +24,7 @@ from .data import (
     write_dataset,
 )
 from .lattice import InfeasibleAlignment
-from .model import CtcModel, DecodeConfig, load_model, ModelLoadError
+from .model import CtcModel, DecodeConfig, load_model, ModelLoadError, WorkerError
 from .net import NonFiniteGradient, spec_from_dict
 
 
@@ -287,6 +288,9 @@ def cli_main(argv):
     except (NonFiniteGradient, FloatingPointError) as err:
         _diagnose("numeric", err)
         return 3
+    except WorkerError as err:
+        _diagnose("worker", err)
+        return 4
 
 
 def main():

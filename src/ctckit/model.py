@@ -66,6 +66,11 @@ class ModelLoadError(Exception):
     """A model directory is missing, corrupt, or inconsistent."""
 
 
+class WorkerError(RuntimeError):
+    """``fit``'s worker process died, or raised an exception that does
+    not survive a pickle round trip (``_GroupWorker``)."""
+
+
 @dataclass(frozen=True)
 class DecodeConfig:
     """Decode defaults fixed when the model is built.
@@ -594,10 +599,10 @@ class _GroupWorker:
             yield result
 
     def _death(self):
-        """Join the dead worker: a RuntimeError naming how it ended."""
+        """Join the dead worker: a WorkerError naming how it ended."""
         self.process.join()
         code = self.process.exitcode
-        return RuntimeError("fit's worker process %s" % (
+        return WorkerError("fit's worker process %s" % (
             "was killed by signal %d" % -code if code < 0
             else "exited with code %d" % code))
 
@@ -624,7 +629,7 @@ class _GroupWorker:
         buffer, so sending each as it came would wait for the parent to
         finish its own share, and the processes would stop overlapping.
         An exception that does not survive a pickle round trip goes as a
-        RuntimeError naming its type and message.
+        WorkerError naming its type and message.
         """
         import signal
         # only the parent may hold its end, so that the worker sees the
@@ -641,7 +646,7 @@ class _GroupWorker:
                         try:  # the parent must be able to unpickle it
                             pickle.loads(pickle.dumps(result))
                         except Exception:
-                            result = RuntimeError("%s: %s" % (
+                            result = WorkerError("%s: %s" % (
                                 type(result).__name__, result))
                     conn.send(result)
 

@@ -28,10 +28,11 @@ that each fit ``ACTIVATION_BYTES`` (``activation_groups``).
 ``forward`` and ``backward`` handle one sequence as a batch of one.
 
 Every product in ``forward_packed`` runs through ``_product`` with a
-W ``_padded`` to a multiple of COLUMN_MULTIPLE columns, so each row of
-``A @ W`` has the same bits whatever rows share it (up to 384 inputs on
-OpenBLAS; README, The batched engine). So a sequence's posteriors do
-not depend on its group, and ``forward`` on it alone gives those bits.
+W ``_padded`` to a multiple of COLUMN_MULTIPLE columns, in blocks of at
+most PRODUCT_INPUTS inputs, so each row of ``A @ W`` has the same bits
+whatever rows share it (README, The batched engine). So a sequence's
+posteriors do not depend on its group, and ``forward`` on it alone
+gives those bits.
 
 Only frames ``[0, input_len)`` enter the recurrences in either
 direction; padding frames are never gathered into the packed rows,
@@ -42,7 +43,9 @@ use fixed summation orders, so results are bit-reproducible.
 The engine and the gradient norm run on one BLAS thread
 (``_one_blas_thread``): on more, OpenBLAS splits the packed products,
 and its workers spin between the small products of a step for no more
-speed (README, The batched engine).
+speed (README, The batched engine). Their first call in a process pins
+glibc's heap thresholds, so that a batch's temporaries reuse the pages
+of the last (``_pin_heap_thresholds``).
 """
 
 import ctypes
@@ -78,6 +81,28 @@ ACTIVATION_BYTES = 4 * 2 ** 20
 
 COLUMN_MULTIPLE = 8  # see ``_padded``
 
+# The inputs ``_product`` takes in one BLAS call. Past 384, OpenBLAS
+# 0.3.31's SkylakeX kernel (one thread) splits the inner dimension by
+# the row count, so a row's bits follow the rows beside it at every
+# width; blocks of at most 384 inputs, added in a fixed order, do not
+# (README, The batched engine). The 384 is a fact of that BLAS build.
+PRODUCT_INPUTS = 384
+
+# glibc's mallopt parameters (malloc.h) and the values the engine pins
+# them at (``_pin_heap_thresholds``). glibc starts by mmapping every
+# block of 128 KiB or more and trimming its heap's top past 128 KiB
+# free; each freed mmapped block raises the mmap threshold to its size
+# and the trim threshold to twice that, up to these 64-bit ceilings.
+# The engine's temporaries, once under the mmap threshold, are heap
+# blocks that raise neither, so each batch's growth of the heap was
+# trimmed and faulted in again by the next: 6,300-8,400 minor faults
+# a train-short fit, 6,900-8,400 a train-long-lstm one. Setting either
+# ends the adaptive rule for good, and the trim threshold alone fixes
+# the mmap threshold at 128 KiB, so both are set.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD_BYTES = 64 * 2 ** 20
+_MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
+
 
 @lru_cache(maxsize=None)
 def _openblas_thread_calls():
@@ -104,14 +129,34 @@ def _openblas_thread_calls():
     return None
 
 
+@lru_cache(maxsize=None)
+def _pin_heap_thresholds():
+    """Pin glibc's mmap and trim thresholds, once a process; whether it did.
+
+    The setting is process-wide and permanent: glibc cannot return to
+    its adaptive rule (``_MMAP_THRESHOLD_BYTES``). Without glibc's
+    ``mallopt`` it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no dlopen
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # the trim threshold only once the mmap threshold holds its value
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
+
+
 def _one_blas_thread(fn):
     """Run ``fn`` with OpenBLAS on one thread, then restore its count.
 
     The count is process-wide: calls from several Python threads at once
-    may leave it at one.
+    may leave it at one. The first call in a process also pins the heap
+    (``_pin_heap_thresholds``).
     """
     @wraps(fn)
     def on_one_thread(*args, **kwargs):
+        _pin_heap_thresholds()
         calls = _openblas_thread_calls()
         threads = calls[0]() if calls else 1
         if threads == 1:
@@ -347,17 +392,26 @@ def _product(a, W, cols, out=None):
     ``a`` is (n, K), or a stack (D, n, K) with W (D, K, M), run through
     the kernel of its 2-D product; W comes ``_padded``. A lone row takes
     another BLAS kernel, so it is multiplied twice and the copy dropped.
-    Written into ``out`` if given.
+    Past PRODUCT_INPUTS inputs the product is the sum of the products
+    of blocks of that many, added first to last. Written into ``out`` if
+    given.
     """
-    rows = a.shape[-2]
-    if rows > 1 and cols == W.shape[-1]:
+    rows, inputs = a.shape[-2:]
+    whole = rows > 1 and cols == W.shape[-1]
+    if whole and inputs <= PRODUCT_INPUTS:
         return np.matmul(a, W, out=out)
     if rows == 1:
         a = np.repeat(a, 2, axis=-2)
-    product = (a @ W)[..., :rows, :cols]
-    if out is None:
+    product = np.matmul(a[..., :PRODUCT_INPUTS], W[..., :PRODUCT_INPUTS, :],
+                        out=out if whole else None)
+    for start in range(PRODUCT_INPUTS, inputs, PRODUCT_INPUTS):
+        block = slice(start, start + PRODUCT_INPUTS)
+        product += a[..., block] @ W[..., block, :]
+    if whole:
         return product
-    out[...] = product
+    if out is None:
+        return product[..., :rows, :cols]
+    out[...] = product[..., :rows, :cols]
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from ctckit import cli, net
 from ctckit import data as data_module
+from ctckit import model as model_module
 from ctckit.cli import cli_main
 from ctckit.data import Dataset, make_batches, read_dataset
 from ctckit.model import CtcModel, load_model
@@ -202,6 +203,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error[numeric]: epoch 0, batch 0: non-finite gradient in tensor "
             "output.b\n")
+        assert not (tmp_path / "m").exists()
+
+    def test_a_worker_that_dies_is_a_worker_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """A train whose fit worker exits mid-batch exits 4, with no
+        traceback and no model written."""
+        if not model_module._can_fork():
+            pytest.skip("fit forks no worker on one usable CPU")
+        data = str(tmp_path / "d.jsonl")
+        assert cli_main(["gen-data", "--num", "10", "--labels", "3",
+                         "--feature-dim", "3", "--out", data]) == 0
+        # a budget of 5 frames, so that each batch runs in several groups
+        monkeypatch.setattr(net, "ACTIVATION_BYTES", 5 * net.stored_bytes_per_frame(
+            spec_from_dict(ARCH)))
+        parent, group_gradients = os.getpid(), model_module._group_gradients
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return group_gradients(*args)
+
+        monkeypatch.setattr(model_module, "_group_gradients", dying)
+        code = cli_main(["train", "--config", write_arch(tmp_path),
+                         "--data", data, "--epochs", "2", "--batch-size", "4",
+                         "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error[worker]: fit's worker process exited with code 7\n")
         assert not (tmp_path / "m").exists()
 
     def test_top_paths_beyond_beam_width_is_usage_error(self, tmp_path, capsys):

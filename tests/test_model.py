@@ -671,9 +671,9 @@ class TestFit:
         assert [h.train_loss for h in history] == [h.train_loss for h in expected]
         assert params_equal(model.params, serial.params)
 
-    def test_unpicklable_worker_exception_is_a_runtime_error(self, monkeypatch):
+    def test_unpicklable_worker_exception_is_a_worker_error(self, monkeypatch):
         """An exception raised in the worker that does not survive a pickle
-        reaches the caller as a RuntimeError naming its class and message."""
+        reaches the caller as a WorkerError naming its class and message."""
         if not SPARE_CPU:
             pytest.skip("fit forks no worker on one usable CPU")
 
@@ -691,7 +691,7 @@ class TestFit:
         monkeypatch.setattr(net, "backward_packed", failing)
         model = CtcModel.compile(SPEC, seed=5)
         before = clone(model.params)
-        with pytest.raises(RuntimeError,
+        with pytest.raises(model_module.WorkerError,
                            match="^Unpicklable: overflow in the worker$"):
             model.fit(small_dataset(10), epochs=2, batch_size=4)
         assert params_equal(model.params, before)
@@ -705,7 +705,7 @@ class TestFit:
     ], ids=["exit-code", "signal"])
     def test_a_worker_that_dies_is_named(self, monkeypatch, die, how):
         """A worker that dies mid-batch is joined, and fit raises a
-        RuntimeError naming its exit code or signal, not an EOFError."""
+        WorkerError naming its exit code or signal, not an EOFError."""
         if not SPARE_CPU:
             pytest.skip("fit forks no worker on one usable CPU")
         several_groups(monkeypatch)
@@ -719,7 +719,7 @@ class TestFit:
         monkeypatch.setattr(model_module, "_group_gradients", dying)
         model = CtcModel.compile(SPEC, seed=5)
         before = clone(model.params)
-        with pytest.raises(RuntimeError,
+        with pytest.raises(model_module.WorkerError,
                            match="^fit's worker process %s$" % how):
             model.fit(small_dataset(10), epochs=2, batch_size=4)
         assert params_equal(model.params, before)
@@ -728,7 +728,7 @@ class TestFit:
 
     def test_a_worker_dead_before_a_batch_is_named(self, monkeypatch):
         """The send of the next batch to a dead worker raises the same
-        RuntimeError, not a BrokenPipeError."""
+        WorkerError, not a BrokenPipeError."""
         if not SPARE_CPU:
             pytest.skip("fit forks no worker on one usable CPU")
         several_groups(monkeypatch)
@@ -748,7 +748,8 @@ class TestFit:
 
         monkeypatch.setattr(CtcModel, "_step", killing)
         model = CtcModel.compile(SPEC, seed=5)
-        with pytest.raises(RuntimeError, match="^fit's worker process was "
+        with pytest.raises(model_module.WorkerError,
+                           match="^fit's worker process was "
                            "killed by signal %d$" % signal.SIGKILL):
             model.fit(small_dataset(10), epochs=2, batch_size=4)
         assert model.optimizer.step == 1
@@ -1101,24 +1102,30 @@ class TestBatchIndependence:
     to a few frames so that batches split into several groups.
     """
 
-    @staticmethod
-    def check(spec, data):
+    @classmethod
+    def check(cls, spec, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         frames = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=7))
         input_lengths = [data.draw(st.integers(1, t)) for t in frames]
         budget = data.draw(st.integers(1, 30))
-        features = [rng.normal(0, 1, (t, spec.feature_dim)) for t in frames]
-        labels = [random_feasible_labels(rng, t, spec.num_classes, 3) for t in frames]
         model = CtcModel.compile(spec, seed=data.draw(st.integers(0, 99)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(net, "ACTIVATION_BYTES",
                           budget * net.stored_bytes_per_frame(spec))
-            probas = model.get_probas(features)
-            losses = model.get_loss(Dataset(spec.feature_dim, spec.num_labels,
-                                            list(zip(features, labels))))
-            greedy = model.predict(features, input_lengths, greedy=True)
-            beam = model.predict(features, input_lengths, greedy=False,
-                                 beam_width=4, top_paths=2)
+            cls.compare(model, rng, frames, input_lengths)
+
+    @staticmethod
+    def compare(model, rng, frames, input_lengths):
+        """Each sequence's outputs in the facade's groups against its own."""
+        spec = model.spec
+        features = [rng.normal(0, 1, (t, spec.feature_dim)) for t in frames]
+        labels = [random_feasible_labels(rng, t, spec.num_classes, 3) for t in frames]
+        probas = model.get_probas(features)
+        losses = model.get_loss(Dataset(spec.feature_dim, spec.num_labels,
+                                        list(zip(features, labels))))
+        greedy = model.predict(features, input_lengths, greedy=True)
+        beam = model.predict(features, input_lengths, greedy=False,
+                             beam_width=4, top_paths=2)
         for i, til in enumerate(input_lengths):
             probs, cache = forward(spec, model.params, features[i])
             assert np.array_equal(probas[i], probs)
@@ -1154,6 +1161,22 @@ class TestBatchIndependence:
     @given(data=st.data())
     def test_padded_products(self, name, data):
         self.check(self.PADDED[name], data)
+
+    # a bidirectional layer of 200 units feeds the output layer 400
+    # inputs, more than one BLAS call takes (net.PRODUCT_INPUTS)
+    WIDE = NetworkSpec(feature_dim=4, num_labels=3,
+                       layers=(LayerSpec("rnn", 200, True),))
+
+    def test_an_output_layer_past_384_inputs(self):
+        """Five sequences of 150-190 frames share one group: a product
+        of 850 rows, where the kernel splits 400 inputs otherwise than
+        for one sequence's rows."""
+        frames = [190, 180, 170, 160, 150]
+        assert len(net.activation_groups(self.WIDE, frames, False)) == 1
+        rng = np.random.default_rng(5)
+        input_lengths = [t - 3 for t in frames]
+        self.compare(CtcModel.compile(self.WIDE, seed=2), rng, frames,
+                     input_lengths)
 
 
 class TestBranchSeparation:

@@ -1,6 +1,10 @@
 """Network forward/backward against finite differences, init and optimizers."""
 
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -746,6 +750,64 @@ class TestBlasThreads:
         assert threads() == 2
 
 
+def run_python(script):
+    """Run ``script`` in a new interpreter that imports ctckit from src;
+    its standard output."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True,
+    ).stdout
+
+
+class TestHeapThresholds:
+    """The engine's first call pins glibc's heap thresholds, so the pages
+    of a batch's temporaries stay mapped for the next batch. Each test
+    runs in a new interpreter, whose heap no other test has touched."""
+
+    def test_the_first_engine_call_pins_them_not_the_import(self):
+        out = run_python("""
+            import numpy as np
+            import ctckit
+            from ctckit import net
+            print(net._pin_heap_thresholds.cache_info().misses)
+            spec = net.NetworkSpec(3, 2, (net.LayerSpec("rnn", 4, True),))
+            net.forward(spec, net.init_params(spec, 0), np.zeros((5, 3)))
+            print(net._pin_heap_thresholds.cache_info().misses,
+                  net._pin_heap_thresholds())
+        """)
+        assert out == "0\n1 %s\n" % net._pin_heap_thresholds()
+
+    def test_a_short_sequence_fit_faults_in_under_a_page_a_batch(self):
+        """After a warm-up fit, a fit of train-short's shape (500 short
+        sequences, bi-RNN 32, batch 16) reuses its pages: glibc's
+        default thresholds took about 5.7 minor faults a batch."""
+        if not net._pin_heap_thresholds():
+            pytest.skip("no glibc mallopt")
+        out = run_python("""
+            import resource
+            from ctckit import CtcModel, LayerSpec, NetworkSpec
+            from ctckit.data import generate_synthetic
+
+            spec = NetworkSpec(4, 4, (LayerSpec("rnn", 32, True),))
+            data = generate_synthetic(500, num_labels=4, feature_dim=4,
+                                      noise_sigma=0.1, seed=7)
+
+            def faults():
+                return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+            for _ in range(2):  # a warm-up fit, then the measured one
+                model = CtcModel.compile(spec, learning_rate=1e-3, seed=7)
+                before = faults()
+                model.fit(data, epochs=2, batch_size=16, shuffle_seed=7,
+                          clip_norm=5.0)
+                print(faults() - before)
+        """)
+        batches = 2 * -(-500 // 16)
+        assert int(out.split()[-1]) < batches, out
+
+
 class TestRowIndependence:
     """Each row of a product of two rows or more ignores the other rows.
 
@@ -758,9 +820,11 @@ class TestRowIndependence:
     runs a lone row as two. At widths that are not a multiple of eight
     columns some kernels give a row bits that follow the rows beside
     it, so the engine runs every W ``_padded`` to a multiple of eight;
-    the WIDTHS shapes check that, up to 384 inputs. From 385 inputs on
-    OpenBLAS's SkylakeX kernel splits the inner dimension by the row
-    count, which padding cannot mend.
+    the WIDTHS shapes check that. From 385 inputs on OpenBLAS's SkylakeX
+    kernel splits the inner dimension by the row count, which padding
+    cannot mend, so ``_product`` multiplies blocks of at most
+    ``net.PRODUCT_INPUTS`` inputs and adds them in a fixed order; the
+    WIDTHS past 384 inputs check that.
     """
 
     SPECS = (
@@ -775,7 +839,8 @@ class TestRowIndependence:
                          *(2 ** k + d for k in range(5, 13) for d in (-1, 0, 1))})
 
     WIDTHS = [(inputs, cols) for inputs in (16, 17, 33, 64, 384)
-              for cols in (*range(1, 13), *range(16, 21), *range(24, 29))]
+              for cols in (*range(1, 13), *range(16, 21), *range(24, 29))] + [
+        (inputs, cols) for inputs in (385, 512) for cols in (1, 5, 8, 28)]
 
     def test_rows_of_a_product_do_not_depend_on_the_row_count(self):
         shapes = sorted({shape for spec in self.SPECS
