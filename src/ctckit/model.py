@@ -358,9 +358,9 @@ class CtcModel:
         The arguments are ``_screened``'s. Each group of
         ``net.activation_groups(..., for_backward=False)`` is one
         ``net.forward_packed`` that keeps no activations for backward
-        (for two bi-LSTM layers of 64 units and 280 frames, 760 frames
-        a group against 323 in training); a group's posteriors are freed
-        before the next runs. Returns (losses, outputs) in input order:
+        (for two bi-LSTM layers of 64 units and 280 frames, about 1,530
+        frames a group against 650 in training); a group's posteriors
+        are freed before the next runs. Returns (losses, outputs) in input order:
         with ``labels`` losses[i] is sequence i's ``packed_losses`` of
         the group's ``net.log_softmax_rows``, the loss training takes,
         else None; outputs[i] is sequence i's of ``each(probs,

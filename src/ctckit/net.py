@@ -65,19 +65,21 @@ from .packing import STEP_BYTES, Packing
 LSTM_GATES = ("i", "f", "o", "g")
 
 # What a group's forward may keep (``stored_bytes_per_frame``), for
-# training and inference. Training two bi-LSTM layers of 64 units on
-# batches of eight sequences of 60-280 frames, four groups a batch, in
-# one process ran 17.0k frames a second at a peak PSS of 50 MB; one
-# group a batch 23.4-24.3k at 70-72 MB. ``fit``'s worker process holds
-# groups of this budget too: with it, the four groups ran 27.5k frames
-# a second at 69-70 MB summed over both processes, the worker's share
-# about 19 MB (README, The batched engine).
+# training and inference. Each group runs a recurrence of its own, paid
+# by the step. Training two bi-LSTM layers of 64 units on batches of
+# eight sequences of 60-280 frames, this budget makes two groups a batch
+# at most seeds and three at some, where 4 MiB made four to six. On a
+# contended 2-CPU machine (seeds 1 and 7) that ran 11.4-13.1k frames a
+# second in one process against 7.0-10.0k at 4 MiB, at a peak PSS of
+# 53-54 MB either way, and 11.8-14.0k against 9.0-10.5k with ``fit``'s
+# worker, which holds groups of this budget too, at 74.5-76.9 MB against
+# 73.4-74.7 MB summed over both processes (README, The batched engine).
 # A forward-only pass keeps one layer alive: for that net 5472
 # bytes a frame at its peak, against the 12872 that training keeps.
 # The peaks of a training step lie above it: traced full groups of that
 # net reach 1.02x it in forward, 1.17x in the lattice (20 labels) and
-# 2.2x in backward, and of a bi-RNN of 32 units 1.33x, 3.6x and 5.0x.
-ACTIVATION_BYTES = 4 * 2 ** 20
+# 1.44x in backward, and of a bi-RNN of 32 units 1.33x, 3.6x and 3.4x.
+ACTIVATION_BYTES = 8 * 2 ** 20
 
 COLUMN_MULTIPLE = 8  # see ``_padded``
 
@@ -538,33 +540,41 @@ def _lstm_grad_steps(packing, gates, c, dh, Wh):
     """Gradient w.r.t. the fused gate pre-activations, given dL/dh from above.
 
     ``gates`` (N, D, 4U), ``c`` and ``dh`` (N, D, U) are in recurrence
-    order, and so is the returned dz. Walking backward in time, a
-    sequence's rows of dh_next and dc_next stay zero until the walk
-    reaches its last frame.
+    order, and so is the returned dz. Backward consumes the cache: dz is
+    written over ``gates`` block by block, and ``c`` turns into dc/dh.
+    Walking backward in time, a sequence's rows of dh_next and dc_next
+    stay zero until the walk reaches its last frame.
     """
     D, units = c.shape[1:]
+    first = packing.steps[0][1]
     i, f, o, g = (gates[..., k * units:(k + 1) * units] for k in range(4))
-    tc = np.tanh(c)
-    dc_dh = o * (1.0 - tc * tc)
-    do_dh = tc * o * (1.0 - o)  # dz/dh for the o block
-    del tc
-    c_prev = np.zeros_like(c)
-    c_prev[packing.steps[0][1]:] = c[packing.prev_rows]
-    # dz starts as dz/dc for the i, f and g blocks, g i (1 - i),
-    # c_prev f (1 - f) and i (1 - g²), and as dz/dh for the o block,
-    # whose product with dc is then overwritten; each step's rows are
-    # turned into the gradient in place
-    dz = np.empty_like(gates)
-    di, df, do, dg = (dz[..., k * units:(k + 1) * units] for k in range(4))
-    for out, a, b in ((di, g, i), (df, c_prev, f)):
-        np.multiply(a, b, out=out)
-        out *= 1.0 - b
-    del c_prev
-    np.multiply(g, g, out=dg)
-    np.subtract(1.0, dg, out=dg)
-    dg *= i
-    do[...] = do_dh
-    dh_next = np.zeros((packing.steps[0][1], D, units))
+    # the i and g blocks turn into dz/dc, g i (1 - i) and i (1 - g²)
+    g_i = g * i
+    np.multiply(g, g, out=g)
+    np.subtract(1.0, g, out=g)
+    g *= i
+    np.subtract(1.0, i, out=i)
+    i *= g_i
+    del g_i
+    # the f block into dz/dc, c_prev f (1 - f), with c_prev zero on the
+    # first step; the loop's dc_next takes f from a copy
+    f_kept = f.copy()
+    c_prev_f = c[packing.prev_rows]
+    c_prev_f *= f_kept[first:]
+    np.subtract(1.0, f, out=f)
+    f[:first] = 0.0
+    f[first:] *= c_prev_f
+    del c_prev_f
+    # dc/dh, o (1 - tanh²(c)), over c, and dz/dh for the o block,
+    # tanh(c) o (1 - o); the loop writes the o block's gradient
+    tc = np.tanh(c, out=c)
+    do_dh = tc * o
+    np.multiply(tc, tc, out=tc)
+    np.subtract(1.0, tc, out=tc)
+    dc_dh = np.multiply(tc, o, out=tc)
+    np.subtract(1.0, o, out=o)
+    do_dh *= o
+    dh_next = np.zeros((first, D, units))
     dc_next = np.zeros_like(dh_next)
     WhT = Wh.transpose(0, 2, 1)
     for start, n in reversed(packing.steps):
@@ -572,24 +582,22 @@ def _lstm_grad_steps(packing, gates, c, dh, Wh):
         dht = dh[rows] + dh_next[:n]
         dct = dht * dc_dh[rows]
         dct += dc_next[:n]
-        dzt = dz[rows].reshape(n, D, 4, units)
+        dzt = gates[rows].reshape(n, D, 4, units)
         np.multiply(dzt, dct[:, :, None, :], out=dzt)
         np.multiply(do_dh[rows], dht, out=dzt[:, :, 2])
-        np.matmul(dz[rows].transpose(1, 0, 2), WhT,
+        np.matmul(gates[rows].transpose(1, 0, 2), WhT,
                   out=dh_next[:n].transpose(1, 0, 2))
-        np.multiply(dct, f[rows], out=dc_next[:n])
-    return dz
+        np.multiply(dct, f_kept[rows], out=dc_next[:n])
+    return gates
 
 
 def _recurrence_order(packing, a, directions):
-    """(N, D·U) layer columns as (N, D, U), the backward half in recurrence order."""
+    """(N, D·U) layer columns as (N, D, U), the backward half put in
+    recurrence order in place."""
     a = a.reshape(len(a), directions, -1)
-    if directions == 1:
-        return a
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 0]
-    out[:, 1] = a[packing.reverse, 1]
-    return out
+    if directions == 2:
+        a[:, 1] = a[packing.reverse, 1]
+    return a
 
 
 @dataclass
@@ -599,7 +607,8 @@ class BatchCache:
     ``layers`` holds, per layer, its packed input, its packed output
     (N, D·U) and an LSTM's (gates (N, D, 4U), cell states (N, D, U)) in
     recurrence order, or None for a tanh-RNN, whose output is all
-    backward needs.
+    backward needs. Backward consumes them (``backward_packed``) and
+    leaves ``layers`` None.
     """
 
     packing: Packing
@@ -666,24 +675,25 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
     return logits, BatchCache(packing=packing, layers=layers, logits=logits)
 
 
-def _layer_backward(params, li, layer, packing, kept, dy, grads):
+def _layer_backward(params, li, layer, packing, layers, dy, grads):
     """Backpropagation through time for layer ``li``, all directions in one loop.
 
-    ``kept`` is the layer's (input, output, state) in the BatchCache and
-    ``dy`` dL/d(output). Writes the layer's weight gradients into
-    ``grads`` and returns dL/d(input), or None for the first layer.
+    Pops the layer's (input, output, state) off ``layers``, the
+    BatchCache's, and consumes them: the output and ``dy``, dL/d(output),
+    are put in recurrence order in place, and an LSTM's gates turn into
+    dz. Writes the layer's weight gradients into ``grads`` and returns
+    dL/d(input), or None for the first layer.
     """
-    x, y, state = kept
+    x, h, state = layers.pop()
     Wx, Wh, _ = _layer_weights(params, li, layer)
     D = len(Wx)
     dh = _recurrence_order(packing, dy, D)
+    h = _recurrence_order(packing, h, D)
     if layer.kind == "rnn":
-        h = _recurrence_order(packing, y, D)
         dz = _rnn_grad_steps(packing, h, dh, Wh)
-    else:  # the outputs are not needed until the loop is done
+    else:
         dz = _lstm_grad_steps(packing, *state, dh, Wh)
-        h = _recurrence_order(packing, y, D)
-    del dh
+    del state  # frees an LSTM's cell states, by now dc/dh
     first = packing.steps[0][1]
     dx = None
     for d, name in enumerate(_directions(layer)):
@@ -693,13 +703,20 @@ def _layer_backward(params, li, layer, packing, kept, dy, grads):
         # the stride of its operands
         dz_d = np.ascontiguousarray(dz[:, d])
         np.matmul(h[packing.prev_rows, d].T, dz_d[first:], out=grads[prefix + "Wh"])
-        if d:  # into time order
-            dz_d = dz_d[packing.reverse]
+        if d:  # into time order, straight from dz
+            del dz_d
+            dz_d = dz[packing.reverse, d]
+        if d == D - 1:
+            del dz, h
         np.matmul(x.T, dz_d, out=grads[prefix + "Wx"])
         dz_d.sum(axis=0, out=grads[prefix + "b"])
         if li:  # the input frames need no gradient
-            dx_dir = dz_d @ Wx[d].T
-            dx = dx_dir if dx is None else dx + dx_dir
+            dx_d = dz_d @ Wx[d].T
+            if dx is None:
+                dx = dx_d
+            else:
+                dx += dx_d
+        del dz_d
     return dx
 
 
@@ -711,21 +728,28 @@ def backward_packed(spec, params, cache, grad_logits):
     layer runs backpropagation through time for all its directions in
     one loop (``_layer_backward``); every weight gradient is one product
     over all N rows, written into a new FlatTensors laid out by
-    ``param_shapes(spec)``.
+    ``param_shapes(spec)``. Backward consumes the cache: it takes
+    ``cache.layers``, writes over them and frees each layer's once its
+    gradients are written. A second backward on the cache raises
+    ValueError.
     """
     params = as_flat(params, param_shapes(spec))
-    if len(cache.layers) != len(spec.layers) or any(
+    layers = cache.layers
+    if layers is None:
+        raise ValueError("the cache was consumed by an earlier backward")
+    if len(layers) != len(spec.layers) or any(
         y.shape[1] != layer.width or (state is None) != (layer.kind == "rnn")
-        for (_, y, state), layer in zip(cache.layers, spec.layers)
+        for (_, y, state), layer in zip(layers, spec.layers)
     ):
         raise ValueError("cache does not match the network spec")
+    cache.layers = None
     grads = FlatTensors(param_shapes(spec))
-    np.matmul(cache.layers[-1][1].T, grad_logits, out=grads["output.W"])
+    np.matmul(layers[-1][1].T, grad_logits, out=grads["output.W"])
     grad_logits.sum(axis=0, out=grads["output.b"])
     dy = grad_logits @ params["output.W"].T
     for li in range(len(spec.layers) - 1, -1, -1):
         dy = _layer_backward(params, li, spec.layers[li], cache.packing,
-                             cache.layers[li], dy, grads)
+                             layers, dy, grads)
     return grads
 
 
@@ -771,7 +795,9 @@ def backward(spec, params, cache, grad_logits):
     """Exact parameter gradients for the loss behind ``grad_logits``.
 
     ``grad_logits`` is (T, num_classes) with rows at t >= input_len
-    exactly zero (they are padding and carry no loss).
+    exactly zero (they are padding and carry no loss). Backward consumes
+    the cache (``backward_packed``): a second call on it raises
+    ValueError.
     """
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != (cache.num_frames, spec.num_classes):

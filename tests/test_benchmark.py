@@ -58,3 +58,21 @@ def test_the_workloads_keep_their_group_sizes(monkeypatch):
               for spec in (workloads.LONG_SPEC, workloads.SHORT_SPEC)}
     assert counts == {workloads.LONG_SPEC: (5472, 12872),
                       workloads.SHORT_SPEC: (832, 616)}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 13])
+def test_train_long_lstm_runs_two_groups_a_batch(monkeypatch, tmp_path, seed):
+    """At the default budget, train-long-lstm's one batch of eight
+    sequences runs as two groups, two recurrences a layer where a 4 MiB
+    budget ran four: a change to the budget shows here before it shows
+    in the benchmark's timings."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+    workload = workloads.make_workload("train-long-lstm", seed, False,
+                                       str(tmp_path))
+    workload.setup()
+    sequences = workload.dataset.sequences
+    assert len(sequences) <= workload.batch_size
+    groups = net.activation_groups(workload.spec,
+                                   [f.shape[0] for f, _ in sequences])
+    assert len(groups) == 2

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ctckit import net
 from ctckit.flat import as_flat
-from ctckit.lattice import ctc_gradient
+from ctckit.lattice import ctc_gradient, ctc_gradient_packed
 from ctckit.net import (
     LayerSpec,
     NetworkSpec,
@@ -40,6 +40,8 @@ from oracles import (
     per_tensor_step,
     random_feasible_labels,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TOY = NetworkSpec(
     feature_dim=3, num_labels=2, layers=(LayerSpec("rnn", 5, True),)
@@ -453,6 +455,30 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(other, init_params(other, seed=0), cache, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("spec", [TOY, NetworkSpec(
+        feature_dim=3, num_labels=2, layers=(LayerSpec("lstm", 4, True),
+                                             LayerSpec("lstm", 3, False)))])
+    def test_backward_consumes_the_cache(self, spec):
+        """A second backward on a cache raises, by either entry point,
+        where it would run on activations the first wrote over."""
+        params = init_params(spec, seed=12)
+        features = np.random.default_rng(86).normal(0, 1, (4, 3))
+        probs, cache = forward(spec, params, features)
+        grad_logits = np.ones_like(probs)
+        backward(spec, params, cache, grad_logits)
+        assert cache.batch.layers is None
+        consumed = "^the cache was consumed by an earlier backward$"
+        with pytest.raises(ValueError, match=consumed):
+            backward(spec, params, cache, grad_logits)
+        with pytest.raises(ValueError, match=consumed):
+            net.backward_packed(spec, params, cache.batch, grad_logits)
+        packing = Packing([4, 2])
+        frames = np.random.default_rng(87).normal(0, 1, (6, 3))
+        _, batch = net.forward_packed(spec, params, packing, frames)
+        net.backward_packed(spec, params, batch, np.ones((6, 3)))
+        with pytest.raises(ValueError, match=consumed):
+            net.backward_packed(spec, params, batch, np.ones((6, 3)))
+
     def test_bit_reproducible(self):
         rng = np.random.default_rng(85)
         params = init_params(TOY, seed=11)
@@ -715,6 +741,46 @@ class TestActivationGroups:
             assert kept[1].packing is packing
             assert 0.9 * net.ACTIVATION_BYTES <= held <= 1.02 * net.ACTIVATION_BYTES, \
                 (share, held / net.ACTIVATION_BYTES)
+
+    def test_a_training_step_peaks_well_under_twice_the_budget(self, monkeypatch):
+        """A full training group of the benchmark's 2x bi-LSTM 64, traced
+        through forward, lattice and backward: train-long-lstm's seed-7
+        sequences in groups of a 4 MiB budget, the fullest of them.
+
+        Backward frees what it holds but no longer needs, so the step
+        peaks at 1.59x the budget, the 1.25 MB gradient buffer included,
+        where keeping every temporary to the end peaked at 2.19x. The
+        budget is full size, as that buffer does not shrink with it.
+        """
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        import workloads
+        monkeypatch.setattr(net, "ACTIVATION_BYTES", 4 * 2 ** 20)
+        spec = workloads.LONG_SPEC
+        sequences = workloads.long_sequences(np.random.default_rng(7), 8).sequences
+        lengths = np.array([f.shape[0] for f, _ in sequences])
+        group = max(net.activation_groups(spec, lengths),
+                    key=lambda g: lengths[g].sum())
+        per_frame = net.stored_bytes_per_frame(spec)
+        assert lengths[group].sum() * per_frame > 0.95 * net.ACTIVATION_BYTES
+        rows = np.concatenate([sequences[i][0] for i in group])
+        starts = np.cumsum(np.r_[0, lengths[group][:-1]])
+        labels = [sequences[i][1] for i in group]
+        label_lengths = np.array([len(l) for l in labels])
+        labels = np.array([l + [0] * (label_lengths.max() - len(l)) for l in labels])
+        params = net._init_flat_params(spec, 7)
+        tracemalloc.start()
+        try:
+            packing = Packing(lengths[group])
+            logits, cache = net.forward_packed(
+                spec, params, packing, packing.pack(rows, starts))
+            losses, grad_logits = ctc_gradient_packed(packing, logits, labels,
+                                                      label_lengths)
+            grads = net.backward_packed(spec, params, cache, grad_logits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(losses).all() and np.isfinite(grads.flat).all()
+        assert peak <= 1.7 * net.ACTIVATION_BYTES, peak / net.ACTIVATION_BYTES
 
 
 class TestBlasThreads:
