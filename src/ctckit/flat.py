@@ -21,28 +21,31 @@ class FlatTensors(Mapping):
     shape), so writing into a tensor writes into ``flat`` and one
     operation on ``flat`` acts on every tensor. The names are fixed: the
     mapping takes no new or replaced tensors. ``flat`` defaults to zeros.
+    A tensor's view is made the first time it is looked up.
     """
 
     def __init__(self, shapes, flat=None):
         self.shapes = shapes
-        self.flat = np.zeros(sum(map(math.prod, shapes.values()))) \
-            if flat is None else flat
         self._views, self._bounds = {}, {}
         offset = 0
         for name, shape in shapes.items():
             end = offset + math.prod(shape)
-            self._views[name] = self.flat[offset:end].reshape(shape)
             self._bounds[name] = offset, end
             offset = end
+        self.flat = np.zeros(offset) if flat is None else flat
 
     def __getitem__(self, name):
-        return self._views[name]
+        view = self._views.get(name)
+        if view is None:
+            start, end = self._bounds[name]
+            view = self._views[name] = self.flat[start:end].reshape(self.shapes[name])
+        return view
 
     def __iter__(self):
-        return iter(self._views)
+        return iter(self.shapes)
 
     def __len__(self):
-        return len(self._views)
+        return len(self.shapes)
 
     def span(self, first, last):
         """The part of ``flat`` from tensor ``first`` through tensor ``last``."""

@@ -328,70 +328,76 @@ def _trellis(packing, log_probs, labels, label_lengths, directions):
     """Alpha, and beta when ``directions`` is 2, of a packed batch.
 
     States run over the (B, S) extended label rows ``ext``, S = 2 *
-    L_max + 1, padded with blanks; states past a sequence's own 2L + 1
-    emit -inf, so they never carry mass. Beta is alpha run over the
-    flipped lattice: its direction takes each sequence's frames last to
-    first (``packing.reverse``, a walk of the same steps) and puts state
-    s at column S - 1 - s, where beta's s + 1, s + 2 -> s are alpha's
-    s - 1, s - 2 -> s; its emissions are ``emit[packing.reverse, ::-1]``.
-    One loop fills an (N, D, S + 2) table ``pre`` of the mass before
-    each frame's emission, a step's rows of all directions as one
-    block: with q = pre + emit of the step before, a state takes
-    logaddexp(q[s], q[s-1]), then adds q[s-2] + skip[s]. Two -inf
-    columns lead each direction's states, so the shifts need no bounds.
-    The start rows hold 0 in states 0 and 1 forward and in the final states
-    2L - 1 and 2L backward; alpha is pre + emit. Returns ext, alpha and
-    beta (N, S) in the packed row order, beta None for one direction,
-    and the log-likelihoods (B,).
+    L_max + 1; states past a sequence's own 2L + 1 emit -inf. Beta is
+    alpha run over the flipped lattice: each sequence's frames last to
+    first (``packing.reverse``), state s at column S - 1 - s, where
+    beta's s + 1, s + 2 -> s are alpha's s - 1, s - 2 -> s. One loop
+    fills an (N, D, S + 2) table ``pre`` of the mass before each frame's
+    emission, two -inf columns leading each direction's states, from
+    start rows of 0 in states 0 and 1 forward and in the final states
+    2L - 1 and 2L backward; alpha is pre + emit. Returns ``cells``,
+    alpha and beta (N, S) in the packed row order, beta None for one
+    direction, and the log-likelihoods (B,). cells[r, s] indexes
+    ``log_probs.ravel()`` at the class state s emits at row r, or is
+    ``log_probs.size`` past the sequence's 2L + 1.
     """
     label_lengths = np.asarray(label_lengths, dtype=np.int64)
     N, K = log_probs.shape
     B, blank = len(label_lengths), K - 1
-    max_len = int(label_lengths.max())
-    S = 2 * max_len + 1
-    live = np.arange(max_len) < label_lengths[:, None]
+    max_len = max(label_lengths.tolist())
+    S, W = 2 * max_len + 1, 2 * max_len + 3
+    twice = 2 * label_lengths
     ext = np.full((B, S), blank, dtype=np.int64)
-    ext[:, 1::2] = np.where(live, labels[:, :max_len], blank)
-    seq = packing.seq_of_row
-    own = np.take_along_axis(log_probs, ext[seq], axis=1)
-    own[(np.arange(S) > 2 * label_lengths[:, None])[seq]] = NEG_INF
-    emit = np.full((N, directions, S + 2), NEG_INF)
-    emit[:, 0, 2:] = own
+    ext[:, 1::2] = labels[:, :max_len]
+    ext[np.arange(S) > twice[:, None]] = N * K
+    cells = ext.take(packing.seq_of_row, 0)
+    cells += np.arange(0, N * K, K)[:, None]
+    np.minimum(cells, N * K, out=cells)
+    emit = np.full((N, directions, W), NEG_INF)
+    emit[:, 0, 2:] = own = np.concatenate((log_probs.ravel(), [NEG_INF])).take(cells)
     if directions == 2:
-        emit[:, 1, 2:] = own[packing.reverse, ::-1]
+        emit[:, 1, 2:] = own.take(packing.reverse, 0)[:, ::-1]
     del own
-    # transition s-2 -> s is allowed iff ext[s] is a label differing
-    # from ext[s-2]; 0 where allowed, -inf where not
-    skip = np.full((B, directions, S + 2), NEG_INF)
-    skip[:, 0, 4:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
-    pre = np.full((N, directions, S + 2), NEG_INF)
-    first = packing.steps[0][1]
-    pre[:first, 0, 2:4] = 0.0
+    # s - 2 -> s is allowed iff s is a label differing from the one two
+    # states before: odd s >= 3, at columns 5, 7, ...; 0 where allowed
+    skip = np.full((B, directions, W), NEG_INF)
+    later = ext[:, 3::2]
+    skip[:, 0, 5::2][(later < blank) & (later != ext[:, 1:-2:2])] = 0.0
+    pre = np.full((N, directions, W), NEG_INF)
+    pre[:B, 0, 2:4] = 0.0
     if directions == 2:  # flipped, s+2 -> s is allowed iff s -> s+2 is
         skip[:, 1, 4:] = skip[:, 0, :3:-1]
-        states = np.arange(S) - 2 * label_lengths[:, None]
-        pre[:first, 1, :1:-1][(states == 0) | (states == -1)] = 0.0
-    table, emit_rows = pre.reshape(N, -1), emit.reshape(N, -1)
-    skip = skip.reshape(B, -1)[:, 2:].copy()
-    # every padding column emits -inf, so q is -inf there and no mass
-    # crosses from one direction into the other
-    q = np.empty((first, table.shape[1]))
+        # flipped state s sits at column S + 1 - s of direction 1: the
+        # final states 2L and 2L - 1, or state 0 alone with no labels
+        final = np.arange(0, B * 2 * W, 2 * W) + (W + S + 1) - twice
+        pre.reshape(-1)[final] = 0.0
+        pre.reshape(-1)[final + (label_lengths > 0)] = 0.0
+    # with q = pre + emit of the step before, column c takes logaddexp(
+    # q[c], q[c - 1]), then adds q[c - 2] + skip[c]. A step's rows run as
+    # one flat pass, so columns 0 and 1 of a row take values from the row
+    # before; every padding column emits -inf, so q is -inf there
+    C = directions * W
+    table, flat_emit, skip = pre.reshape(-1), emit.reshape(-1), skip.reshape(-1)
     for (prev, _), (start, n) in zip(packing.steps, packing.steps[1:]):
-        p = np.add(table[prev:prev + n], emit_rows[prev:prev + n], out=q[:n])
-        acc = np.logaddexp(p[:, 2:], p[:, 1:-1])
-        np.logaddexp(acc, p[:, :-2] + skip[:n], out=table[start:start + n, 2:])
-    # direction 0 of the table turns into alpha in place
-    alpha = np.add(pre[:, 0, 2:], emit[:, 0, 2:], out=pre[:, 0, 2:])
-    del emit, emit_rows
-    # final states 2L - 1 and 2L sit at columns 2L + 1 and 2L + 2;
-    # with no labels column 1 is the -inf padding
-    ends = pre[packing.last_rows, 0]
-    cols = 2 * label_lengths + 1
-    ll = np.logaddexp(ends[np.arange(B), cols], ends[np.arange(B), cols + 1])
+        q = table[prev * C:(prev + n) * C] + flat_emit[prev * C:(prev + n) * C]
+        acc = np.logaddexp(q[2:], q[1:-1])
+        np.logaddexp(acc, q[:-2] + skip[2:n * C],
+                     out=table[start * C + 2:(start + n) * C])
+    # direction 0 turns into alpha in place, its padding -inf; direction
+    # 1's emissions are zeroed, so one add over whole rows leaves it be
+    if directions == 2:
+        emit[:, 1] = 0.0
+    pre += emit
+    del emit, flat_emit
+    alpha = pre[:, 0, 2:]
+    # final states 2L - 1 and 2L sit at columns 2L + 1 and 2L + 2 of the
+    # last rows; with no labels column 1 is the -inf padding
+    ends = packing.last_rows * C + twice + 1
+    ll = np.logaddexp(table.take(ends), table.take(ends + 1))
     if directions == 1:
-        return ext, alpha, None, ll
+        return cells, alpha, None, ll
     # copies, so that the table of both directions is freed on return
-    return ext, alpha.copy(), pre[packing.reverse, 1, :1:-1], ll
+    return cells, alpha.copy(), pre[packing.reverse, 1, :1:-1], ll
 
 
 def ctc_gradient_packed(packing, logits, labels, label_lengths):
@@ -401,18 +407,24 @@ def ctc_gradient_packed(packing, logits, labels, label_lengths):
     (B, >= L_max) holds each sequence's labels in its first
     ``label_lengths[b]`` entries, already screened (``check_sequences``).
     log_softmax is taken once; alpha and beta advance all sequences a
-    step at a time, in one recurrence. Returns (losses (B,), grad (N, K))
-    with grad = softmax(logits) - lattice posterior.
+    step at a time, in one recurrence. The occupancy exp(alpha + beta -
+    ll) is formed over alpha, and beta freed, before the per-class sums.
+    Returns (losses (B,), grad (N, K)) with grad = softmax(logits) -
+    lattice posterior.
     """
     log_probs = log_softmax_rows(logits)
-    ext, alpha, beta, ll = _trellis(packing, log_probs, labels, label_lengths, 2)
-    seq = packing.seq_of_row
-    N, K = log_probs.shape
-    occupancy = np.exp(alpha + beta - ll[seq][:, None])
-    cells = np.arange(N)[:, None] * K + ext[seq]
+    cells, occupancy, beta, ll = _trellis(packing, log_probs, labels,
+                                          label_lengths, 2)
+    occupancy += beta
+    del beta
+    occupancy -= ll[packing.seq_of_row][:, None]
+    np.exp(occupancy, out=occupancy)
+    # the last count is that of the states past each sequence's own
     posterior = np.bincount(cells.ravel(), weights=occupancy.ravel(),
-                            minlength=N * K).reshape(N, K)
-    return -ll, np.exp(log_probs) - posterior
+                            minlength=log_probs.size + 1)[:-1]
+    grad = np.exp(log_probs, out=log_probs)
+    grad -= posterior.reshape(grad.shape)
+    return -ll, grad
 
 
 def packed_losses(packing, log_probs, labels, label_lengths):

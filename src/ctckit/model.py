@@ -155,7 +155,7 @@ class CtcModel:
         if clip_norm is not None:
             grads = net.clip_by_global_norm(grads, clip_norm)
         net.optimizer_step(self.optimizer, self.params, grads)
-        return float(np.mean(losses))
+        return float(losses.sum() / len(losses))
 
     # A fork stops OpenBLAS's threads, and in either process the next
     # thread count above one starts a thread that spins for about 0.1 s,
@@ -468,7 +468,7 @@ def _group_gradients(spec, params, screened, index):
         spec, params, packing, packing.pack(rows, starts[index])
     )
     losses, grad_logits = ctc_gradient_packed(
-        packing, logits, labels[index], label_lengths[index]
+        packing, logits, labels.take(index, 0), label_lengths[index]
     )
     return losses, net.backward_packed(spec, params, cache, grad_logits)
 

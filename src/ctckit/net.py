@@ -40,12 +40,9 @@ rows of ``forward``'s output past input_len carry softmax(output bias),
 and nothing past input_len influences gradients. Forward and backward
 use fixed summation orders, so results are bit-reproducible.
 
-The engine and the gradient norm run on one BLAS thread
-(``_one_blas_thread``): on more, OpenBLAS splits the packed products,
-and its workers spin between the small products of a step for no more
-speed (README, The batched engine). Their first call in a process pins
-glibc's heap thresholds, so that a batch's temporaries reuse the pages
-of the last (``_pin_heap_thresholds``).
+The engine and the gradient norm run on one BLAS thread, and their
+first call in a process pins glibc's heap thresholds
+(``_one_blas_thread``).
 """
 
 import ctypes
@@ -66,19 +63,15 @@ LSTM_GATES = ("i", "f", "o", "g")
 
 # What a group's forward may keep (``stored_bytes_per_frame``), for
 # training and inference. Each group runs a recurrence of its own, paid
-# by the step. Training two bi-LSTM layers of 64 units on batches of
-# eight sequences of 60-280 frames, this budget makes two groups a batch
-# at most seeds and three at some, where 4 MiB made four to six. On a
-# contended 2-CPU machine (seeds 1 and 7) that ran 11.4-13.1k frames a
-# second in one process against 7.0-10.0k at 4 MiB, at a peak PSS of
-# 53-54 MB either way, and 11.8-14.0k against 9.0-10.5k with ``fit``'s
-# worker, which holds groups of this budget too, at 74.5-76.9 MB against
-# 73.4-74.7 MB summed over both processes (README, The batched engine).
-# A forward-only pass keeps one layer alive: for that net 5472
-# bytes a frame at its peak, against the 12872 that training keeps.
-# The peaks of a training step lie above it: traced full groups of that
-# net reach 1.02x it in forward, 1.17x in the lattice (20 labels) and
-# 1.44x in backward, and of a bi-RNN of 32 units 1.33x, 3.6x and 3.4x.
+# by the step: for two bi-LSTM layers of 64 units on batches of eight
+# sequences of 60-280 frames, this budget makes two or three groups a
+# batch where 4 MiB made four to six (README, The batched engine, has
+# the speed and memory of both). A forward-only pass keeps one layer
+# alive: for that net 5472 bytes a frame at its peak, against the 12872
+# that training keeps. The peaks of a training step lie above it:
+# traced full groups of that net reach 1.03x it in forward, 1.15x in
+# the lattice (20 labels) and 1.44x in backward, and of a bi-RNN of 32
+# units 1.33x, 3.7x and 3.4x.
 ACTIVATION_BYTES = 8 * 2 ** 20
 
 COLUMN_MULTIPLE = 8  # see ``_padded``
@@ -91,16 +84,11 @@ COLUMN_MULTIPLE = 8  # see ``_padded``
 PRODUCT_INPUTS = 384
 
 # glibc's mallopt parameters (malloc.h) and the values the engine pins
-# them at (``_pin_heap_thresholds``). glibc starts by mmapping every
-# block of 128 KiB or more and trimming its heap's top past 128 KiB
-# free; each freed mmapped block raises the mmap threshold to its size
-# and the trim threshold to twice that, up to these 64-bit ceilings.
-# The engine's temporaries, once under the mmap threshold, are heap
-# blocks that raise neither, so each batch's growth of the heap was
-# trimmed and faulted in again by the next: 6,300-8,400 minor faults
-# a train-short fit, 6,900-8,400 a train-long-lstm one. Setting either
-# ends the adaptive rule for good, and the trim threshold alone fixes
-# the mmap threshold at 128 KiB, so both are set.
+# them at (``_pin_heap_thresholds``): the 64-bit ceilings of glibc's
+# adaptive rule, under which each batch's growth of the heap was
+# trimmed and faulted in again by the next (README, The batched
+# engine). Setting either ends that rule for good, and the trim
+# threshold alone fixes the mmap threshold at 128 KiB, so both are set.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD_BYTES = 64 * 2 ** 20
 _MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
@@ -302,6 +290,7 @@ def log_softmax_rows(z):
     return shifted
 
 
+@lru_cache(maxsize=64)
 def stored_bytes_per_frame(spec, for_backward=True):
     """Bytes per packed frame that ``forward_packed(..., for_backward)`` holds.
 
@@ -359,14 +348,17 @@ def activation_groups(spec, lengths, for_backward=True):
     Returns index arrays into ``lengths``, each in the sorted order, so
     each group's lengths are non-increasing.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
+    lengths = np.asarray(lengths, dtype=np.int64).tolist()
     per_frame = stored_bytes_per_frame(spec, for_backward)
     groups, free = [], []  # free: the bytes each group still has room for
-    for i, length in zip(order.tolist(), lengths[order].tolist()):
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
+        length = lengths[i]
         need = length * per_frame
-        g = next((g for g, room in enumerate(free) if room >= need), len(free))
-        if g == len(free):
+        for g, room in enumerate(free):
+            if room >= need:
+                break
+        else:
+            g = len(free)
             groups.append([])
             free.append(ACTIVATION_BYTES - length * STEP_BYTES)
         groups[g].append(i)
@@ -420,9 +412,9 @@ def _product(a, W, cols, out=None):
 def _layer_weights(params, li, layer):
     """Layer ``li``'s Wx (D, in, G·U), Wh (D, U, G·U) and b (D, G·U).
 
-    ``params`` is a FlatTensors laid out by ``param_shapes``: a layer's
-    directions are blocks of one size back to back, each its Wx, Wh and
-    b, so the three stacks are views of the buffer.
+    ``params``, or gradients, is a FlatTensors in ``param_shapes``'s
+    layout: a layer's directions are blocks of one size back to back,
+    each its Wx, Wh and b, so the three stacks are views of the buffer.
     """
     dirs = _directions(layer)
     first, last = "layer%d.%s." % (li, dirs[0]), "layer%d.%s." % (li, dirs[-1])
@@ -450,21 +442,24 @@ def _project(packing, x, Wx, b):
         rows = slice(start, start + chunk)
         _product(x[rows], Wx[0], cols, out=z[rows, 0])
         if D == 2:
-            _product(x[packing.reverse[rows]], Wx[1], cols, out=z[rows, 1])
+            _product(x.take(packing.reverse[rows], 0), Wx[1], cols, out=z[rows, 1])
     z += b
     return z
 
 
 def _rnn_steps(packing, z, Wh):
-    """h_t = tanh(z_t + h_{t-1} Wh) for every direction, over z in place."""
-    units, prev = z.shape[-1], None
-    for start, n in packing.steps:
+    """h_t = tanh(z_t + h_{t-1} Wh) for every direction, over z in place;
+    each step's product goes into a buffer laid out as z's rows."""
+    first = packing.steps[0][1]
+    np.tanh(z[:first], out=z[:first])
+    product = np.empty(z[:first].shape)
+    z_stack, product_stack = z.transpose(1, 0, 2), product.transpose(1, 0, 2)
+    for (prev, _), (start, n) in zip(packing.steps, packing.steps[1:]):
+        _product(z_stack[:, prev:prev + n], Wh, z.shape[-1],
+                 out=product_stack[:, :n])
         zt = z[start:start + n]
-        if prev is not None:
-            zt += _product(z[prev:prev + n].transpose(1, 0, 2), Wh,
-                           units).transpose(1, 0, 2)
+        zt += product[:n]
         np.tanh(zt, out=zt)
-        prev = start
     return z
 
 
@@ -472,19 +467,19 @@ def _lstm_steps(packing, z, Wh, keep):
     """LSTM recurrence of every direction; z turns into the gate activations.
 
     ``z`` (N, D, 4U) holds the input projections plus bias in
-    LSTM_GATES column order. Each step works on a copy of its rows with
-    the gates outermost, (4, n, D, U), so that each elementwise
-    operation runs once, on contiguous memory. Returns the outputs h
-    (N, D, U) and, with ``keep``, the cell states c (N, D, U), with the
-    activations copied back into z for backward. Without it only two
-    steps of c are held, and c is None.
+    LSTM_GATES column order. Each step adds its product to its rows, then
+    works on a copy of them with the gates outermost, (4, n, D, U), so
+    that each elementwise operation runs once, on contiguous memory.
+    Returns the outputs h (N, D, U) and, with ``keep``, the cell states
+    c (N, D, U), with the activations copied back into z for backward.
+    Without it only two steps of c are held, and c is None.
     """
     units = Wh.shape[1]
     N, D = z.shape[:2]
     first = packing.steps[0][1]
     h = np.empty((N, D, units))
     c = np.empty((N if keep else 2 * first, D, units))
-    acts = np.empty(4 * first * D * units)
+    acts, product = np.empty(4 * first * D * units), np.empty(z[:first].shape)
     h_prev = c_prev = None
     # exp(-x) overflows to inf for very negative x; 1 / (1 + inf) = 0 is
     # the correct sigmoid limit
@@ -494,12 +489,11 @@ def _lstm_steps(packing, z, Wh, keep):
             at = start if keep else k % 2 * first
             zt = z[rows].reshape(n, D, 4, units).transpose(2, 0, 1, 3)
             a = acts[:4 * n * D * units].reshape(4, n, D, units)
-            if h_prev is None:
-                np.copyto(a, zt)
-            else:
-                product = _product(h_prev[:n].transpose(1, 0, 2), Wh, 4 * units)
-                np.add(zt, product.reshape(D, n, 4, units).transpose(2, 1, 0, 3),
-                       out=a)
+            if h_prev is not None:
+                _product(h_prev[:n].transpose(1, 0, 2), Wh, 4 * units,
+                         out=product[:n].transpose(1, 0, 2))
+                z[rows] += product[:n]
+            np.copyto(a, zt)
             s = a[:3]
             np.negative(s, out=s)
             np.exp(s, out=s)
@@ -591,15 +585,6 @@ def _lstm_grad_steps(packing, gates, c, dh, Wh):
     return gates
 
 
-def _recurrence_order(packing, a, directions):
-    """(N, D·U) layer columns as (N, D, U), the backward half put in
-    recurrence order in place."""
-    a = a.reshape(len(a), directions, -1)
-    if directions == 2:
-        a[:, 1] = a[packing.reverse, 1]
-    return a
-
-
 @dataclass
 class BatchCache:
     """Activations of a packed batch, recorded by forward for backward.
@@ -634,11 +619,8 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
     """Run the network over the packed frames of a length-sorted batch.
 
     ``frames`` is (N, feature_dim) in ``packing``'s row order. Each
-    layer projects its input for all its directions (``_project``);
-    step t then multiplies only the n_t rows still running by the
-    recurrent matrices, every direction in one stacked product. The
-    backward direction runs every sequence from its own last frame, and
-    its outputs are put back in time order once the layer is done.
+    layer projects its input for all its directions (``_project``) and
+    runs one recurrence over them, as the module docstring describes.
     Returns (logits (N, num_classes), BatchCache).
 
     Without ``for_backward`` the cache is None and one layer is alive
@@ -667,9 +649,8 @@ def forward_packed(spec, params, packing, frames, for_backward=True):
         del y, z, h, c
         if layer.bidirectional:  # the backward outputs into time order
             x[:, layer.units:] = x[packing.reverse, layer.units:]
-    logits = _product(x, _padded(params["output.W"]), spec.num_classes,
-                      out=np.empty((packing.num_frames, spec.num_classes)))
-    logits += params["output.b"]
+    logits = np.add(_product(x, _padded(params["output.W"]), spec.num_classes),
+                    params["output.b"])
     if not for_backward:
         return logits, None
     return logits, BatchCache(packing=packing, layers=layers, logits=logits)
@@ -687,8 +668,10 @@ def _layer_backward(params, li, layer, packing, layers, dy, grads):
     x, h, state = layers.pop()
     Wx, Wh, _ = _layer_weights(params, li, layer)
     D = len(Wx)
-    dh = _recurrence_order(packing, dy, D)
-    h = _recurrence_order(packing, h, D)
+    dh, h = dy.reshape(len(dy), D, -1), h.reshape(len(h), D, -1)
+    if D == 2:  # the backward halves into recurrence order
+        dh[:, 1] = dh[packing.reverse, 1]
+        h[:, 1] = h[packing.reverse, 1]
     if layer.kind == "rnn":
         dz = _rnn_grad_steps(packing, h, dh, Wh)
     else:
@@ -696,20 +679,20 @@ def _layer_backward(params, li, layer, packing, layers, dy, grads):
     del state  # frees an LSTM's cell states, by now dc/dh
     first = packing.steps[0][1]
     dx = None
-    for d, name in enumerate(_directions(layer)):
-        prefix = "layer%d.%s." % (li, name)
+    gWx, gWh, gb = _layer_weights(grads, li, layer)
+    for d in range(D):
         # each direction's dz contiguous, as its own products had it: a
         # product with one column runs a dot product, whose bits follow
         # the stride of its operands
         dz_d = np.ascontiguousarray(dz[:, d])
-        np.matmul(h[packing.prev_rows, d].T, dz_d[first:], out=grads[prefix + "Wh"])
+        np.matmul(h[packing.prev_rows, d].T, dz_d[first:], out=gWh[d])
         if d:  # into time order, straight from dz
             del dz_d
             dz_d = dz[packing.reverse, d]
         if d == D - 1:
             del dz, h
-        np.matmul(x.T, dz_d, out=grads[prefix + "Wx"])
-        dz_d.sum(axis=0, out=grads[prefix + "b"])
+        np.matmul(x.T, dz_d, out=gWx[d])
+        dz_d.sum(axis=0, out=gb[d])
         if li:  # the input frames need no gradient
             dx_d = dz_d @ Wx[d].T
             if dx is None:
@@ -885,15 +868,16 @@ def clip_by_global_norm(grads, max_norm):
     """Scale all gradients down when their joint norm exceeds max_norm.
 
     ``max_norm`` must be a finite number > 0 (``checked_real``).
-    Returns ``grads`` itself when it does not clip. When it clips, it
-    scales ``as_flat(grads)`` in place and returns a new FlatTensors
-    over that buffer: a FlatTensors ``grads`` is itself scaled, a plain
-    dict is left as it was.
+    Returns ``grads`` itself when it does not clip, also at a NaN norm,
+    so that ``optimizer_step`` names the tensor that holds the NaN. When
+    it clips, it scales ``as_flat(grads)`` in place and returns a new
+    FlatTensors over that buffer: a FlatTensors ``grads`` is itself
+    scaled, a plain dict is left as it was.
     """
     max_norm = checked_real("max_norm", max_norm)
     flat = as_flat(grads)
     norm = global_grad_norm(flat)
-    if norm <= max_norm or norm == 0.0:
+    if not norm > max_norm:
         return grads
     flat.flat *= max_norm / norm
     return FlatTensors(flat.shapes, flat.flat)

@@ -29,32 +29,33 @@ class Packing:
     def __init__(self, lengths):
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1 or lengths.size == 0 or lengths[-1] < 1 \
-                or np.any(lengths[1:] > lengths[:-1]):
+                or (lengths[1:] > lengths[:-1]).any():
             raise ValueError(
                 "packing needs a non-empty, non-increasing list of positive "
                 "lengths, got %r" % (lengths.tolist(),)
             )
         self.lengths = lengths
-        steps = np.arange(lengths[0])
-        self.batch_sizes = (lengths[None, :] > steps[:, None]).sum(axis=1)
-        self.offsets = np.concatenate(([0], np.cumsum(self.batch_sizes)))
-        self.num_frames = int(self.offsets[-1])
+        # whether sequence b runs at step t: row-major, the packed rows
+        running = np.arange(lengths[0])[:, None] < lengths
+        self.time_of_row, self.seq_of_row = np.nonzero(running)
+        self.batch_sizes = np.bincount(self.time_of_row)
+        self.offsets = np.zeros(len(running) + 1, dtype=np.int64)
+        np.add.accumulate(self.batch_sizes, out=self.offsets[1:])
+        self.num_frames = len(self.seq_of_row)
         # (first row, active sequences) per step, as Python ints for slicing
         self.steps = list(zip(self.offsets[:-1].tolist(),
                               self.batch_sizes.tolist()))
-        self.time_of_row = np.repeat(steps, self.batch_sizes)
-        self.seq_of_row = np.arange(self.num_frames) - self.offsets[self.time_of_row]
         # row of the same sequence one step earlier, for rows at t >= 1
-        first = self.steps[0][1]
+        first = lengths.size
         self.prev_rows = (self.offsets[self.time_of_row[first:] - 1]
                           + self.seq_of_row[first:])
-        self.last_rows = self.offsets[lengths - 1] + np.arange(lengths.size)
         # frame t of a sequence <-> frame L - 1 - t of the same sequence;
         # the map is its own inverse
         self.reverse = (
-            self.offsets[lengths[self.seq_of_row] - 1 - self.time_of_row]
+            self.offsets[(lengths - 1)[self.seq_of_row] - self.time_of_row]
             + self.seq_of_row
         )
+        self.last_rows = self.reverse[:first]  # frame 0 of sequence b is row b
 
     def pack(self, rows, starts):
         """Gather frame t of sequence b from ``rows[starts[b] + t]``, in one index.
@@ -63,7 +64,7 @@ class Packing:
         (B', T_max, ...) batch reshaped to (B' * T_max, ...), with
         ``starts = index * T_max``; its padding is never read.
         """
-        return rows[np.asarray(starts)[self.seq_of_row] + self.time_of_row]
+        return rows.take(np.asarray(starts)[self.seq_of_row] + self.time_of_row, 0)
 
     def rows(self, b):
         """Packed rows of sequence b, in time order."""

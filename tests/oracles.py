@@ -7,6 +7,7 @@ code with ctckit, so agreement between the two is meaningful.
 
 import itertools
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -485,6 +486,115 @@ def two_loop_gradient(packing, logits, labels, label_lengths):
     N, K = log_probs.shape
     occupancy = np.exp(alpha + beta - ll[seq][:, None])
     cells = np.arange(N)[:, None] * K + ext[seq]
+    posterior = np.bincount(cells.ravel(), weights=occupancy.ravel(),
+                            minlength=N * K).reshape(N, K)
+    return -ll, np.exp(log_probs) - posterior
+
+
+def packing_maps(lengths):
+    """The row maps of ``Packing(lengths)``, built from the step grid.
+
+    Returns a namespace with the attributes the engine reads: lengths,
+    batch_sizes, offsets, num_frames, steps, time_of_row, seq_of_row,
+    prev_rows, last_rows and reverse.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    steps = np.arange(lengths[0])
+    batch_sizes = (lengths[None, :] > steps[:, None]).sum(axis=1)
+    offsets = np.concatenate(([0], np.cumsum(batch_sizes)))
+    num_frames = int(offsets[-1])
+    time_of_row = np.repeat(steps, batch_sizes)
+    seq_of_row = np.arange(num_frames) - offsets[time_of_row]
+    first = lengths.size
+    return SimpleNamespace(
+        lengths=lengths, batch_sizes=batch_sizes, offsets=offsets,
+        num_frames=num_frames,
+        steps=list(zip(offsets[:-1].tolist(), batch_sizes.tolist())),
+        time_of_row=time_of_row, seq_of_row=seq_of_row,
+        prev_rows=offsets[time_of_row[first:] - 1] + seq_of_row[first:],
+        last_rows=offsets[lengths - 1] + np.arange(lengths.size),
+        reverse=offsets[lengths[seq_of_row] - 1 - time_of_row] + seq_of_row,
+    )
+
+
+def first_fit_groups(lengths, frame_bytes, step_bytes, budget):
+    """First-fit-decreasing groups, each sequence's group found by a
+    generator over the room left: index arrays into ``lengths``, each
+    longest first. A group is opened with ``budget`` less ``step_bytes``
+    a step of its first sequence, and a sequence costs ``frame_bytes`` a
+    frame."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    groups, free = [], []
+    for i, length in zip(order.tolist(), lengths[order].tolist()):
+        need = length * frame_bytes
+        g = next((g for g, room in enumerate(free) if room >= need), len(free))
+        if g == len(free):
+            groups.append([])
+            free.append(budget - length * step_bytes)
+        groups[g].append(i)
+        free[g] -= need
+    return [np.array(group, dtype=np.int64) for group in groups]
+
+
+def blockwise_trellis(packing, log_probs, labels, label_lengths, directions):
+    """Alpha and beta of a packed batch in one loop over 2-D row blocks.
+
+    The extended labels, the emissions (``take_along_axis``, then -inf
+    past each sequence's 2L + 1) and the skip and start rows are built
+    apart, and alpha is added up after the loop. Returns ext (B, S),
+    alpha and beta (N, S), beta None for one direction, and the
+    log-likelihoods (B,).
+    """
+    label_lengths = np.asarray(label_lengths, dtype=np.int64)
+    N, K = log_probs.shape
+    B, blank = len(label_lengths), K - 1
+    max_len = int(label_lengths.max())
+    S = 2 * max_len + 1
+    live = np.arange(max_len) < label_lengths[:, None]
+    ext = np.full((B, S), blank, dtype=np.int64)
+    ext[:, 1::2] = np.where(live, labels[:, :max_len], blank)
+    seq = packing.seq_of_row
+    own = np.take_along_axis(log_probs, ext[seq], axis=1)
+    own[(np.arange(S) > 2 * label_lengths[:, None])[seq]] = -np.inf
+    emit = np.full((N, directions, S + 2), -np.inf)
+    emit[:, 0, 2:] = own
+    if directions == 2:
+        emit[:, 1, 2:] = own[packing.reverse, ::-1]
+    skip = np.full((B, directions, S + 2), -np.inf)
+    skip[:, 0, 4:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
+    pre = np.full((N, directions, S + 2), -np.inf)
+    pre[:B, 0, 2:4] = 0.0
+    if directions == 2:
+        skip[:, 1, 4:] = skip[:, 0, :3:-1]
+        states = np.arange(S) - 2 * label_lengths[:, None]
+        pre[:B, 1, :1:-1][(states == 0) | (states == -1)] = 0.0
+    table, emit_rows = pre.reshape(N, -1), emit.reshape(N, -1)
+    skip = skip.reshape(B, -1)[:, 2:].copy()
+    q = np.empty((B, table.shape[1]))
+    for (prev, _), (start, n) in zip(packing.steps, packing.steps[1:]):
+        p = np.add(table[prev:prev + n], emit_rows[prev:prev + n], out=q[:n])
+        acc = np.logaddexp(p[:, 2:], p[:, 1:-1])
+        np.logaddexp(acc, p[:, :-2] + skip[:n], out=table[start:start + n, 2:])
+    alpha = np.add(pre[:, 0, 2:], emit[:, 0, 2:], out=pre[:, 0, 2:])
+    # final states 2L - 1 and 2L; with no labels column 1 is -inf padding
+    ends = pre[packing.last_rows, 0]
+    cols = 2 * label_lengths + 1
+    ll = np.logaddexp(ends[np.arange(B), cols], ends[np.arange(B), cols + 1])
+    if directions == 1:
+        return ext, alpha, None, ll
+    return ext, alpha.copy(), pre[packing.reverse, 1, :1:-1], ll
+
+
+def blockwise_gradient(packing, log_probs, labels, label_lengths):
+    """Losses and logit gradients from ``blockwise_trellis`` of the
+    log-softmax ``log_probs``: the occupancies exp(alpha + beta - ll),
+    summed per class by one ``bincount`` over the cells of ext."""
+    ext, alpha, beta, ll = blockwise_trellis(packing, log_probs, labels,
+                                             label_lengths, 2)
+    N, K = log_probs.shape
+    occupancy = np.exp(alpha + beta - ll[packing.seq_of_row][:, None])
+    cells = np.arange(N)[:, None] * K + ext[packing.seq_of_row]
     posterior = np.bincount(cells.ravel(), weights=occupancy.ravel(),
                             minlength=N * K).reshape(N, K)
     return -ll, np.exp(log_probs) - posterior

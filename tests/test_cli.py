@@ -205,6 +205,28 @@ class TestExitCodes:
             "output.b\n")
         assert not (tmp_path / "m").exists()
 
+    def test_a_nan_gradient_is_named_with_clip_norm(self, tmp_path, capsys,
+                                                    monkeypatch):
+        data = str(tmp_path / "d.jsonl")
+        assert cli_main(["gen-data", "--num", "4", "--labels", "3",
+                         "--feature-dim", "3", "--out", data]) == 0
+        backward = net.backward_packed
+
+        def poisoned(*args):
+            grads = backward(*args)
+            grads["output.b"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(net, "backward_packed", poisoned)
+        code = cli_main(["train", "--config", write_arch(tmp_path),
+                         "--data", data, "--epochs", "1", "--clip-norm", "5.0",
+                         "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error[numeric]: epoch 0, batch 0: non-finite gradient in tensor "
+            "output.b\n")
+        assert not (tmp_path / "m").exists()
+
     def test_a_worker_that_dies_is_a_worker_error(self, tmp_path, capsys,
                                                   monkeypatch):
         """A train whose fit worker exits mid-batch exits 4, with no

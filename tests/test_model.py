@@ -820,6 +820,23 @@ class TestFit:
             model.fit(small_dataset(10), epochs=2, batch_size=4)
         assert model.optimizer.step == 4
 
+    def test_a_nan_gradient_is_named_with_clip_norm(self, monkeypatch):
+        """Clipping leaves a NaN gradient where it is: the step names the
+        tensor that holds it, as it does without ``clip_norm``."""
+        backward = net.backward_packed
+
+        def poisoned(*args):
+            grads = backward(*args)
+            grads["output.b"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(net, "backward_packed", poisoned)
+        model = CtcModel.compile(SPEC, seed=5)
+        with pytest.raises(net.NonFiniteGradient, match=r"^epoch 0, batch 0: "
+                           r"non-finite gradient in tensor output\.b$"):
+            model.fit(small_dataset(10), epochs=1, batch_size=4, clip_norm=5.0)
+        assert model.optimizer.step == 0
+
     def test_checkpoints_written(self, tmp_path):
         model = CtcModel.compile(SPEC, seed=4)
         model.fit(small_dataset(4), epochs=2, batch_size=2,

@@ -9,14 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctckit import lattice, net
 from ctckit import model as model_module
-from ctckit import net
 from ctckit.data import Dataset
 from ctckit.model import CtcModel
 from ctckit.net import LayerSpec, NetworkSpec
 from ctckit.packing import STEP_BYTES, Packing
 
-from oracles import per_direction_backward, per_direction_forward, random_feasible_labels
+from oracles import (
+    blockwise_gradient,
+    blockwise_trellis,
+    first_fit_groups,
+    packing_maps,
+    per_direction_backward,
+    per_direction_forward,
+    random_feasible_labels,
+)
 
 ENGINE = settings(max_examples=100, derandomize=True, deadline=None)
 
@@ -82,3 +90,114 @@ def test_losses_do_not_depend_on_the_groups(spec, data):
     count, split = losses(budget_frames * per_frame)
     assert one == 1 and count >= 1
     assert whole.tobytes() == split.tobytes()
+
+
+# non-increasing lengths: a single sequence, ties and runs of ones included
+sorted_lengths = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(
+    lambda lengths: sorted(lengths, reverse=True))
+
+PACKING_MAPS = ("lengths", "batch_sizes", "offsets", "time_of_row",
+                "seq_of_row", "prev_rows", "last_rows", "reverse")
+
+
+@ENGINE
+@given(lengths=sorted_lengths)
+def test_packing_equals_the_step_grid(lengths):
+    """``Packing``'s row maps are those built from the step grid
+    (``tests/oracles.py``), values and dtypes."""
+    packing, ref = Packing(lengths), packing_maps(lengths)
+    for name in PACKING_MAPS:
+        ours, theirs = getattr(packing, name), getattr(ref, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+    assert packing.steps == ref.steps
+    assert packing.num_frames == ref.num_frames
+
+
+@ENGINE
+@given(spec=network_specs, data=st.data())
+def test_activation_groups_equal_the_generator_search(spec, data):
+    """``activation_groups`` makes the groups of a first-fit search by a
+    generator per sequence, for budgets from one frame to all frames,
+    lengths in any order and either pass."""
+    lengths = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=12))
+    for_backward = data.draw(st.booleans())
+    per_frame = net.stored_bytes_per_frame(spec, for_backward)
+    budget = (data.draw(st.integers(1, sum(lengths))) * per_frame
+              + max(lengths) * STEP_BYTES)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(net, "ACTIVATION_BYTES", budget)
+        groups = net.activation_groups(spec, lengths, for_backward)
+    ref = first_fit_groups(lengths, per_frame, STEP_BYTES, budget)
+    assert [g.tolist() for g in groups] == [g.tolist() for g in ref]
+    assert all(g.dtype == np.int64 for g in groups)
+
+
+@st.composite
+def lattice_batches(draw):
+    """A length-sorted batch for the lattice: feasible labels of 0 to
+    L_max, from so few classes that adjacent repeats are common, past
+    each label_len a padding the lattice must not read, and the
+    log-probabilities of logits or of posteriors with exact zeros."""
+    K = draw(st.integers(2, 4))
+    lengths = draw(sorted_lengths)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    label_lists = []
+    for t in lengths:
+        labels = rng.integers(0, K - 1, size=int(rng.integers(0, t + 1))).tolist()
+        while len(labels) + sum(a == b for a, b in zip(labels, labels[1:])) > t:
+            labels.pop()
+        label_lists.append(labels)
+    width = max(map(len, label_lists)) + draw(st.integers(0, 2))
+    labels = rng.integers(-1, K + 2, size=(len(lengths), width))
+    for row, labels_b in zip(labels, label_lists):
+        row[:len(labels_b)] = labels_b
+    N = sum(lengths)
+    if draw(st.booleans()):
+        log_probs = net.log_softmax_rows(rng.normal(0, 3, (N, K)))
+    else:
+        probs = rng.random((N, K)) * (rng.random((N, K)) > 0.2)
+        probs[:, -1] += 1e-3
+        log_probs = lattice.log_posteriors(probs / probs.sum(axis=1, keepdims=True))
+    return lengths, log_probs, labels, [len(l) for l in label_lists]
+
+
+@ENGINE
+@given(batch=lattice_batches(), directions=st.sampled_from([1, 2]))
+def test_trellis_equals_the_blockwise_one(batch, directions):
+    """``_trellis`` gives the alpha, beta and log-likelihoods of the
+    lattice over 2-D row blocks (``tests/oracles.py``) bit for bit, and
+    its cells index ext's classes, or one past log_probs past each
+    sequence's own 2L + 1."""
+    lengths, log_probs, labels, label_lengths = batch
+    ref_packing = packing_maps(lengths)
+    ext, *ref = blockwise_trellis(ref_packing, log_probs, labels,
+                                  label_lengths, directions)
+    cells, *ours = lattice._trellis(Packing(lengths), log_probs, labels,
+                                    label_lengths, directions)
+    for got, want in zip(ours, ref):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    N, K = log_probs.shape
+    seq = ref_packing.seq_of_row
+    own = np.arange(ext.shape[1]) <= 2 * np.array(label_lengths)[seq][:, None]
+    want = np.where(own, np.arange(N)[:, None] * K + ext[seq], N * K)
+    assert np.array_equal(cells, want)
+
+
+@ENGINE
+@given(batch=lattice_batches())
+def test_gradient_equals_the_blockwise_one(batch):
+    """``ctc_gradient_packed``'s losses and gradients are those of the
+    blockwise lattice, bit for bit."""
+    lengths, log_probs, labels, label_lengths = batch
+    if not np.isfinite(log_probs).all():  # logits are finite
+        log_probs = np.nan_to_num(log_probs, neginf=-30.0)
+    logits = log_probs + 1.5
+    losses, grad = lattice.ctc_gradient_packed(Packing(lengths), logits,
+                                               labels, label_lengths)
+    ref_losses, ref_grad = blockwise_gradient(
+        packing_maps(lengths), net.log_softmax_rows(logits), labels,
+        label_lengths)
+    assert losses.tobytes() == ref_losses.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
